@@ -11,6 +11,12 @@ Numeric policy: values are stored as float32; every reduction (convolution
 dot products, means, loss sums, normalization statistics) accumulates in
 float64 and rounds once on output. Gradients flow through the backward sweep
 in float64 and are returned as float32.
+
+Invariant: a change to how an op lays out its data may not reorder any
+float64 sum. Each sum adds the same terms in the same order (extra terms
+only if they are exact zeros), so every value and every checkpoint stays
+byte-identical across such changes; see the im2col section for the
+convolutions.
 """
 
 from __future__ import annotations
@@ -159,12 +165,43 @@ def _needs(t) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# im2col / col2im helpers (slice-based, no index arrays)
+# im2col / col2im
+#
+# These helpers only move data to and from the float64 GEMMs. A change of
+# layout may not reorder any float64 sum: each output element receives the
+# same terms, in the same kernel-offset (a, b) order, starting from +0.0, as
+# one strided slice per offset would give it; extra terms are allowed only
+# if they are exact zeros. That is why checkpoints stay byte-identical when
+# this section is rewritten. The input gradient and the transposed conv are
+# therefore not computed as a conv with a flipped, C_in/C_out-swapped
+# kernel: that adds the same terms in another order, and the float32
+# one-ulp flips it causes grow under Adam. Measured on the classification
+# benchmark workload, seed 1: 66 checkpoint tensors changed, the most the
+# biases of the denoiser convs that feed batchnorm (by up to 8e-4), whose
+# true gradient is zero, so Adam steps them on rounding noise alone.
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    c = xp.shape[0]
-    cols = np.empty((c, kh, kw, oh, ow), dtype=xp.dtype)
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
+    """Float64 patches [C, kh, kw, oh, ow] of ``x`` zero-padded by ``padding``.
+
+    The padded copy is float64 and gets its zero border written one strip
+    per side, so the patches need no cast of their own.
+    """
+    c, h, w = x.shape
+    if stride == kh == kw and padding == 0:
+        # non-overlapping windows: the patches are a permutation of the input
+        windows = x[:, : oh * kh, : ow * kw].reshape(c, oh, kh, ow, kw).transpose(0, 2, 4, 1, 3)
+        return np.ascontiguousarray(windows, dtype=_F64)
+    xp = x
+    if padding:
+        p = padding
+        xp = np.empty((c, h + 2 * p, w + 2 * p), dtype=_F64)
+        xp[:, :p] = 0.0
+        xp[:, p + h :] = 0.0
+        xp[:, p : p + h, :p] = 0.0
+        xp[:, p : p + h, p + w :] = 0.0
+        xp[:, p : p + h, p : p + w] = x
+    cols = np.empty((c, kh, kw, oh, ow), dtype=_F64)
     for a in range(kh):
         ha = a + stride * (oh - 1) + 1
         for b in range(kw):
@@ -174,8 +211,14 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
 
 
 def _col2im(cols: np.ndarray, hp: int, wp: int, stride: int) -> np.ndarray:
+    """Sum patches [C, kh, kw, oh, ow] back onto the [C, hp, wp] grid they were cut from."""
     c, kh, kw, oh, ow = cols.shape
-    out = np.zeros((c, hp, wp), dtype=cols.dtype)
+    if stride == kh == kw and (hp, wp) == (oh * kh, ow * kw):
+        # windows that tile the grid: each cell receives exactly one term
+        tiles = np.zeros((c, oh, kh, ow, kw), dtype=_F64)
+        tiles += cols.transpose(0, 3, 1, 4, 2)
+        return tiles.reshape(c, hp, wp)
+    out = np.zeros((c, hp, wp), dtype=_F64)
     for a in range(kh):
         ha = a + stride * (oh - 1) + 1
         for b in range(kw):
@@ -184,10 +227,27 @@ def _col2im(cols: np.ndarray, hp: int, wp: int, stride: int) -> np.ndarray:
     return out
 
 
-def _pad_spatial(arr: np.ndarray, padding: int) -> np.ndarray:
-    if padding == 0:
-        return arr
-    return np.pad(arr, ((0, 0), (padding, padding), (padding, padding)))
+def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Stride-1 col2im of the patches ``kcols @ v``, [C*kh*kw, K] by [K, H, W],
+    onto [C, H+kh-1, W+kw-1].
+
+    In the GEMM operand each row of ``v`` is followed by kw - 1 zeros, so a
+    patch row spans the output's full width wp, and on the flat output
+    kernel offset (a, b) adds one contiguous block starting at a*wp + b.
+    The zero tails land on the head of the next row or past the end.
+    """
+    k, h, w = v.shape
+    hp, wp = h + kh - 1, w + kw - 1
+    operand = np.empty((k, h, wp), dtype=_F64)
+    operand[:, :, :w] = v
+    operand[:, :, w:] = 0.0
+    blocks = (kcols @ operand.reshape(k, h * wp)).reshape(-1, kh * kw, h * wp)
+    flat = np.zeros((blocks.shape[0], hp * wp + kw - 1), dtype=_F64)
+    for a in range(kh):
+        for b in range(kw):
+            start = a * wp + b
+            flat[:, start : start + h * wp] += blocks[:, a * kw + b]
+    return flat[:, : hp * wp].reshape(-1, hp, wp)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +274,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: i
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
 
-    xp = _pad_spatial(x.data, padding)
-    cols = _im2col(xp, kh, kw, stride, oh, ow).reshape(cin * kh * kw, oh * ow).astype(_F64)
+    cols = _im2col(x.data, kh, kw, stride, padding, oh, ow).reshape(cin * kh * kw, oh * ow)
     kmat = kernels.data.reshape(cout, cin * kh * kw).astype(_F64)
     out64 = kmat @ cols
     out64 += bias.data.astype(_F64)[:, None]
@@ -225,8 +284,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: i
         g2 = g.reshape(cout, oh * ow)
         dx = dk = db = None
         if _needs(x):
-            dcols = kmat.T @ g2
-            dxp = _col2im(dcols.reshape(cin, kh, kw, oh, ow), hp, wp, stride)
+            if stride == 1:
+                dxp = _overlap_add(kmat.T, g, kh, kw)
+            else:
+                dxp = _col2im((kmat.T @ g2).reshape(cin, kh, kw, oh, ow), hp, wp, stride)
             dx = dxp[:, padding : padding + h, padding : padding + w] if padding else dxp
         if _needs(kernels):
             dk = (g2 @ cols.T).reshape(cout, cin, kh, kw)
@@ -264,9 +325,11 @@ def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, 
         raise InvalidShapeError(f"output extent {oh}x{ow} is not positive")
 
     kmat = kernels.data.reshape(cin, cout * kh * kw).astype(_F64)
-    x2 = x.data.reshape(cin, h * w).astype(_F64)
-    cols64 = kmat.T @ x2
-    full = _col2im(cols64.reshape(cout, kh, kw, h, w), oh + 2 * padding, ow + 2 * padding, stride)
+    if stride == 1:
+        full = _overlap_add(kmat.T, x.data, kh, kw)
+    else:
+        cols64 = kmat.T @ x.data.reshape(cin, h * w).astype(_F64)
+        full = _col2im(cols64.reshape(cout, kh, kw, h, w), oh + 2 * padding, ow + 2 * padding, stride)
     out64 = full[:, padding : padding + oh, padding : padding + ow] if padding else full
     out64 = out64 + bias.data.astype(_F64)[:, None, None]
     out = _wrap(out64)
@@ -274,12 +337,11 @@ def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, 
     def backward_fn(g: np.ndarray):
         dx = dk = db = None
         if _needs(x) or _needs(kernels):
-            gp = _pad_spatial(g, padding)
-            gcols = _im2col(gp, kh, kw, stride, h, w).reshape(cout * kh * kw, h * w)
+            gcols = _im2col(g, kh, kw, stride, padding, h, w).reshape(cout * kh * kw, h * w)
             if _needs(x):
                 dx = (kmat @ gcols).reshape(cin, h, w)
             if _needs(kernels):
-                dk = (x2 @ gcols.T).reshape(cin, cout, kh, kw)
+                dk = (x.data.reshape(cin, h * w).astype(_F64) @ gcols.T).reshape(cin, cout, kh, kw)
         if _needs(bias):
             db = g.sum(axis=(1, 2))
         return dx, dk, db
@@ -299,7 +361,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         raise InvalidShapeError(f"window {window} exceeds input extents {h}x{w}")
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
-    cols = _im2col(x.data, window, window, stride, oh, ow).reshape(c, window * window, oh, ow)
+    cols = _im2col(x.data, window, window, stride, 0, oh, ow).reshape(c, window * window, oh, ow)
     # argmax returns the first maximum, i.e. the lowest linear index in the window
     arg = cols.argmax(axis=1)
     out = _wrap(np.take_along_axis(cols, arg[:, None], axis=1)[:, 0])
@@ -307,6 +369,9 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     def backward_fn(g: np.ndarray):
         if not _needs(x):
             return (None,)
+        # one masked strided add per window cell: at the networks' extents
+        # this beats a put_along_axis scatter plus the inverse permutation,
+        # which allocate two more input-sized arrays
         dx = np.zeros((c, h, w), dtype=_F64)
         for cell in range(window * window):
             a, b = divmod(cell, window)

@@ -300,10 +300,12 @@ def load_sample(directory, stem: str) -> Sample:
 def save_dataset(spec: DatasetSpec, train: list[Sample], test: list[Sample], directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "manifest.json").write_text(json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n")
+    (directory / "manifest.json").unlink(missing_ok=True)
     for split, samples in (("train", train), ("test", test)):
         for i, sample in enumerate(samples):
             save_sample(sample, directory / split, f"{i:04d}")
+    # last: only a complete dataset has a manifest
+    (directory / "manifest.json").write_text(json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n")
 
 
 def load_dataset(directory) -> tuple[DatasetSpec, list[Sample], list[Sample]]:

@@ -86,6 +86,8 @@ def _train_config(cfg: ExperimentConfig, purpose: str) -> TrainConfig:
 
 
 def _write_loss_csv(result: TrainResult, path: Path) -> None:
+    """Written before the checkpoint, whose manifest comes last of all."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss"])
@@ -128,8 +130,8 @@ def ensure_scheme_trained(cfg: ExperimentConfig, scheme: str, out: Path) -> dict
         else:
             app_model, _ = load_checkpoint(app_path)
             result = schemes_mod.train_denoiser_nnv(denoiser, app_model, train_samples, train_cfg, cfg.train_noise)
-        save_checkpoint(denoiser, den_dir, epoch=result.best_epoch)
         _write_loss_csv(result, den_dir / "loss.csv")
+        save_checkpoint(denoiser, den_dir, epoch=result.best_epoch)
     return {"application": app_path, "denoiser": den_dir}
 
 
@@ -141,8 +143,8 @@ def _ensure_application(
         return ckpt
     model = build_network(cfg.application)
     result = schemes_mod.train_application(model, train_samples, _train_config(cfg, "application"), noise)
-    save_checkpoint(model, ckpt, epoch=result.best_epoch)
     _write_loss_csv(result, ckpt / "loss.csv")
+    save_checkpoint(model, ckpt, epoch=result.best_epoch)
     return ckpt
 
 

@@ -359,13 +359,15 @@ _MANIFEST = "manifest.json"
 def save_checkpoint(model: Model, directory, epoch: int = 0) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {"format": "taskdenoise-checkpoint-v1", "epoch": epoch, "spec": asdict(model.spec)}
-    (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (directory / _MANIFEST).unlink(missing_ok=True)
     for name, p in model.named_parameters():
         write_tensor(directory / f"{name}.tsr1", p.data)
     for bn in model.batchnorm_layers():
         write_tensor(directory / f"{bn.name}.running_mean.tsr1", bn.stats.mean)
         write_tensor(directory / f"{bn.name}.running_var.tsr1", bn.stats.var)
+    # last: only a complete checkpoint has a manifest
+    manifest = {"format": "taskdenoise-checkpoint-v1", "epoch": epoch, "spec": asdict(model.spec)}
+    (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(directory) -> tuple[Model, int]:

@@ -1,0 +1,116 @@
+"""The convolution family gives the same bits as the slice-loop reference.
+
+The brute-force oracles in ``test_autodiff.py`` compare with tolerances,
+so they cannot see a float64 sum that adds its terms in another order.
+These tests compare bytes: forward outputs, and every float64 gradient the
+op's backward returns, at each layer shape the four networks run (64x64,
+width 8) and at the strides and extents only the tests use. The output
+gradient fed to backward holds +0.0 and -0.0 entries, as relu's backward
+produces, so that a changed sign of zero shows too.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import conv_reference as ref
+from taskdenoise import autodiff as ad
+from taskdenoise.autodiff import Tape, Tensor
+from taskdenoise.networks import ALL_KINDS, NetworkSpec, build_network
+
+OPS = ("conv2d", "transpose_conv2d", "maxpool2d")
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray, what: str) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape, f"{what}: {a.dtype}{a.shape} vs {b.dtype}{b.shape}"
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), f"{what}: bits differ"
+
+
+def _output_grad(shape, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=shape)
+    # relu's backward multiplies by a boolean mask: zeros of either sign
+    return np.where(rng.random(shape) < 0.3, g * 0.0, g)
+
+
+def _run(op, arrays, args):
+    """Forward value and the float64 gradients of every input."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*inputs, *args)
+    return out, tape.records[-1].backward_fn
+
+
+def assert_exact(name: str, arrays, args, seed: int = 0) -> None:
+    out, backward = _run(getattr(ad, name), arrays, args)
+    out_ref, backward_ref = _run(getattr(ref, name), arrays, args)
+    _same_bits(out.data, out_ref.data, f"{name}{args} forward")
+    g = _output_grad(out.shape, seed)
+    grads, grads_ref = backward(g), backward_ref(g)
+    assert len(grads) == len(grads_ref) == len(arrays)
+    for i, (d, d_ref) in enumerate(zip(grads, grads_ref)):
+        _same_bits(d, d_ref, f"{name}{args} gradient of input {i}")
+
+
+def _layer_calls(kind: str) -> list:
+    """(op name, input arrays, other args) of every conv/pool call in one
+    training-mode forward pass of ``kind`` at 64x64, width 8."""
+    spec = NetworkSpec(kind=kind, base_channels=8, num_classes=4, height=64, width=64, seed=5).validate()
+    model = build_network(spec)
+    calls = []
+    originals = {name: getattr(ad, name) for name in OPS}
+
+    def recording(name):
+        def wrapper(*args):
+            tensors = [a for a in args if isinstance(a, Tensor)]
+            calls.append((name, [t.data.copy() for t in tensors], args[len(tensors):]))
+            return originals[name](*args)
+
+        return wrapper
+
+    try:
+        for name in OPS:
+            setattr(ad, name, recording(name))
+        image = np.random.default_rng(1).uniform(0, 255, size=(1, 64, 64)).astype(np.float32)
+        model(Tensor(image), train=True)
+    finally:
+        for name, fn in originals.items():
+            setattr(ad, name, fn)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_layer_of_the_networks(kind):
+    calls = _layer_calls(kind)
+    assert {name for name, _, _ in calls} >= {"conv2d"}
+    for i, (name, arrays, args) in enumerate(calls):
+        assert_exact(name, arrays, args, seed=i)
+
+
+def _rand(shape, seed):
+    return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (2, 1, 3), (2, 0, 3), (3, 2, 3), (2, 0, 2)])
+def test_conv2d_strides(stride, padding, kernel):
+    arrays = [_rand((2, 7, 6), 1), _rand((3, 2, kernel, kernel), 2), _rand((3,), 3)]
+    assert_exact("conv2d", arrays, (stride, padding))
+
+
+@pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (2, 1, 3), (2, 0, 3), (2, 0, 2), (1, 0, 1)])
+def test_transpose_conv2d_strides(stride, padding, kernel):
+    arrays = [_rand((2, 5, 4), 4), _rand((2, 3, kernel, kernel), 5), _rand((3,), 6)]
+    assert_exact("transpose_conv2d", arrays, (stride, padding))
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4), (2, 5, 5), (3, 7, 6), (1, 6, 7)])
+@pytest.mark.parametrize("window,stride", [(2, 2), (3, 1)])
+def test_maxpool2d_extents(shape, window, stride):
+    assert_exact("maxpool2d", [_rand(shape, 7)], (window, stride))
+
+
+def test_maxpool2d_ties():
+    # ties route the gradient to the first maximum on both paths
+    x = np.round(_rand((2, 7, 6), 8)).astype(np.float32)
+    assert_exact("maxpool2d", [x], (2, 2))

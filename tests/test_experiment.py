@@ -1,9 +1,11 @@
 """Pipeline orchestration: artifact layout, reuse, overrides, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from taskdenoise import data, networks
 from taskdenoise.config import parse_config
 from taskdenoise.errors import CheckpointError, ConfigError
 from taskdenoise.experiment import (
@@ -92,6 +94,43 @@ class TestTrain:
         cfg = parse_config(json.dumps(raw))
         with pytest.raises(ConfigError):
             cmd_train(cfg, "hv")
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestInterruptedSave:
+    # write_tensor raises on call ``calls``: in the dataset, in the tc
+    # checkpoint, and (after tc's 26 tensors) in the hv denoiser checkpoint
+    @pytest.mark.parametrize(
+        "module,calls",
+        [pytest.param(data, 4, id="dataset"), pytest.param(networks, 5, id="tc"), pytest.param(networks, 30, id="hv")],
+    )
+    def test_no_manifest_and_the_rerun_matches(self, cfg, tmp_path, monkeypatch, module, calls):
+        cmd_train(parse_config(_config_text(tmp_path / "clean")), "hv")
+        expected = _tree(tmp_path / "clean")
+
+        real = module.write_tensor
+        written = []
+
+        def failing(path, arr):
+            if len(written) == calls:
+                raise OSError("no space left on device")
+            written.append(Path(path))
+            real(path, arr)
+
+        monkeypatch.setattr(module, "write_tensor", failing)
+        with pytest.raises(OSError):
+            cmd_train(cfg, "hv")
+        # checkpoint tensors sit next to the manifest, dataset tensors one level below it
+        interrupted = written[-1].parent if module is networks else written[-1].parent.parent
+        assert any(interrupted.iterdir())
+        assert not (interrupted / "manifest.json").exists()
+
+        monkeypatch.setattr(module, "write_tensor", real)
+        cmd_train(cfg, "hv")
+        assert _tree(tmp_path / "run") == expected
 
 
 class TestEval:
