@@ -14,7 +14,7 @@ from pathlib import Path
 from .data import CLASSIFICATION, SEGMENTATION, DatasetSpec
 from .errors import ConfigError, InvalidSpecError
 from .networks import APPLICATION_KINDS, CCNN, DENOISER_KINDS, NONEWNET2D, NetworkSpec
-from .noise import NoiseSpec
+from .noise import NoiseSpec, noise_tag
 from .rng import derive_seed
 from .schemes import HV, NNV, SCHEME_KINDS, TC, TD
 
@@ -81,8 +81,16 @@ class ExperimentConfig:
         self.train_noise.validate()
         if not self.test_noises:
             raise ConfigError("test_noises list is empty")
-        for n in self.test_noises:
+        tags: dict[str, int] = {}
+        for i, n in enumerate(self.test_noises):
             n.validate()
+            tag = noise_tag(n)
+            first = tags.setdefault(tag, i)
+            if first != i:
+                raise ConfigError(
+                    f"test_noises[{first}] and test_noises[{i}] share the label {tag!r}; "
+                    "their metrics files and compare.csv rows would collide"
+                )
         self.train.validate()
         for scheme, paths in self.checkpoint_overrides.items():
             if scheme not in SCHEME_KINDS:

@@ -9,8 +9,14 @@ Artifact layout under the output directory:
     dct/<name>.{csv,pgm}          spectrum and frequency-gradient heatmaps
 
 Training a scheme trains its missing dependencies (nnv needs the tc-trained
-application network); evaluation never trains and fails on missing
-checkpoints. All artifacts are pure functions of the config.
+application network) and reads the dataset only if something is missing;
+evaluation never trains and fails on missing checkpoints. ``compare``
+prepares each evaluation input once and shares it across schemes: one
+dataset read, one load per checkpoint directory (tc's application network
+serves tc, hv and nnv), and one corrupted test set per test noise, since
+the dirty images depend only on the noise spec and the sample index.
+``eval`` and ``compare`` score through one function. All artifacts are
+pure functions of the config.
 """
 
 from __future__ import annotations
@@ -26,17 +32,10 @@ from .config import ExperimentConfig
 from .data import Sample, generate_dataset, load_dataset, save_dataset
 from .errors import CheckpointError, ConfigError
 from .networks import Model, build_network, load_checkpoint, save_checkpoint
-from .noise import GAUSSIAN, NoiseSpec
+from .noise import NoiseSpec, noise_tag
 from .rng import derive_seed
 from .schemes import HV, NNV, TC, TD, TrainConfig, TrainResult
 from .tensorio import read_tensor
-from .autodiff import Tensor
-
-
-def noise_tag(spec: NoiseSpec) -> str:
-    if spec.kind == GAUSSIAN:
-        return f"gaussian_sigma{spec.sigma:g}"
-    return f"poisson_scale{spec.poisson_scale:g}"
 
 
 def resolve_out_dir(cfg: ExperimentConfig, out_dir=None) -> Path:
@@ -85,67 +84,64 @@ def _train_config(cfg: ExperimentConfig, purpose: str) -> TrainConfig:
     )
 
 
-def _write_loss_csv(result: TrainResult, path: Path) -> None:
-    """Written before the checkpoint, whose manifest comes last of all."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _save_trained(model: Model, result: TrainResult, ckpt: Path) -> None:
+    """loss.csv first, then the checkpoint, whose manifest comes last of all."""
+    ckpt.mkdir(parents=True, exist_ok=True)
+    with open(ckpt / "loss.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "train_loss", "val_loss"])
         for epoch, train_loss, val_loss in result.trace:
             writer.writerow([epoch, f"{train_loss:.6g}", "" if val_loss != val_loss else f"{val_loss:.6g}"])
+    save_checkpoint(model, ckpt, epoch=result.best_epoch)
 
 
-def _scheme_override(cfg: ExperimentConfig, scheme: str) -> dict | None:
-    return cfg.checkpoint_overrides.get(scheme)
+def _scheme_dirs(cfg: ExperimentConfig, scheme: str, out: Path) -> tuple[Path, Path | None]:
+    """(application, denoiser) checkpoint directories the scheme routes
+    through: the config's override, else the conventional layout, where hv
+    and nnv route through the clean-trained (tc) application network."""
+    override = cfg.checkpoint_overrides.get(scheme)
+    if override is not None:
+        den = override.get("denoiser")
+        return Path(override["application"]), Path(den) if den else None
+    app_dir = _checkpoint_dir(out, TD if scheme == TD else TC)
+    return app_dir, _checkpoint_dir(out, scheme) if scheme in (HV, NNV) else None
 
 
-def ensure_scheme_trained(cfg: ExperimentConfig, scheme: str, out: Path) -> dict:
+def _complete(ckpt: Path) -> bool:
+    return (ckpt / "manifest.json").is_file()
+
+
+def ensure_scheme_trained(
+    cfg: ExperimentConfig, scheme: str, out: Path, train_samples: list[Sample] | None = None
+) -> dict:
     """Train the scheme's missing checkpoints; returns their paths.
 
     Returns {"application": Path, "denoiser": Path | None}. Checkpoint
-    overrides short-circuit training entirely for that scheme.
+    overrides short-circuit training entirely for that scheme. Without
+    ``train_samples`` the train split is read from the dataset, and only if
+    something must be trained.
     """
-    override = _scheme_override(cfg, scheme)
-    if override is not None:
-        app = Path(override["application"])
-        den = override.get("denoiser")
-        return {"application": app, "denoiser": Path(den) if den else None}
-
-    train_samples, _ = ensure_dataset(cfg, out)
-    if scheme == TC:
-        return {"application": _ensure_application(cfg, TC, None, train_samples, out), "denoiser": None}
-    if scheme == TD:
-        return {
-            "application": _ensure_application(cfg, TD, cfg.train_noise, train_samples, out),
-            "denoiser": None,
-        }
-    # hv / nnv: the application network is the clean-trained (tc) one
-    app_path = _ensure_application(cfg, TC, None, train_samples, out)
-    den_dir = _checkpoint_dir(out, scheme)
-    if not (den_dir / "manifest.json").is_file():
+    app_dir, den_dir = _scheme_dirs(cfg, scheme, out)
+    paths = {"application": app_dir, "denoiser": den_dir}
+    if scheme in cfg.checkpoint_overrides or all(_complete(d) for d in (app_dir, den_dir) if d is not None):
+        return paths
+    if train_samples is None:
+        train_samples, _ = ensure_dataset(cfg, out)
+    if not _complete(app_dir):
+        model = build_network(cfg.application)
+        noise = cfg.train_noise if scheme == TD else None
+        result = schemes_mod.train_application(model, train_samples, _train_config(cfg, "application"), noise)
+        _save_trained(model, result, app_dir)
+    if den_dir is not None and not _complete(den_dir):
         denoiser = build_network(cfg.denoiser)
         train_cfg = _train_config(cfg, "denoiser")
         if scheme == HV:
             result = schemes_mod.train_denoiser_hv(denoiser, train_samples, train_cfg, cfg.train_noise)
         else:
-            app_model, _ = load_checkpoint(app_path)
+            app_model, _ = load_checkpoint(app_dir)
             result = schemes_mod.train_denoiser_nnv(denoiser, app_model, train_samples, train_cfg, cfg.train_noise)
-        _write_loss_csv(result, den_dir / "loss.csv")
-        save_checkpoint(denoiser, den_dir, epoch=result.best_epoch)
-    return {"application": app_path, "denoiser": den_dir}
-
-
-def _ensure_application(
-    cfg: ExperimentConfig, scheme: str, noise: NoiseSpec | None, train_samples: list[Sample], out: Path
-) -> Path:
-    ckpt = _checkpoint_dir(out, scheme)
-    if (ckpt / "manifest.json").is_file():
-        return ckpt
-    model = build_network(cfg.application)
-    result = schemes_mod.train_application(model, train_samples, _train_config(cfg, "application"), noise)
-    _write_loss_csv(result, ckpt / "loss.csv")
-    save_checkpoint(model, ckpt, epoch=result.best_epoch)
-    return ckpt
+        _save_trained(denoiser, result, den_dir)
+    return paths
 
 
 def cmd_train(cfg: ExperimentConfig, scheme: str, out_dir=None) -> dict:
@@ -159,36 +155,51 @@ def cmd_train(cfg: ExperimentConfig, scheme: str, out_dir=None) -> dict:
 # Evaluation
 
 
-def load_scheme_components(cfg: ExperimentConfig, scheme: str, out: Path) -> tuple[Model, Model | None]:
-    """Load the trained models a scheme routes through; never trains."""
-    override = _scheme_override(cfg, scheme)
-    if override is not None:
-        app_dir = Path(override["application"])
-        den = override.get("denoiser")
-        den_dir = Path(den) if den else None
-    else:
-        app_dir = _checkpoint_dir(out, TD if scheme == TD else TC)
-        den_dir = _checkpoint_dir(out, scheme) if scheme in (HV, NNV) else None
-    if not (app_dir / "manifest.json").is_file():
-        raise CheckpointError(f"missing application checkpoint for scheme {scheme!r} at {app_dir}")
-    application, _ = load_checkpoint(app_dir)
-    denoiser = None
-    if den_dir is not None:
-        if not (den_dir / "manifest.json").is_file():
-            raise CheckpointError(f"missing denoiser checkpoint for scheme {scheme!r} at {den_dir}")
-        denoiser, _ = load_checkpoint(den_dir)
-    return application, denoiser
+def load_scheme_components(
+    cfg: ExperimentConfig, scheme: str, out: Path, loaded: dict | None = None
+) -> tuple[Model, Model | None]:
+    """Load the trained models a scheme routes through; never trains.
+
+    ``loaded`` maps a resolved checkpoint directory to its model. A
+    directory already in it is not read again, so schemes that route through
+    one checkpoint share one model: evaluation runs every model in eval
+    mode, which changes neither weights nor batchnorm statistics.
+    """
+    loaded = {} if loaded is None else loaded
+
+    def load(role: str, ckpt: Path | None) -> Model | None:
+        if ckpt is None:
+            return None
+        key = ckpt.resolve()
+        if key not in loaded:
+            if not _complete(ckpt):
+                raise CheckpointError(f"missing {role} checkpoint for scheme {scheme!r} at {ckpt}")
+            loaded[key], _ = load_checkpoint(ckpt)
+        return loaded[key]
+
+    app_dir, den_dir = _scheme_dirs(cfg, scheme, out)
+    return load("application", app_dir), load("denoiser", den_dir)
+
+
+def _score(
+    scheme: str, test_noise: NoiseSpec, components: tuple, test_samples: list[Sample], images: list, out: Path
+):
+    """Score one scheme on one test noise's images and write the per-sample
+    CSV; returns (report, csv path). ``eval`` and ``compare`` both end here."""
+    application, denoiser = components
+    report = schemes_mod.evaluate_scheme(application, denoiser, test_samples, images)
+    path = out / "metrics" / f"{scheme}_{noise_tag(test_noise)}.csv"
+    metrics_mod.write_per_sample_csv(report, path)
+    return report, path
 
 
 def cmd_eval(cfg: ExperimentConfig, scheme: str, test_noise: NoiseSpec, out_dir=None):
     """Evaluate one scheme at one test noise; returns (report, csv path)."""
     out = resolve_out_dir(cfg, out_dir)
     _, test_samples = ensure_dataset(cfg, out)
-    application, denoiser = load_scheme_components(cfg, scheme, out)
-    report = schemes_mod.evaluate_scheme(application, denoiser, test_samples, test_noise)
-    path = out / "metrics" / f"{scheme}_{noise_tag(test_noise)}.csv"
-    metrics_mod.write_per_sample_csv(report, path)
-    return report, path
+    components = load_scheme_components(cfg, scheme, out)
+    images = schemes_mod.corrupt_samples(test_samples, test_noise, "test")
+    return _score(scheme, test_noise, components, test_samples, images, out)
 
 
 @dataclass
@@ -208,12 +219,16 @@ def cmd_compare(cfg: ExperimentConfig, out_dir=None) -> ComparisonResult:
     """Train whatever is missing, evaluate every scheme at every test noise,
     and write the aggregate comparison CSV."""
     out = resolve_out_dir(cfg, out_dir)
+    train_samples, test_samples = ensure_dataset(cfg, out)
+    for scheme in cfg.schemes:
+        ensure_scheme_trained(cfg, scheme, out, train_samples)
+    loaded: dict = {}
+    components = {scheme: load_scheme_components(cfg, scheme, out, loaded) for scheme in cfg.schemes}
+    dirty = [schemes_mod.corrupt_samples(test_samples, noise, "test") for noise in cfg.test_noises]
     rows: list[tuple[str, str, metrics_mod.MetricsReport]] = []
     for scheme in cfg.schemes:
-        ensure_scheme_trained(cfg, scheme, out)
-    for scheme in cfg.schemes:
-        for test_noise in cfg.test_noises:
-            report, _ = cmd_eval(cfg, scheme, test_noise, out)
+        for test_noise, images in zip(cfg.test_noises, dirty):
+            report, _ = _score(scheme, test_noise, components[scheme], test_samples, images, out)
             rows.append((scheme, noise_tag(test_noise), report))
     path = out / "compare.csv"
     _write_compare_csv(rows, path)
@@ -259,12 +274,3 @@ def cmd_dct(cfg: ExperimentConfig, image_path, checkpoint=None, out_dir=None) ->
         produced += dct_mod.export_heatmap(grid, out / "dct" / f"{stem}.freqgrad")
     return produced
 
-
-def denoised_test_images(cfg: ExperimentConfig, scheme: str, test_noise: NoiseSpec, out: Path) -> list[Tensor]:
-    """Dirty test images routed through the scheme's denoiser (hv/nnv)."""
-    _, test_samples = ensure_dataset(cfg, out)
-    _, denoiser = load_scheme_components(cfg, scheme, out)
-    if denoiser is None:
-        raise ConfigError(f"scheme {scheme!r} has no denoiser")
-    dirty = schemes_mod.corrupt_samples(test_samples, test_noise, "test")
-    return schemes_mod.denoise_images(denoiser, dirty)

@@ -42,6 +42,17 @@ class NoiseSpec:
         return NoiseSpec(self.kind, self.mu, self.sigma, self.poisson_scale, seed)
 
 
+def noise_tag(spec: NoiseSpec) -> str:
+    """Label of a test noise in metrics file names and compare.csv rows.
+
+    It leaves out ``mu`` and the seed, so a config whose test noises share a
+    tag is rejected (``ExperimentConfig.validate``).
+    """
+    if spec.kind == GAUSSIAN:
+        return f"gaussian_sigma{spec.sigma:g}"
+    return f"poisson_scale{spec.poisson_scale:g}"
+
+
 def gaussian_field(spec: NoiseSpec, shape: tuple) -> np.ndarray:
     """Pre-clamp additive Gaussian noise field (float64)."""
     spec.validate()

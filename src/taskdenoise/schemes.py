@@ -3,7 +3,7 @@
 TC and TD train the application network directly on clean or dirty images.
 HV trains a denoiser on (dirty, clean) pairs with pixel MSE. NNV trains a
 denoiser through the frozen clean-trained application network, minimizing
-the task loss of the composition. Evaluation corrupts the test set, routes
+the task loss of the composition. Evaluation routes the corrupted test set
 through the scheme's denoiser (if any), then the application network.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .autodiff import Tape, Tensor, backward, cross_entropy_loss, mse_loss
 from .data import CLASSIFICATION, SEGMENTATION, Sample
-from .errors import InvalidCompositionError, InvalidShapeError, InvalidSpecError, TrainingDivergedError
+from .errors import InvalidCompositionError, InvalidInputError, InvalidShapeError, InvalidSpecError, TrainingDivergedError
 from .metrics import MetricsReport
 from .networks import Model, NetworkSpec
 from .noise import NoiseSpec, apply_noise
@@ -270,10 +270,16 @@ def evaluate_scheme(
     application: Model,
     denoiser: Model | None,
     test_samples: list[Sample],
-    test_noise: NoiseSpec | None,
+    images: list[Tensor],
 ) -> MetricsReport:
-    """Corrupt the test set, route through the scheme, and report metrics."""
-    images = corrupt_samples(test_samples, test_noise, "test")
+    """Route each test image (dirty or clean, one per sample, as
+    ``corrupt_samples`` makes them) through the scheme and report metrics.
+
+    Neither model nor image is modified, so one set of dirty images and one
+    loaded model can serve every scheme.
+    """
+    if len(images) != len(test_samples):
+        raise InvalidInputError(f"{len(images)} images for {len(test_samples)} test samples")
     task = SEGMENTATION if test_samples[0].label_map is not None else CLASSIFICATION
     if task == SEGMENTATION:
         num_classes = application.spec.num_classes
@@ -285,7 +291,3 @@ def evaluate_scheme(
     preds = [predict(application, denoiser, image) for image in images]
     truths = [s.class_index for s in test_samples]
     return metrics_mod.classification_report(preds, truths, application.spec.num_classes)
-
-
-def denoise_images(denoiser: Model, images: list[Tensor]) -> list[Tensor]:
-    return [denoiser.forward(img, train=False) for img in images]

@@ -50,6 +50,15 @@ class TestExitCodes:
         assert main(["generate", "--config", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("config-error:")
 
+    def test_colliding_test_noise_tags_are_a_config_error(self, tmp_path, capsys):
+        noises = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "gaussian", "sigma": 40.0, "mu": 60.0}]
+        cfg = _write_config(tmp_path, test_noises=noises)
+        assert main(["compare", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-error:") and "gaussian_sigma40" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_eval_before_train_is_checkpoint_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         main(["generate", "--config", str(cfg)])

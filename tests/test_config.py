@@ -6,6 +6,7 @@ import pytest
 
 from taskdenoise.config import load_config, parse_config, save_config, serialize_config
 from taskdenoise.errors import ConfigError
+from taskdenoise.noise import noise_tag
 
 MINIMAL = """
 {
@@ -89,6 +90,19 @@ class TestParsing:
         raw["checkpoint_overrides"] = {"tc": {"app": "x"}}
         with pytest.raises(ConfigError):
             parse_config(json.dumps(raw))
+
+    def test_colliding_test_noise_tags_rejected(self):
+        # the tag leaves out mu, so both noises would write metrics/<scheme>_gaussian_sigma40.csv
+        raw = json.loads(MINIMAL)
+        raw["test_noises"] = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "gaussian", "sigma": 40.0, "mu": 60.0}]
+        with pytest.raises(ConfigError, match=r"test_noises\[0\] and test_noises\[1\] share .*gaussian_sigma40"):
+            parse_config(json.dumps(raw))
+
+    def test_distinct_test_noise_tags_accepted(self):
+        raw = json.loads(MINIMAL)
+        raw["test_noises"] = [{"kind": "gaussian", "sigma": 40.0, "mu": 60.0}, {"kind": "poisson", "seed": 3}]
+        cfg = parse_config(json.dumps(raw))
+        assert [noise_tag(n) for n in cfg.test_noises] == ["gaussian_sigma40", "poisson_scale0.1"]
 
     def test_classification_defaults(self):
         raw = json.loads(MINIMAL)

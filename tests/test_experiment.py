@@ -1,23 +1,17 @@
 """Pipeline orchestration: artifact layout, reuse, overrides, determinism."""
 
 import json
+import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from taskdenoise import data, networks
+from taskdenoise import data, experiment, networks, schemes
 from taskdenoise.config import parse_config
 from taskdenoise.errors import CheckpointError, ConfigError
-from taskdenoise.experiment import (
-    cmd_compare,
-    cmd_dct,
-    cmd_eval,
-    cmd_generate,
-    cmd_train,
-    denoised_test_images,
-    noise_tag,
-)
-from taskdenoise.noise import NoiseSpec
+from taskdenoise.experiment import cmd_compare, cmd_dct, cmd_eval, cmd_generate, cmd_train
+from taskdenoise.noise import noise_tag
 
 
 def _config_text(out_dir, train_count=6, test_count=3, epochs=2, sigma=40.0, seed=9):
@@ -186,6 +180,92 @@ class TestCompare:
         assert len(values) == 1  # four identical metric rows
 
 
+class TestSharedEvaluationInputs:
+    """compare reads the dataset once, loads each checkpoint directory once
+    and corrupts the test set once per test noise, without changing a byte."""
+
+    NOISES = [{"kind": "poisson", "poisson_scale": 0.1}, {"kind": "gaussian", "sigma": 40.0}]
+
+    def _cfg(self, out):
+        raw = json.loads(_config_text(out))
+        raw["test_noises"] = self.NOISES
+        return parse_config(json.dumps(raw))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """First argument of each call through the seams the perfbench tracer wraps."""
+        calls = {"load_dataset": [], "load_checkpoint": [], "apply_noise": []}
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name].append(args[0])
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(experiment, "load_dataset")
+        counting(experiment, "load_checkpoint")
+        counting(schemes, "apply_noise")
+        return calls
+
+    def test_compare_and_eval_write_identical_metrics(self, tmp_path):
+        cfg = self._cfg(tmp_path / "compare")
+        assert {"hv", "nnv"} <= set(cfg.schemes)
+        cmd_compare(cfg)
+        shutil.copytree(tmp_path / "compare" / "checkpoints", tmp_path / "eval" / "checkpoints")
+        for scheme in cfg.schemes:
+            for noise in cfg.test_noises:
+                _, path = cmd_eval(cfg, scheme, noise, tmp_path / "eval")
+                name = f"{scheme}_{noise_tag(noise)}.csv"
+                assert path.name == name
+                assert path.read_bytes() == (tmp_path / "compare" / "metrics" / name).read_bytes()
+
+    def test_compare_does_the_shared_work_once(self, tmp_path, calls):
+        cfg = self._cfg(tmp_path / "run")
+        cmd_compare(cfg)
+        for seam in calls.values():
+            seam.clear()
+        first = (tmp_path / "run" / "compare.csv").read_bytes()
+
+        cmd_compare(cfg)
+        assert (tmp_path / "run" / "compare.csv").read_bytes() == first
+        assert len(calls["load_dataset"]) == 1
+        ckpts = tmp_path / "run" / "checkpoints"
+        assert Counter(calls["load_checkpoint"]) == {ckpts / s: 1 for s in cfg.schemes}
+        assert len(calls["apply_noise"]) == len(cfg.test_noises) * cfg.dataset.test_count
+
+    def test_compare_that_trains_reads_the_dataset_once(self, tmp_path, calls):
+        cfg = self._cfg(tmp_path / "run")
+        cmd_generate(cfg)
+        cmd_compare(cfg)
+        assert len(calls["load_dataset"]) == 1
+
+    def test_train_reads_no_dataset_when_checkpoints_exist(self, tmp_path, calls):
+        cfg = self._cfg(tmp_path / "run")
+        cmd_train(cfg, "nnv")
+        for seam in calls.values():
+            seam.clear()
+        for scheme in ("tc", "hv"):  # of these only hv has a checkpoint to train
+            cmd_train(cfg, scheme)
+        assert len(calls["load_dataset"]) == 1
+        cmd_train(cfg, "nnv")
+        assert len(calls["load_dataset"]) == 1 and not calls["load_checkpoint"]
+
+    def test_overrides_share_by_resolved_directory(self, cfg, tmp_path, calls):
+        cmd_train(cfg, "tc")
+        run = tmp_path / "run"
+        spellings = [run / "checkpoints" / "tc", run / "checkpoints" / ".." / "checkpoints" / "tc"]
+        raw = json.loads(_config_text(run))
+        raw["checkpoint_overrides"] = {
+            s: {"application": str(spellings[i % 2]), "denoiser": None} for i, s in enumerate(["tc", "td", "hv", "nnv"])
+        }
+        calls["load_checkpoint"].clear()
+        cmd_compare(parse_config(json.dumps(raw)), tmp_path / "shared")
+        assert calls["load_checkpoint"] == [spellings[0]]
+
+
 class TestDct:
     def test_spectrum_outputs(self, cfg, tmp_path):
         ddir = cmd_generate(cfg)
@@ -199,12 +279,3 @@ class TestDct:
         produced = cmd_dct(cfg, ddir / "test" / "0000.img.tsr1", checkpoint=paths["denoiser"])
         names = {p.name for p in produced}
         assert "0000.freqgrad.csv" in names and "0000.freqgrad.pgm" in names
-
-    def test_denoised_test_images(self, cfg):
-        cmd_train(cfg, "hv")
-        out = cfg.output_dir
-        from pathlib import Path
-
-        images = denoised_test_images(cfg, "hv", cfg.test_noises[0], Path(out))
-        assert len(images) == cfg.dataset.test_count
-        assert images[0].shape == (1, 16, 16)

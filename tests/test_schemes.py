@@ -7,7 +7,7 @@ from conftest import fd_gradient, rel_err
 from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tape, Tensor
 from taskdenoise.data import DatasetSpec, generate_classification_dataset, generate_segmentation_dataset
-from taskdenoise.errors import InvalidCompositionError, InvalidSpecError, TrainingDivergedError
+from taskdenoise.errors import InvalidCompositionError, InvalidInputError, InvalidSpecError, TrainingDivergedError
 from taskdenoise.metrics import aggregate
 from taskdenoise.networks import NetworkSpec, build_ccnn, build_mcdncnn, build_nonewnet2d, build_redcnn, parameter_checksum
 from taskdenoise.noise import NoiseSpec
@@ -226,20 +226,21 @@ class TestEvaluateScheme:
     def test_tc_with_zero_noise_equals_plain_evaluation(self):
         _, test = _seg_samples(count=3, seed=60)
         app = build_nonewnet2d(_app_spec(seed=61))
-        with_noise = evaluate_scheme(app, None, test, NoiseSpec(kind="gaussian", sigma=0.0, seed=62))
-        plain = evaluate_scheme(app, None, test, None)
+        zero = NoiseSpec(kind="gaussian", sigma=0.0, seed=62)
+        with_noise = evaluate_scheme(app, None, test, corrupt_samples(test, zero, "test"))
+        plain = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
         assert with_noise.aggregates == plain.aggregates
 
     def test_per_sample_count_matches_test_size(self):
         _, test = _seg_samples(count=3, seed=63)
         app = build_nonewnet2d(_app_spec(seed=64))
-        report = evaluate_scheme(app, None, test, None)
+        report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
         assert report.sample_count == len(test)
 
     def test_aggregation_matches_hand_computation(self):
         _, test = _seg_samples(count=3, seed=65)
         app = build_nonewnet2d(_app_spec(seed=66))
-        report = evaluate_scheme(app, None, test, None)
+        report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
         per_sample = [sm.mean_dice for sm in report.per_sample]
         assert report.aggregates["dice"] == aggregate(per_sample)
 
@@ -248,13 +249,19 @@ class TestEvaluateScheme:
         app = build_nonewnet2d(_app_spec(seed=68))
         denoiser = build_redcnn(_den_spec(seed=69))
         noise = NoiseSpec(kind="gaussian", sigma=70.0, seed=70)
-        routed = evaluate_scheme(app, denoiser, test, noise)
-        direct = evaluate_scheme(app, None, test, noise)
+        routed = evaluate_scheme(app, denoiser, test, corrupt_samples(test, noise, "test"))
+        direct = evaluate_scheme(app, None, test, corrupt_samples(test, noise, "test"))
         assert routed.sample_count == direct.sample_count
+
+    def test_one_image_per_sample_required(self):
+        _, test = _seg_samples(seed=73)
+        app = build_nonewnet2d(_app_spec(seed=74))
+        with pytest.raises(InvalidInputError):
+            evaluate_scheme(app, None, test, corrupt_samples(test[:1], None, "test"))
 
     def test_classification_report_kind(self):
         _, test = _cls_samples(count=4, seed=71)
         app = build_ccnn(NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=64, width=64, seed=72))
-        report = evaluate_scheme(app, None, test, None)
+        report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
         assert report.task == "classification"
         assert "top1" in report.aggregates
