@@ -4,8 +4,8 @@ The engine is deliberately small: a :class:`Tensor` is an immutable float32
 array, a :class:`Tape` records every differentiable operation executed while
 it is active, and :func:`backward` replays the records in reverse to produce
 exact gradients. The operation set is exactly what the four network recipes
-need (convolutions, transposed convolutions, max pooling, batch norm, the
-standard activations, and the two losses).
+need (convolutions, transposed convolutions, max pooling, batch norm,
+ReLU, and the two losses).
 
 Numeric policy: values are stored as float32; every reduction (convolution
 dot products, means, loss sums, normalization statistics) accumulates in
@@ -22,7 +22,7 @@ convolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -453,7 +453,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, tra
 
 
 # ---------------------------------------------------------------------------
-# Activations and elementwise ops
+# ReLU and elementwise ops
 
 
 def relu(x: Tensor) -> Tensor:
@@ -462,42 +462,6 @@ def relu(x: Tensor) -> Tensor:
 
     def backward_fn(g: np.ndarray):
         return (g * mask,) if _needs(x) else (None,)
-
-    _record(out, (x,), backward_fn)
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data.astype(_F64)
-    s = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
-    out = _wrap(s)
-    s32 = out.data
-
-    def backward_fn(g: np.ndarray):
-        if not _needs(x):
-            return (None,)
-        sd = s32.astype(_F64)
-        return (g * sd * (1.0 - sd),)
-
-    _record(out, (x,), backward_fn)
-    return out
-
-
-def softmax_channels(x: Tensor) -> Tensor:
-    """Softmax across the channel axis (axis 0) per remaining position."""
-    xd = x.data.astype(_F64)
-    z = xd - xd.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=0, keepdims=True)
-    out = _wrap(s)
-    s32 = out.data
-
-    def backward_fn(g: np.ndarray):
-        if not _needs(x):
-            return (None,)
-        sd = s32.astype(_F64)
-        dot = (g * sd).sum(axis=0, keepdims=True)
-        return (sd * (g - dot),)
 
     _record(out, (x,), backward_fn)
     return out

@@ -11,32 +11,12 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .data import CLASSIFICATION, SEGMENTATION, DatasetSpec
+from .data import SEGMENTATION, DatasetSpec
 from .errors import ConfigError, InvalidSpecError
 from .networks import APPLICATION_KINDS, CCNN, DENOISER_KINDS, NONEWNET2D, NetworkSpec
 from .noise import NoiseSpec, noise_tag
 from .rng import derive_seed
-from .schemes import HV, NNV, SCHEME_KINDS, TC, TD
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    epochs_application: int = 30
-    epochs_denoiser: int = 30
-    learning_rate: float = 1e-3
-    checkpoint_cadence: int = 1
-    validation_fraction: float = 0.1
-
-    def validate(self) -> "TrainSettings":
-        if self.epochs_application < 1 or self.epochs_denoiser < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.checkpoint_cadence < 1:
-            raise ConfigError("checkpoint_cadence must be >= 1")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigError("validation_fraction must be in [0, 1)")
-        return self
+from .schemes import HV, NNV, SCHEME_KINDS, TC, TD, TrainSettings
 
 
 @dataclass
@@ -133,19 +113,26 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _seed_or(obj: dict, fallback: int):
-    value = obj.get("seed")
-    return fallback if value is None else int(value)
+def _number(obj: dict, key: str, kind: type, default, where: str):
+    value = obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key} must be {kind.__name__}, got {value!r}") from exc
+
+
+def _seed_or(obj: dict, fallback: int, where: str):
+    return fallback if obj.get("seed") is None else _number(obj, "seed", int, None, where)
 
 
 def _parse_noise(obj: dict, where: str, default_seed: int) -> NoiseSpec:
     _check_keys(obj, _NOISE_KEYS, where)
     return NoiseSpec(
         kind=obj.get("kind", "gaussian"),
-        mu=float(obj.get("mu", 0.0)),
-        sigma=float(obj.get("sigma", 0.0)),
-        poisson_scale=float(obj.get("poisson_scale", 0.1)),
-        seed=_seed_or(obj, default_seed),
+        mu=_number(obj, "mu", float, 0.0, where),
+        sigma=_number(obj, "sigma", float, 0.0, where),
+        poisson_scale=_number(obj, "poisson_scale", float, 0.1, where),
+        seed=_seed_or(obj, default_seed, where),
     )
 
 
@@ -155,12 +142,12 @@ def _parse_network(obj: dict, where: str, dataset: DatasetSpec, default_seed: in
         raise ConfigError(f"{where} needs a 'kind'")
     return NetworkSpec(
         kind=obj["kind"],
-        base_channels=int(obj.get("base_channels", 8)),
+        base_channels=_number(obj, "base_channels", int, 8, where),
         num_classes=dataset.num_classes,
         height=dataset.height,
         width=dataset.width,
-        seed=_seed_or(obj, default_seed),
-        depth=int(obj.get("depth", 3)),
+        seed=_seed_or(obj, default_seed, where),
+        depth=_number(obj, "depth", int, 3, where),
         input_residual=bool(obj.get("input_residual", False)),
     )
 
@@ -174,18 +161,19 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in ("seed", "output_dir", "dataset", "application"):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
-    seed = int(raw["seed"])
+    seed = _number(raw, "seed", int, None, "config")
 
-    dobj = dict(raw["dataset"])
+    dobj = raw["dataset"]
     _check_keys(dobj, _DATASET_KEYS, "dataset")
+    task = dobj.get("task", SEGMENTATION)
     dataset = DatasetSpec(
-        task=dobj.get("task", SEGMENTATION),
-        height=int(dobj.get("height", 64)),
-        width=int(dobj.get("width", 64)),
-        num_classes=int(dobj.get("num_classes", 4 if dobj.get("task", SEGMENTATION) == SEGMENTATION else 3)),
-        train_count=int(dobj.get("train_count", 200)),
-        test_count=int(dobj.get("test_count", 50)),
-        seed=_seed_or(dobj, derive_seed(seed, "dataset")),
+        task=task,
+        height=_number(dobj, "height", int, 64, "dataset"),
+        width=_number(dobj, "width", int, 64, "dataset"),
+        num_classes=_number(dobj, "num_classes", int, 4 if task == SEGMENTATION else 3, "dataset"),
+        train_count=_number(dobj, "train_count", int, 200, "dataset"),
+        test_count=_number(dobj, "test_count", int, 50, "dataset"),
+        seed=_seed_or(dobj, derive_seed(seed, "dataset"), "dataset"),
     )
 
     application = _parse_network(raw["application"], "application", dataset, derive_seed(seed, "init/application"))
@@ -203,14 +191,14 @@ def parse_config(text: str) -> ExperimentConfig:
         _parse_noise(obj, f"test_noises[{i}]", derive_seed(seed, f"noise/test/{i}")) for i, obj in enumerate(test_raw)
     ]
 
-    tobj = dict(raw.get("train", {}))
+    tobj = raw.get("train", {})
     _check_keys(tobj, _TRAIN_KEYS, "train")
     train = TrainSettings(
-        epochs_application=int(tobj.get("epochs_application", 30)),
-        epochs_denoiser=int(tobj.get("epochs_denoiser", 30)),
-        learning_rate=float(tobj.get("learning_rate", 1e-3)),
-        checkpoint_cadence=int(tobj.get("checkpoint_cadence", 1)),
-        validation_fraction=float(tobj.get("validation_fraction", 0.1)),
+        epochs_application=_number(tobj, "epochs_application", int, 30, "train"),
+        epochs_denoiser=_number(tobj, "epochs_denoiser", int, 30, "train"),
+        learning_rate=_number(tobj, "learning_rate", float, 1e-3, "train"),
+        checkpoint_cadence=_number(tobj, "checkpoint_cadence", int, 1, "train"),
+        validation_fraction=_number(tobj, "validation_fraction", float, 0.1, "train"),
     )
 
     overrides = raw.get("checkpoint_overrides") or {}

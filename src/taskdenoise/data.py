@@ -22,7 +22,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import FormatError, InvalidSpecError
 from .rng import Rng, derive_seed
-from .tensorio import read_tensor, write_pgm, write_tensor
+from .tensorio import read_tensor, write_tensor
 
 SEGMENTATION = "segmentation"
 CLASSIFICATION = "classification"
@@ -241,24 +241,9 @@ def _generate_split(spec: DatasetSpec, split: str, count: int) -> list[Sample]:
     return samples
 
 
-def generate_segmentation_dataset(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
-    spec.validate()
-    if spec.task != SEGMENTATION:
-        raise InvalidSpecError("spec.task must be segmentation")
-    return _generate_split(spec, "train", spec.train_count), _generate_split(spec, "test", spec.test_count)
-
-
-def generate_classification_dataset(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
-    spec.validate()
-    if spec.task != CLASSIFICATION:
-        raise InvalidSpecError("spec.task must be classification")
-    return _generate_split(spec, "train", spec.train_count), _generate_split(spec, "test", spec.test_count)
-
-
 def generate_dataset(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
-    if spec.task == SEGMENTATION:
-        return generate_segmentation_dataset(spec)
-    return generate_classification_dataset(spec)
+    spec.validate()
+    return _generate_split(spec, "train", spec.train_count), _generate_split(spec, "test", spec.test_count)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +307,3 @@ def load_dataset(directory) -> tuple[DatasetSpec, list[Sample], list[Sample]]:
         samples = [load_sample(directory / split, f"{i:04d}") for i in range(count)]
         splits.append(samples)
     return spec, splits[0], splits[1]
-
-
-def export_sample_pgm(sample: Sample, path) -> None:
-    """Write the image (and label map, if any) as PGM for quick inspection."""
-    path = Path(path)
-    write_pgm(path, sample.image.data[0])
-    if sample.label_map is not None:
-        lab = sample.label_map.astype(np.float64)
-        write_pgm(path.with_suffix(".labels.pgm"), lab, normalize=True)

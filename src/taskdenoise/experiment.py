@@ -33,8 +33,7 @@ from .data import Sample, generate_dataset, load_dataset, save_dataset
 from .errors import CheckpointError, ConfigError
 from .networks import Model, build_network, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, noise_tag
-from .rng import derive_seed
-from .schemes import HV, NNV, TC, TD, TrainConfig, TrainResult
+from .schemes import HV, NNV, TC, TD, TrainResult
 from .tensorio import read_tensor
 
 
@@ -71,17 +70,6 @@ def cmd_generate(cfg: ExperimentConfig, out_dir=None) -> Path:
 
 # ---------------------------------------------------------------------------
 # Training
-
-
-def _train_config(cfg: ExperimentConfig, purpose: str) -> TrainConfig:
-    epochs = cfg.train.epochs_application if purpose == "application" else cfg.train.epochs_denoiser
-    return TrainConfig(
-        epochs=epochs,
-        learning_rate=cfg.train.learning_rate,
-        seed=derive_seed(cfg.seed, f"train/{purpose}"),
-        checkpoint_cadence=cfg.train.checkpoint_cadence,
-        validation_fraction=cfg.train.validation_fraction,
-    )
 
 
 def _save_trained(model: Model, result: TrainResult, ckpt: Path) -> None:
@@ -130,16 +118,17 @@ def ensure_scheme_trained(
     if not _complete(app_dir):
         model = build_network(cfg.application)
         noise = cfg.train_noise if scheme == TD else None
-        result = schemes_mod.train_application(model, train_samples, _train_config(cfg, "application"), noise)
+        result = schemes_mod.train_application(model, train_samples, cfg.train, noise, cfg.seed)
         _save_trained(model, result, app_dir)
     if den_dir is not None and not _complete(den_dir):
         denoiser = build_network(cfg.denoiser)
-        train_cfg = _train_config(cfg, "denoiser")
         if scheme == HV:
-            result = schemes_mod.train_denoiser_hv(denoiser, train_samples, train_cfg, cfg.train_noise)
+            result = schemes_mod.train_denoiser_hv(denoiser, train_samples, cfg.train, cfg.train_noise, cfg.seed)
         else:
             app_model, _ = load_checkpoint(app_dir)
-            result = schemes_mod.train_denoiser_nnv(denoiser, app_model, train_samples, train_cfg, cfg.train_noise)
+            result = schemes_mod.train_denoiser_nnv(
+                denoiser, app_model, train_samples, cfg.train, cfg.train_noise, cfg.seed
+            )
         _save_trained(denoiser, result, den_dir)
     return paths
 
@@ -207,12 +196,6 @@ class ComparisonResult:
     path: Path
     # (scheme, noise tag, report) per evaluated combination
     rows: list[tuple[str, str, metrics_mod.MetricsReport]]
-
-    def report(self, scheme: str, tag: str) -> metrics_mod.MetricsReport:
-        for s, t, r in self.rows:
-            if s == scheme and t == tag:
-                return r
-        raise KeyError((scheme, tag))
 
 
 def cmd_compare(cfg: ExperimentConfig, out_dir=None) -> ComparisonResult:

@@ -215,24 +215,3 @@ def write_per_sample_csv(report: MetricsReport, path) -> None:
                 writer.writerow([i, c, "hausdorff", _fmt(sm.hausdorff_by_class[c])])
                 writer.writerow([i, c, "sensitivity", _fmt(sm.sensitivity_by_class[c])])
                 writer.writerow([i, c, "specificity", _fmt(sm.specificity_by_class[c])])
-
-
-def write_aggregate_csv(reports: dict[str, MetricsReport], path) -> None:
-    """Rows = schemes, columns = metric mean/SD pairs."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    metric_names = sorted({name for r in reports.values() for name in r.aggregates})
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["scheme"]
-        for name in metric_names:
-            header += [f"{name}_mean", f"{name}_sd"]
-        header.append("hausdorff_undefined")
-        writer.writerow(header)
-        for scheme, report in reports.items():
-            row = [scheme]
-            for name in metric_names:
-                pair = report.aggregates.get(name)
-                row += [_fmt(pair[0]), _fmt(pair[1])] if pair else ["", ""]
-            row.append(report.hausdorff_undefined)
-            writer.writerow(row)

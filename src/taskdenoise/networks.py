@@ -58,36 +58,29 @@ class NetworkSpec:
         return self
 
 
-class _Conv:
-    def __init__(self, name: str, cin: int, cout: int, seed: int, kernel: int = 3, stride: int = 1, padding: int = 1):
-        self.name = name
-        self.stride = stride
-        self.padding = padding
-        self.weight = xavier_uniform_init((cout, cin, kernel, kernel), derive_seed(seed, f"{name}.weight"))
+class _Layer:
+    """A weight and a zero bias feeding the autodiff op named ``op``. The op
+    is looked up at call time and takes ``args`` after (x, weight, bias)."""
+
+    def __init__(self, name: str, op: str, weight_shape: tuple, outputs: int, seed: int, *args):
+        self.name, self.op, self.args = name, op, args
+        self.weight = xavier_uniform_init(weight_shape, derive_seed(seed, f"{name}.weight"))
         self.weight.requires_grad = True
-        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
+        self.bias = Tensor(np.zeros(outputs, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return getattr(ad, self.op)(x, self.weight, self.bias, *self.args)
 
     def named_parameters(self):
         return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
 
 
-class _TConv:
-    def __init__(self, name: str, cin: int, cout: int, seed: int, kernel: int = 3, stride: int = 1, padding: int = 1):
-        self.name = name
-        self.stride = stride
-        self.padding = padding
-        self.weight = xavier_uniform_init((cin, cout, kernel, kernel), derive_seed(seed, f"{name}.weight"))
-        self.weight.requires_grad = True
-        self.bias = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
+def _conv(name: str, cin: int, cout: int, seed: int, kernel: int = 3, padding: int = 1) -> _Layer:
+    return _Layer(name, "conv2d", (cout, cin, kernel, kernel), cout, seed, 1, padding)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.transpose_conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
-    def named_parameters(self):
-        return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
+def _tconv(name: str, cin: int, cout: int, seed: int, kernel: int = 3, stride: int = 1, padding: int = 1) -> _Layer:
+    return _Layer(name, "transpose_conv2d", (cin, cout, kernel, kernel), cout, seed, stride, padding)
 
 
 class _BatchNorm:
@@ -102,20 +95,6 @@ class _BatchNorm:
 
     def named_parameters(self):
         return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
-
-
-class _Linear:
-    def __init__(self, name: str, fin: int, fout: int, seed: int):
-        self.name = name
-        self.weight = xavier_uniform_init((fout, fin), derive_seed(seed, f"{name}.weight"))
-        self.weight.requires_grad = True
-        self.bias = Tensor(np.zeros(fout, dtype=np.float32), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.weight, self.bias)
-
-    def named_parameters(self):
-        return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
 
 
 class Model:
@@ -174,16 +153,16 @@ class RedCnn(Model):
         super().__init__(spec)
         c = spec.base_channels
         s = spec.seed
-        self.conv1 = self._register(_Conv("conv1", 1, c, s))
-        self.conv2 = self._register(_Conv("conv2", c, c, s))
-        self.conv3 = self._register(_Conv("conv3", c, c, s))
-        self.conv4 = self._register(_Conv("conv4", c, c, s))
-        self.conv5 = self._register(_Conv("conv5", c, c, s))
-        self.deconv1 = self._register(_TConv("deconv1", c, c, s))
-        self.deconv2 = self._register(_TConv("deconv2", c, c, s))
-        self.deconv3 = self._register(_TConv("deconv3", c, c, s))
-        self.deconv4 = self._register(_TConv("deconv4", c, c, s))
-        self.deconv5 = self._register(_TConv("deconv5", c, 1, s))
+        self.conv1 = self._register(_conv("conv1", 1, c, s))
+        self.conv2 = self._register(_conv("conv2", c, c, s))
+        self.conv3 = self._register(_conv("conv3", c, c, s))
+        self.conv4 = self._register(_conv("conv4", c, c, s))
+        self.conv5 = self._register(_conv("conv5", c, c, s))
+        self.deconv1 = self._register(_tconv("deconv1", c, c, s))
+        self.deconv2 = self._register(_tconv("deconv2", c, c, s))
+        self.deconv3 = self._register(_tconv("deconv3", c, c, s))
+        self.deconv4 = self._register(_tconv("deconv4", c, c, s))
+        self.deconv5 = self._register(_tconv("deconv5", c, 1, s))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -212,13 +191,13 @@ class McDnCnn(Model):
         super().__init__(spec)
         c = spec.base_channels
         s = spec.seed
-        self.conv_in = self._register(_Conv("conv1", 1, c, s))
+        self.conv_in = self._register(_conv("conv1", 1, c, s))
         self.blocks = []
         for i in range(7):
-            conv = self._register(_Conv(f"conv{i + 2}", c, c, s))
+            conv = self._register(_conv(f"conv{i + 2}", c, c, s))
             bn = self._register(_BatchNorm(f"bn{i + 2}", c))
             self.blocks.append((conv, bn))
-        self.conv_out = self._register(_Conv("conv9", c, 1, s))
+        self.conv_out = self._register(_conv("conv9", c, 1, s))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -243,23 +222,23 @@ class NoNewNet2d(Model):
         self.enc = []
         cin = 1
         for i, w in enumerate(widths):
-            a = self._register(_Conv(f"enc{i}a", cin, w, s))
-            b = self._register(_Conv(f"enc{i}b", w, w, s))
+            a = self._register(_conv(f"enc{i}a", cin, w, s))
+            b = self._register(_conv(f"enc{i}b", w, w, s))
             self.enc.append((a, b))
             cin = w
         bott = base * (2**d)
-        self.bott_a = self._register(_Conv("bottlenecka", cin, bott, s))
-        self.bott_b = self._register(_Conv("bottleneckb", bott, bott, s))
+        self.bott_a = self._register(_conv("bottlenecka", cin, bott, s))
+        self.bott_b = self._register(_conv("bottleneckb", bott, bott, s))
         self.dec = []
         prev = bott
         for i in reversed(range(d)):
             w = widths[i]
-            up = self._register(_TConv(f"up{i}", prev, w, s, kernel=2, stride=2, padding=0))
-            a = self._register(_Conv(f"dec{i}a", 2 * w, w, s))
-            b = self._register(_Conv(f"dec{i}b", w, w, s))
+            up = self._register(_tconv(f"up{i}", prev, w, s, kernel=2, stride=2, padding=0))
+            a = self._register(_conv(f"dec{i}a", 2 * w, w, s))
+            b = self._register(_conv(f"dec{i}b", w, w, s))
             self.dec.append((i, up, a, b))
             prev = w
-        self.head = self._register(_Conv("head", base, spec.num_classes, s, kernel=1, padding=0))
+        self.head = self._register(_conv("head", base, spec.num_classes, s, kernel=1, padding=0))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -301,10 +280,10 @@ class Ccnn(Model):
         cin = 1
         for i in range(self.BLOCKS):
             w = base * (2**i)
-            self.convs.append(self._register(_Conv(f"conv{i + 1}", cin, w, s)))
+            self.convs.append(self._register(_conv(f"conv{i + 1}", cin, w, s)))
             cin = w
         feat = cin * (spec.height // 16) * (spec.width // 16)
-        self.fc = self._register(_Linear("fc", feat, spec.num_classes, s))
+        self.fc = self._register(_Layer("fc", "linear", (spec.num_classes, feat), spec.num_classes, s))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -324,30 +303,6 @@ _BUILDERS = {REDCNN: RedCnn, MCDNCNN: McDnCnn, NONEWNET2D: NoNewNet2d, CCNN: Ccn
 def build_network(spec: NetworkSpec) -> Model:
     spec.validate()
     return _BUILDERS[spec.kind](spec)
-
-
-def build_redcnn(spec: NetworkSpec) -> RedCnn:
-    spec.validate()
-    return RedCnn(spec)
-
-
-def build_mcdncnn(spec: NetworkSpec) -> McDnCnn:
-    spec.validate()
-    return McDnCnn(spec)
-
-
-def build_nonewnet2d(spec: NetworkSpec) -> NoNewNet2d:
-    spec.validate()
-    return NoNewNet2d(spec)
-
-
-def build_ccnn(spec: NetworkSpec) -> Ccnn:
-    spec.validate()
-    return Ccnn(spec)
-
-
-def forward(model: Model, x: Tensor, train: bool = False) -> Tensor:
-    return model.forward(x, train)
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +337,20 @@ def load_checkpoint(directory) -> tuple[Model, int]:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest at {manifest_path}: {exc}") from exc
     model = build_network(spec)
-    for name, p in model.named_parameters():
-        path = directory / f"{name}.tsr1"
+
+    def read(path: Path, shape: tuple, what: str) -> np.ndarray:
         if not path.is_file():
-            raise CheckpointError(f"checkpoint is missing parameter file {path}")
+            raise CheckpointError(f"checkpoint is missing {what} file {path}")
         data = read_tensor(path)
-        if data.shape != p.shape:
-            raise CheckpointError(f"{path}: shape {data.shape} does not match expected {p.shape}")
-        p.data = data
+        if data.shape != shape:
+            raise CheckpointError(f"{path}: shape {data.shape} does not match expected {shape}")
+        return data
+
+    for name, p in model.named_parameters():
+        p.data = read(directory / f"{name}.tsr1", p.shape, "parameter")
     for bn in model.batchnorm_layers():
-        for stat in ("running_mean", "running_var"):
-            path = directory / f"{bn.name}.{stat}.tsr1"
-            if not path.is_file():
-                raise CheckpointError(f"checkpoint is missing state file {path}")
-            setattr(bn.stats, stat.removeprefix("running_"), read_tensor(path))
+        bn.stats.mean = read(directory / f"{bn.name}.running_mean.tsr1", bn.stats.mean.shape, "state")
+        bn.stats.var = read(directory / f"{bn.name}.running_var.tsr1", bn.stats.var.shape, "state")
     return model, epoch
 
 

@@ -82,23 +82,9 @@ class Rng:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return mu + sigma * z
 
-    def integers(self, n: int, low: int, high: int) -> np.ndarray:
-        """n int64 draws uniform on [low, high)."""
-        if high <= low:
-            raise ValueError(f"empty integer range [{low}, {high})")
-        return low + np.floor(self.uniform(n) * (high - low)).astype(np.int64)
-
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""
         return np.argsort(self.uniform(n), kind="stable")
-
-    def choice(self, options, weights=None):
-        """One draw from a sequence (uniform unless weights given)."""
-        u = float(self.uniform(1)[0])
-        if weights is None:
-            return options[int(u * len(options))]
-        cum = np.cumsum(np.asarray(weights, dtype=np.float64))
-        return options[int(np.searchsorted(cum / cum[-1], u, side="right"))]
 
     def poisson(self, mean: np.ndarray) -> np.ndarray:
         """Per-element Poisson draws for an array of means (int64).

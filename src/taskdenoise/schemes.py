@@ -19,7 +19,7 @@ from .autodiff import Tape, Tensor, backward, cross_entropy_loss, mse_loss
 from .data import CLASSIFICATION, SEGMENTATION, Sample
 from .errors import InvalidCompositionError, InvalidInputError, InvalidShapeError, InvalidSpecError, TrainingDivergedError
 from .metrics import MetricsReport
-from .networks import Model, NetworkSpec
+from .networks import Model
 from .noise import NoiseSpec, apply_noise
 from .optim import adam_step, make_adam_state
 from .rng import Rng, derive_seed
@@ -29,34 +29,17 @@ SCHEME_KINDS = (TC, TD, HV, NNV)
 
 
 @dataclass(frozen=True)
-class Scheme:
-    """One experiment scheme: routing plus the specs it needs."""
+class TrainSettings:
+    """Training hyperparameters shared by every network an experiment trains."""
 
-    kind: str
-    application: NetworkSpec
-    denoiser: NetworkSpec | None
-    train_noise: NoiseSpec
-
-    def validate(self) -> "Scheme":
-        if self.kind not in SCHEME_KINDS:
-            raise InvalidSpecError(f"unknown scheme kind {self.kind!r}")
-        if self.kind in (HV, NNV) and self.denoiser is None:
-            raise InvalidSpecError(f"scheme {self.kind} requires a denoiser spec")
-        if self.kind in (TC, TD) and self.denoiser is not None:
-            raise InvalidSpecError(f"scheme {self.kind} does not take a denoiser spec")
-        return self
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
+    epochs_application: int = 30
+    epochs_denoiser: int = 30
     learning_rate: float = 1e-3
-    seed: int = 0
     checkpoint_cadence: int = 1
     validation_fraction: float = 0.1
 
-    def validate(self) -> "TrainConfig":
-        if self.epochs < 1:
+    def validate(self) -> "TrainSettings":
+        if self.epochs_application < 1 or self.epochs_denoiser < 1:
             raise InvalidSpecError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise InvalidSpecError("learning_rate must be > 0")
@@ -92,18 +75,22 @@ def _target(sample: Sample):
     return np.asarray(sample.class_index)
 
 
+def _route(denoiser: Model | None, application: Model, image: Tensor, train_denoiser: bool) -> Tensor:
+    """Application output for the image, through the denoiser if there is one."""
+    h = image if denoiser is None else denoiser.forward(image, train=train_denoiser)
+    try:
+        return application.forward(h, train=False)
+    except InvalidShapeError as exc:
+        raise InvalidCompositionError(f"denoiser output does not fit the application network: {exc}") from exc
+
+
 def composed_task_loss(denoiser: Model | None, application: Model, image: Tensor, target, train_denoiser: bool = False) -> Tensor:
     """Task loss of the (denoiser -> application) composition as one expression.
 
     With ``denoiser=None`` the image feeds the application directly, so the
     composed loss is bit-identical to the application-only loss.
     """
-    h = image if denoiser is None else denoiser.forward(image, train=train_denoiser)
-    try:
-        out = application.forward(h, train=False)
-    except InvalidShapeError as exc:
-        raise InvalidCompositionError(f"denoiser output does not fit the application network: {exc}") from exc
-    return cross_entropy_loss(out, target)
+    return cross_entropy_loss(_route(denoiser, application, image, train_denoiser), target)
 
 
 # ---------------------------------------------------------------------------
@@ -125,27 +112,32 @@ def _restore(model: Model, snapshot: tuple) -> None:
         bn.stats.var = var.copy()
 
 
-def _run_training(model: Model, items: list, cfg: TrainConfig, step_loss, eval_loss) -> TrainResult:
+def _run_training(
+    model: Model, items: list, settings: TrainSettings, purpose: str, seed: int, step_loss, eval_loss
+) -> TrainResult:
     """Adam training over items with best-validation checkpoint selection.
 
+    ``purpose`` ("application" or "denoiser") picks the epoch count, and the
+    shuffle order derives from the global ``seed`` and the purpose.
     ``step_loss(item)`` builds the recorded training loss; ``eval_loss(item)``
     computes the selection loss without recording. A held-out tail of the
     items (validation_fraction) drives checkpoint selection; with no holdout
     the training loss is used instead.
     """
-    cfg.validate()
-    n_val = int(round(cfg.validation_fraction * len(items)))
+    settings.validate()
+    epochs = settings.epochs_application if purpose == "application" else settings.epochs_denoiser
+    n_val = int(round(settings.validation_fraction * len(items)))
     n_val = min(n_val, len(items) - 1)
     train_items = items[: len(items) - n_val]
     val_items = items[len(items) - n_val :]
 
     trainable = [p for p in model.parameters() if p.requires_grad]
-    state = make_adam_state(trainable, lr=cfg.learning_rate)
-    shuffle_rng = Rng(derive_seed(cfg.seed, "shuffle"))
+    state = make_adam_state(trainable, lr=settings.learning_rate)
+    shuffle_rng = Rng(derive_seed(derive_seed(seed, f"train/{purpose}"), "shuffle"))
     result = TrainResult(model=model)
     best = _snapshot(model)
 
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(len(train_items))
         total = 0.0
         for step, idx in enumerate(order):
@@ -158,7 +150,7 @@ def _run_training(model: Model, items: list, cfg: TrainConfig, step_loss, eval_l
             adam_step(trainable, grads, state)
             total += value
         train_loss = total / max(1, len(train_items))
-        if val_items and (epoch % cfg.checkpoint_cadence == 0 or epoch == cfg.epochs):
+        if val_items and (epoch % settings.checkpoint_cadence == 0 or epoch == epochs):
             val_loss = float(np.mean([eval_loss(item) for item in val_items]))
         elif val_items:
             val_loss = math.nan
@@ -178,7 +170,9 @@ def _run_training(model: Model, items: list, cfg: TrainConfig, step_loss, eval_l
 # Scheme training procedures
 
 
-def train_application(model: Model, samples: list[Sample], cfg: TrainConfig, noise_spec: NoiseSpec | None = None) -> TrainResult:
+def train_application(
+    model: Model, samples: list[Sample], settings: TrainSettings, noise_spec: NoiseSpec | None = None, seed: int = 0
+) -> TrainResult:
     """Train a segmentation/classification network on clean or dirty images."""
     _check_task_match(model, samples)
     images = corrupt_samples(samples, noise_spec, "train")
@@ -192,10 +186,12 @@ def train_application(model: Model, samples: list[Sample], cfg: TrainConfig, noi
         image, target = item
         return cross_entropy_loss(model.forward(image, train=False), target).item()
 
-    return _run_training(model, items, cfg, step_loss, eval_loss)
+    return _run_training(model, items, settings, "application", seed, step_loss, eval_loss)
 
 
-def train_denoiser_hv(model: Model, samples: list[Sample], cfg: TrainConfig, noise_spec: NoiseSpec) -> TrainResult:
+def train_denoiser_hv(
+    model: Model, samples: list[Sample], settings: TrainSettings, noise_spec: NoiseSpec, seed: int = 0
+) -> TrainResult:
     """Train a denoiser on paired (dirty, clean) images with pixel MSE."""
     dirty = corrupt_samples(samples, noise_spec, "train")
     items = [(d, s.image) for d, s in zip(dirty, samples)]
@@ -208,11 +204,11 @@ def train_denoiser_hv(model: Model, samples: list[Sample], cfg: TrainConfig, noi
         noisy, clean = item
         return mse_loss(model.forward(noisy, train=False), clean).item()
 
-    return _run_training(model, items, cfg, step_loss, eval_loss)
+    return _run_training(model, items, settings, "denoiser", seed, step_loss, eval_loss)
 
 
 def train_denoiser_nnv(
-    model: Model, application: Model, samples: list[Sample], cfg: TrainConfig, noise_spec: NoiseSpec
+    model: Model, application: Model, samples: list[Sample], settings: TrainSettings, noise_spec: NoiseSpec, seed: int = 0
 ) -> TrainResult:
     """Train a denoiser through the frozen application network's task loss.
 
@@ -233,7 +229,7 @@ def train_denoiser_nnv(
             noisy, target = item
             return composed_task_loss(model, application, noisy, target, train_denoiser=False).item()
 
-        return _run_training(model, items, cfg, step_loss, eval_loss)
+        return _run_training(model, items, settings, "denoiser", seed, step_loss, eval_loss)
     finally:
         application.set_trainable(True)
 
@@ -256,11 +252,7 @@ def _check_task_match(model: Model, samples: list[Sample]) -> None:
 
 def predict(application: Model, denoiser: Model | None, image: Tensor):
     """Route one image through the scheme and return the hard prediction."""
-    h = image if denoiser is None else denoiser.forward(image, train=False)
-    try:
-        out = application.forward(h, train=False)
-    except InvalidShapeError as exc:
-        raise InvalidCompositionError(f"denoiser output does not fit the application network: {exc}") from exc
+    out = _route(denoiser, application, image, train_denoiser=False)
     if out.data.ndim == 3:
         return out.data.argmax(axis=0).astype(np.int32)
     return int(out.data.argmax())

@@ -50,6 +50,19 @@ class TestExitCodes:
         assert main(["generate", "--config", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("config-error:")
 
+    @pytest.mark.parametrize(
+        "section,key,value", [("dataset", "train_count", "ten"), (None, "seed", "x"), ("train", "epochs_application", None)]
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, section, key, value):
+        cfg = _write_config(tmp_path)
+        raw = json.loads(cfg.read_text())
+        (raw if section is None else raw[section])[key] = value
+        cfg.write_text(json.dumps(raw))
+        assert main(["generate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config-error:") and key in err
+        assert err.count("\n") == 1
+
     def test_colliding_test_noise_tags_are_a_config_error(self, tmp_path, capsys):
         noises = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "gaussian", "sigma": 40.0, "mu": 60.0}]
         cfg = _write_config(tmp_path, test_noises=noises)

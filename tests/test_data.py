@@ -7,10 +7,7 @@ from taskdenoise.data import (
     CLASSIFICATION,
     SEGMENTATION,
     DatasetSpec,
-    Sample,
-    generate_classification_dataset,
     generate_dataset,
-    generate_segmentation_dataset,
     load_dataset,
     load_sample,
     save_dataset,
@@ -33,7 +30,7 @@ def _cls_spec(**kw):
 
 class TestSegmentationGenerator:
     def test_shapes_and_ranges(self):
-        train, test = generate_segmentation_dataset(_seg_spec())
+        train, test = generate_dataset(_seg_spec())
         assert len(train) == 40 and len(test) == 10
         for s in train + test:
             assert s.image.shape == (1, 64, 64)
@@ -42,7 +39,7 @@ class TestSegmentationGenerator:
             assert s.label_map.min() >= 0 and s.label_map.max() < 4
 
     def test_single_disk_marks_exactly_its_pixels(self):
-        train, _ = generate_segmentation_dataset(_seg_spec(num_classes=2, train_count=4, test_count=1))
+        train, _ = generate_dataset(_seg_spec(num_classes=2, train_count=4, test_count=1))
         for s in train:
             labeled = s.label_map == 1
             assert labeled.sum() > 20  # a real structure exists
@@ -53,21 +50,21 @@ class TestSegmentationGenerator:
 
     def test_every_class_appears_in_training_set(self):
         spec = _seg_spec(train_count=10 * 4)
-        train, _ = generate_segmentation_dataset(spec)
+        train, _ = generate_dataset(spec)
         seen = set()
         for s in train:
             seen.update(np.unique(s.label_map).tolist())
         assert seen == {0, 1, 2, 3}
 
     def test_deterministic(self):
-        a_train, a_test = generate_segmentation_dataset(_seg_spec())
-        b_train, b_test = generate_segmentation_dataset(_seg_spec())
+        a_train, a_test = generate_dataset(_seg_spec())
+        b_train, b_test = generate_dataset(_seg_spec())
         for sa, sb in zip(a_train + a_test, b_train + b_test):
             assert sa.image.data.tobytes() == sb.image.data.tobytes()
             assert np.array_equal(sa.label_map, sb.label_map)
 
     def test_train_test_disjoint(self):
-        train, test = generate_segmentation_dataset(_seg_spec())
+        train, test = generate_dataset(_seg_spec())
         train_bytes = {s.image.data.tobytes() for s in train}
         for s in test:
             assert s.image.data.tobytes() not in train_bytes
@@ -76,7 +73,7 @@ class TestSegmentationGenerator:
         # Bayes-optimal per-pixel intensity classifier (histogram over training
         # pixels) upper-bounds any threshold rule; its Dice must stay below 0.8
         spec = _seg_spec(train_count=60, test_count=20)
-        train, test = generate_segmentation_dataset(spec)
+        train, test = generate_dataset(spec)
         k = spec.num_classes
         bins = np.arange(257)
         counts = np.zeros((k, 256))
@@ -95,14 +92,10 @@ class TestSegmentationGenerator:
             scores.extend(dice(pred, s.label_map, c) for c in range(1, k))
         assert float(np.mean(scores)) < 0.8
 
-    def test_wrong_task_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            generate_segmentation_dataset(_cls_spec())
-
 
 class TestClassificationGenerator:
     def test_shapes_and_classes(self):
-        train, test = generate_classification_dataset(_cls_spec())
+        train, test = generate_dataset(_cls_spec())
         assert len(train) == 30 and len(test) == 9
         for s in train + test:
             assert s.image.shape == (1, 64, 64)
@@ -110,12 +103,12 @@ class TestClassificationGenerator:
             assert s.label_map is None
 
     def test_every_class_appears(self):
-        train, _ = generate_classification_dataset(_cls_spec(train_count=30))
+        train, _ = generate_dataset(_cls_spec(train_count=30))
         assert {s.class_index for s in train} == {0, 1, 2}
 
     def test_deterministic(self):
-        a, _ = generate_classification_dataset(_cls_spec())
-        b, _ = generate_classification_dataset(_cls_spec())
+        a, _ = generate_dataset(_cls_spec())
+        b, _ = generate_dataset(_cls_spec())
         for sa, sb in zip(a, b):
             assert sa.image.data.tobytes() == sb.image.data.tobytes()
             assert sa.class_index == sb.class_index
@@ -123,7 +116,7 @@ class TestClassificationGenerator:
     def test_global_mean_intensity_cannot_classify(self):
         # Bayes classifier on the global mean (histogram) must stay below 0.5
         spec = _cls_spec(train_count=120, test_count=60)
-        train, test = generate_classification_dataset(spec)
+        train, test = generate_dataset(spec)
         means = np.array([s.image.data.mean() for s in train])
         labels = np.array([s.class_index for s in train])
         edges = np.linspace(means.min() - 1e-6, means.max() + 1e-6, 25)
@@ -144,14 +137,14 @@ class TestClassificationGenerator:
 
 class TestSampleIO:
     def test_segmentation_round_trip(self, tmp_path):
-        train, _ = generate_segmentation_dataset(_seg_spec(train_count=2, test_count=1))
+        train, _ = generate_dataset(_seg_spec(train_count=2, test_count=1))
         save_sample(train[0], tmp_path, "0000")
         back = load_sample(tmp_path, "0000")
         assert back.image.data.tobytes() == train[0].image.data.tobytes()
         assert np.array_equal(back.label_map, train[0].label_map)
 
     def test_classification_round_trip(self, tmp_path):
-        train, _ = generate_classification_dataset(_cls_spec(train_count=3, test_count=1))
+        train, _ = generate_dataset(_cls_spec(train_count=3, test_count=1))
         save_sample(train[1], tmp_path, "0001")
         back = load_sample(tmp_path, "0001")
         assert back.image.data.tobytes() == train[1].image.data.tobytes()
@@ -163,7 +156,7 @@ class TestSampleIO:
 
     def test_dataset_round_trip(self, tmp_path):
         spec = _seg_spec(train_count=4, test_count=2)
-        train, test = generate_segmentation_dataset(spec)
+        train, test = generate_dataset(spec)
         save_dataset(spec, train, test, tmp_path / "ds")
         spec2, train2, test2 = load_dataset(tmp_path / "ds")
         assert spec2 == spec
@@ -173,7 +166,7 @@ class TestSampleIO:
 
     def test_dataset_layout(self, tmp_path):
         spec = _cls_spec(train_count=2, test_count=1)
-        train, test = generate_classification_dataset(spec)
+        train, test = generate_dataset(spec)
         save_dataset(spec, train, test, tmp_path / "ds")
         assert (tmp_path / "ds" / "manifest.json").is_file()
         assert (tmp_path / "ds" / "train" / "0000.img.tsr1").is_file()

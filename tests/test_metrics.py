@@ -17,7 +17,6 @@ from taskdenoise.metrics import (
     sensitivity,
     specificity,
     top1_accuracy,
-    write_aggregate_csv,
     write_per_sample_csv,
 )
 
@@ -239,14 +238,6 @@ class TestReportsAndCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "sample,class,metric,value"
         assert len(lines) == 1 + 2 * 4  # two classes x four metrics
-
-    def test_aggregate_csv_layout(self, tmp_path):
-        report = segmentation_report([self._sample_metrics()], num_classes=3)
-        path = tmp_path / "agg.csv"
-        write_aggregate_csv({"tc": report, "td": report}, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("scheme,")
-        assert lines[1].startswith("tc,") and lines[2].startswith("td,")
 
     def test_csv_six_significant_digits(self, tmp_path):
         report = classification_report([0, 1, 1], [0, 1, 0], num_classes=2)

@@ -8,15 +8,12 @@ from taskdenoise.autodiff import Tape, Tensor
 from taskdenoise.errors import CheckpointError, InvalidShapeError, InvalidSpecError
 from taskdenoise.networks import (
     NetworkSpec,
-    build_ccnn,
-    build_mcdncnn,
     build_network,
-    build_nonewnet2d,
-    build_redcnn,
     load_checkpoint,
     parameter_checksum,
     save_checkpoint,
 )
+from taskdenoise.tensorio import write_tensor
 
 
 def _image(shape, seed=0, scale=1.0):
@@ -35,12 +32,12 @@ def _assert_all_params_reached(model, loss_builder):
 
 class TestRedCnn:
     def test_shape_contract(self):
-        model = build_redcnn(NetworkSpec(kind="redcnn", base_channels=4, seed=1))
+        model = build_network(NetworkSpec(kind="redcnn", base_channels=4, seed=1))
         out = model.forward(_image((1, 16, 16)))
         assert out.shape == (1, 16, 16)
 
     def test_zero_final_layer_gives_constant_map(self):
-        model = build_redcnn(NetworkSpec(kind="redcnn", base_channels=4, seed=2))
+        model = build_network(NetworkSpec(kind="redcnn", base_channels=4, seed=2))
         model.deconv5.weight.data = np.zeros_like(model.deconv5.weight.data)
         out = model.forward(_image((1, 12, 12), seed=3))
         np.testing.assert_array_equal(out.data, np.zeros((1, 12, 12), np.float32))
@@ -49,11 +46,11 @@ class TestRedCnn:
         c = 8
         # conv1 + conv2..5 + deconv1..4 + deconv5, each with bias
         expected = (9 * c + c) + 4 * (9 * c * c + c) + 4 * (9 * c * c + c) + (9 * c + 1)
-        model = build_redcnn(NetworkSpec(kind="redcnn", base_channels=c, seed=0))
+        model = build_network(NetworkSpec(kind="redcnn", base_channels=c, seed=0))
         assert model.param_count() == expected
 
     def test_gradient_reaches_every_parameter(self):
-        model = build_redcnn(NetworkSpec(kind="redcnn", base_channels=4, seed=4))
+        model = build_network(NetworkSpec(kind="redcnn", base_channels=4, seed=4))
         x = _image((1, 16, 16), seed=5, scale=0.5)
         target = _image((1, 16, 16), seed=6, scale=0.5)
         _assert_all_params_reached(model, lambda: ad.mse_loss(model.forward(x, train=True), target))
@@ -61,12 +58,12 @@ class TestRedCnn:
 
 class TestMcDnCnn:
     def test_shape_contract(self):
-        model = build_mcdncnn(NetworkSpec(kind="mcdncnn", base_channels=4, seed=1))
+        model = build_network(NetworkSpec(kind="mcdncnn", base_channels=4, seed=1))
         out = model.forward(_image((1, 16, 16)), train=True)
         assert out.shape == (1, 16, 16)
 
     def test_zero_final_layer_is_identity(self):
-        model = build_mcdncnn(NetworkSpec(kind="mcdncnn", base_channels=4, seed=2))
+        model = build_network(NetworkSpec(kind="mcdncnn", base_channels=4, seed=2))
         model.conv_out.weight.data = np.zeros_like(model.conv_out.weight.data)
         x = _image((1, 10, 10), seed=3)
         out = model.forward(x)
@@ -75,11 +72,11 @@ class TestMcDnCnn:
     def test_parameter_count_oracle(self):
         c = 8
         expected = (9 * c + c) + 7 * (9 * c * c + c) + 7 * (2 * c) + (9 * c + 1)
-        model = build_mcdncnn(NetworkSpec(kind="mcdncnn", base_channels=c, seed=0))
+        model = build_network(NetworkSpec(kind="mcdncnn", base_channels=c, seed=0))
         assert model.param_count() == expected
 
     def test_gradient_reaches_every_parameter(self):
-        model = build_mcdncnn(NetworkSpec(kind="mcdncnn", base_channels=4, seed=4))
+        model = build_network(NetworkSpec(kind="mcdncnn", base_channels=4, seed=4))
         x = _image((1, 16, 16), seed=5, scale=0.5)
         target = _image((1, 16, 16), seed=6, scale=0.5)
         _assert_all_params_reached(model, lambda: ad.mse_loss(model.forward(x, train=True), target))
@@ -88,13 +85,13 @@ class TestMcDnCnn:
 class TestNoNewNet2d:
     def test_shape_contract(self):
         spec = NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=3, height=64, width=64, seed=1)
-        model = build_nonewnet2d(spec)
+        model = build_network(spec)
         out = model.forward(_image((1, 64, 64)))
         assert out.shape == (3, 64, 64)
 
     def test_indivisible_extents_raise(self):
         spec = NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=2, seed=1, depth=3)
-        model = build_nonewnet2d(spec)
+        model = build_network(spec)
         with pytest.raises(InvalidShapeError):
             model.forward(_image((1, 20, 20)))
 
@@ -115,11 +112,11 @@ class TestNoNewNet2d:
             prev = w
         expected += b * k + k  # 1x1 head
         spec = NetworkSpec(kind="nonewnet2d", base_channels=b, num_classes=k, seed=0, depth=d)
-        assert build_nonewnet2d(spec).param_count() == expected
+        assert build_network(spec).param_count() == expected
 
     def test_skip_concatenation_channel_arithmetic(self):
         spec = NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=2, seed=0, depth=2)
-        model = build_nonewnet2d(spec)
+        model = build_network(spec)
         for i, up, a, b in model.dec:
             w = 4 * 2**i
             assert up.weight.shape[1] == w
@@ -127,7 +124,7 @@ class TestNoNewNet2d:
 
     def test_gradient_reaches_every_parameter(self):
         spec = NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=3, seed=4, depth=3)
-        model = build_nonewnet2d(spec)
+        model = build_network(spec)
         x = _image((1, 16, 16), seed=5, scale=0.5)
         labels = np.random.default_rng(6).integers(0, 3, size=(16, 16))
         _assert_all_params_reached(model, lambda: ad.cross_entropy_loss(model.forward(x, train=True), labels))
@@ -136,19 +133,19 @@ class TestNoNewNet2d:
 class TestCcnn:
     def test_shape_contract(self):
         spec = NetworkSpec(kind="ccnn", base_channels=4, num_classes=3, height=64, width=64, seed=1)
-        model = build_ccnn(spec)
+        model = build_network(spec)
         out = model.forward(_image((1, 64, 64)))
         assert out.shape == (3,)
 
     def test_wrong_extents_raise(self):
         spec = NetworkSpec(kind="ccnn", base_channels=4, num_classes=3, height=64, width=64, seed=1)
-        model = build_ccnn(spec)
+        model = build_network(spec)
         with pytest.raises(InvalidShapeError):
             model.forward(_image((1, 32, 32)))
 
     def test_indivisible_spec_extents_raise(self):
         with pytest.raises(InvalidSpecError):
-            build_ccnn(NetworkSpec(kind="ccnn", base_channels=4, num_classes=3, height=60, width=64, seed=1))
+            build_network(NetworkSpec(kind="ccnn", base_channels=4, num_classes=3, height=60, width=64, seed=1))
 
     def test_parameter_count_oracle(self):
         b, k, m = 8, 3, 64
@@ -156,11 +153,11 @@ class TestCcnn:
         expected = sum(9 * cin * cout + cout for cin, cout in zip(chans, chans[1:]))
         expected += (8 * b * (m // 16) * (m // 16)) * k + k
         spec = NetworkSpec(kind="ccnn", base_channels=b, num_classes=k, height=m, width=m, seed=0)
-        assert build_ccnn(spec).param_count() == expected
+        assert build_network(spec).param_count() == expected
 
     def test_equal_fc_weights_give_equal_logits(self):
         spec = NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=16, width=16, seed=2)
-        model = build_ccnn(spec)
+        model = build_network(spec)
         model.fc.weight.data = np.ones_like(model.fc.weight.data)
         model.fc.bias.data = np.zeros_like(model.fc.bias.data)
         out = model.forward(_image((1, 16, 16), seed=3))
@@ -168,7 +165,7 @@ class TestCcnn:
 
     def test_gradient_reaches_every_parameter(self):
         spec = NetworkSpec(kind="ccnn", base_channels=4, num_classes=3, height=16, width=16, seed=4)
-        model = build_ccnn(spec)
+        model = build_network(spec)
         x = _image((1, 16, 16), seed=5, scale=0.5)
         _assert_all_params_reached(model, lambda: ad.cross_entropy_loss(model.forward(x, train=True), np.asarray(1)))
 
@@ -188,8 +185,8 @@ class TestDeterminismAndComposition:
         assert pa.data.tobytes() != pb.data.tobytes()
 
     def test_denoiser_composes_with_segmentation(self):
-        f = build_redcnn(NetworkSpec(kind="redcnn", base_channels=4, seed=1))
-        g = build_nonewnet2d(NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=3, seed=2))
+        f = build_network(NetworkSpec(kind="redcnn", base_channels=4, seed=1))
+        g = build_network(NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=3, seed=2))
         out = g.forward(f.forward(_image((1, 16, 16))))
         assert out.shape == (3, 16, 16)
 
@@ -204,6 +201,50 @@ class TestDeterminismAndComposition:
             assert out.shape == (3, extent, extent)
         else:
             assert out.shape == (3,)
+
+
+# Parameter names with their shapes, in registration order, and the
+# parameter_checksum of a fresh build. Init draws only from the in-repo
+# SplitMix64 stream, so these hold on any numpy/BLAS build.
+_PINNED_INIT = {
+    "redcnn": (
+        "conv1.weight:2x1x3x3 conv1.bias:2 conv2.weight:2x2x3x3 conv2.bias:2 conv3.weight:2x2x3x3 "
+        "conv3.bias:2 conv4.weight:2x2x3x3 conv4.bias:2 conv5.weight:2x2x3x3 conv5.bias:2 "
+        "deconv1.weight:2x2x3x3 deconv1.bias:2 deconv2.weight:2x2x3x3 deconv2.bias:2 deconv3.weight:2x2x3x3 "
+        "deconv3.bias:2 deconv4.weight:2x2x3x3 deconv4.bias:2 deconv5.weight:2x1x3x3 deconv5.bias:1",
+        "fe77b538ff5523424e5e9a72aaa9bff6a6b23eaa7a80b70cfb5c5697de63f2fd",
+    ),
+    "mcdncnn": (
+        "conv1.weight:2x1x3x3 conv1.bias:2 conv2.weight:2x2x3x3 conv2.bias:2 bn2.gamma:2 bn2.beta:2 "
+        "conv3.weight:2x2x3x3 conv3.bias:2 bn3.gamma:2 bn3.beta:2 conv4.weight:2x2x3x3 conv4.bias:2 "
+        "bn4.gamma:2 bn4.beta:2 conv5.weight:2x2x3x3 conv5.bias:2 bn5.gamma:2 bn5.beta:2 conv6.weight:2x2x3x3 "
+        "conv6.bias:2 bn6.gamma:2 bn6.beta:2 conv7.weight:2x2x3x3 conv7.bias:2 bn7.gamma:2 bn7.beta:2 "
+        "conv8.weight:2x2x3x3 conv8.bias:2 bn8.gamma:2 bn8.beta:2 conv9.weight:1x2x3x3 conv9.bias:1",
+        "dc4eb2dfbe3bb4acc7a1f418fbf2a506fbba98b895e69a4bc27b1ed8ac034c99",
+    ),
+    "nonewnet2d": (
+        "enc0a.weight:2x1x3x3 enc0a.bias:2 enc0b.weight:2x2x3x3 enc0b.bias:2 enc1a.weight:4x2x3x3 "
+        "enc1a.bias:4 enc1b.weight:4x4x3x3 enc1b.bias:4 bottlenecka.weight:8x4x3x3 bottlenecka.bias:8 "
+        "bottleneckb.weight:8x8x3x3 bottleneckb.bias:8 up1.weight:8x4x2x2 up1.bias:4 dec1a.weight:4x8x3x3 "
+        "dec1a.bias:4 dec1b.weight:4x4x3x3 dec1b.bias:4 up0.weight:4x2x2x2 up0.bias:2 dec0a.weight:2x4x3x3 "
+        "dec0a.bias:2 dec0b.weight:2x2x3x3 dec0b.bias:2 head.weight:3x2x1x1 head.bias:3",
+        "026b31d85288cffbe5190e393d24075edc6688e5b0c1c763c145b50e94e4bcc4",
+    ),
+    "ccnn": (
+        "conv1.weight:2x1x3x3 conv1.bias:2 conv2.weight:4x2x3x3 conv2.bias:4 conv3.weight:8x4x3x3 "
+        "conv3.bias:8 conv4.weight:16x8x3x3 conv4.bias:16 fc.weight:3x16 fc.bias:3",
+        "b6778d898925728e4738516d134ad509b4201ea9f9bfacdba47580884ae3cafd",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_INIT))
+def test_init_is_pinned(kind):
+    spec = NetworkSpec(kind=kind, base_channels=2, num_classes=3, height=16, width=16, seed=5, depth=2)
+    model = build_network(spec)
+    names, checksum = _PINNED_INIT[kind]
+    assert [f"{n}:{'x'.join(map(str, p.shape))}" for n, p in model.named_parameters()] == names.split()
+    assert parameter_checksum(model).hex() == checksum
 
 
 class TestCheckpoints:
@@ -238,4 +279,14 @@ class TestCheckpoints:
         save_checkpoint(model, tmp_path / "ckpt")
         (tmp_path / "ckpt" / "conv1.weight.tsr1").unlink()
         with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize("stat", ["running_mean", "running_var"])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_shape_running_stat_raises(self, tmp_path, stat, length):
+        # a (1,) stat would broadcast through the forward pass unnoticed
+        model = build_network(NetworkSpec(kind="mcdncnn", base_channels=4, seed=1))
+        save_checkpoint(model, tmp_path / "ckpt")
+        write_tensor(tmp_path / "ckpt" / f"bn2.{stat}.tsr1", np.ones(length, np.float32))
+        with pytest.raises(CheckpointError, match=stat):
             load_checkpoint(tmp_path / "ckpt")

@@ -93,12 +93,3 @@ class TestHelpers:
         perm = Rng(12).permutation(50)
         assert sorted(perm.tolist()) == list(range(50))
 
-    def test_integers_in_range(self):
-        draws = Rng(13).integers(10_000, 3, 9)
-        assert draws.min() >= 3 and draws.max() <= 8
-        assert set(np.unique(draws)) == set(range(3, 9))
-
-    def test_choice_uniform(self):
-        rng = Rng(14)
-        picks = [rng.choice(["a", "b", "c"]) for _ in range(300)]
-        assert set(picks) == {"a", "b", "c"}

@@ -5,15 +5,14 @@ import pytest
 
 from conftest import fd_gradient, rel_err
 from taskdenoise import autodiff as ad
-from taskdenoise.autodiff import Tape, Tensor
-from taskdenoise.data import DatasetSpec, generate_classification_dataset, generate_segmentation_dataset
+from taskdenoise.autodiff import Tape
+from taskdenoise.data import DatasetSpec, generate_dataset
 from taskdenoise.errors import InvalidCompositionError, InvalidInputError, InvalidSpecError, TrainingDivergedError
 from taskdenoise.metrics import aggregate
-from taskdenoise.networks import NetworkSpec, build_ccnn, build_mcdncnn, build_nonewnet2d, build_redcnn, parameter_checksum
+from taskdenoise.networks import NetworkSpec, build_network, parameter_checksum
 from taskdenoise.noise import NoiseSpec
 from taskdenoise.schemes import (
-    Scheme,
-    TrainConfig,
+    TrainSettings,
     composed_task_loss,
     corrupt_samples,
     evaluate_scheme,
@@ -25,12 +24,12 @@ from taskdenoise.schemes import (
 
 def _seg_samples(count=6, size=16, k=3, seed=1):
     spec = DatasetSpec(task="segmentation", height=size, width=size, num_classes=k, train_count=count, test_count=2, seed=seed)
-    return generate_segmentation_dataset(spec)
+    return generate_dataset(spec)
 
 
 def _cls_samples(count=6, size=64, k=3, seed=2):
     spec = DatasetSpec(task="classification", height=size, width=size, num_classes=k, train_count=count, test_count=3, seed=seed)
-    return generate_classification_dataset(spec)
+    return generate_dataset(spec)
 
 
 def _app_spec(size=16, k=3, seed=3, base=2, depth=2):
@@ -41,86 +40,82 @@ def _den_spec(seed=4, base=2):
     return NetworkSpec(kind="redcnn", base_channels=base, seed=seed)
 
 
+def _settings(epochs, learning_rate=1e-3):
+    return TrainSettings(epochs_application=epochs, epochs_denoiser=epochs, learning_rate=learning_rate)
+
+
 class TestSchemeValidation:
-    def test_hv_requires_denoiser(self):
-        with pytest.raises(InvalidSpecError):
-            Scheme(kind="hv", application=_app_spec(), denoiser=None, train_noise=NoiseSpec()).validate()
-
-    def test_tc_forbids_denoiser(self):
-        with pytest.raises(InvalidSpecError):
-            Scheme(kind="tc", application=_app_spec(), denoiser=_den_spec(), train_noise=NoiseSpec()).validate()
-
     def test_epochs_must_be_positive(self):
         with pytest.raises(InvalidSpecError):
-            TrainConfig(epochs=0).validate()
+            TrainSettings(epochs_application=0).validate()
 
 
 class TestTrainApplication:
     def test_one_epoch_decreases_loss_on_single_sample(self):
         train, _ = _seg_samples(count=1)
-        model = build_nonewnet2d(_app_spec(seed=5))
+        model = build_network(_app_spec(seed=5))
         sample = train[0]
 
         def current_loss():
             return ad.cross_entropy_loss(model.forward(sample.image), sample.label_map).item()
 
         before = current_loss()
-        train_application(model, train, TrainConfig(epochs=1, learning_rate=1e-3, seed=1))
+        train_application(model, train, _settings(1), seed=1)
         assert current_loss() < before
 
     def test_sigma_zero_dirty_training_equals_clean_training(self):
         train, _ = _seg_samples(count=4)
-        cfg = TrainConfig(epochs=2, learning_rate=1e-3, seed=7)
-        clean_model = build_nonewnet2d(_app_spec(seed=8))
-        dirty_model = build_nonewnet2d(_app_spec(seed=8))
-        train_application(clean_model, train, cfg, noise_spec=None)
-        train_application(dirty_model, train, cfg, noise_spec=NoiseSpec(kind="gaussian", sigma=0.0, seed=9))
+        settings = _settings(2)
+        clean_model = build_network(_app_spec(seed=8))
+        dirty_model = build_network(_app_spec(seed=8))
+        train_application(clean_model, train, settings, noise_spec=None, seed=7)
+        train_application(dirty_model, train, settings, noise_spec=NoiseSpec(kind="gaussian", sigma=0.0, seed=9), seed=7)
         assert parameter_checksum(clean_model) == parameter_checksum(dirty_model)
 
     def test_deterministic_final_state(self):
         train, _ = _seg_samples(count=4)
 
         def run():
-            model = build_nonewnet2d(_app_spec(seed=10))
-            result = train_application(model, train, TrainConfig(epochs=2, learning_rate=1e-3, seed=11))
+            model = build_network(_app_spec(seed=10))
+            result = train_application(model, train, _settings(2), seed=11)
             return parameter_checksum(model), tuple(result.trace)
 
         assert run() == run()
 
     def test_loss_trace_recorded_per_epoch(self):
         train, _ = _seg_samples(count=4)
-        model = build_nonewnet2d(_app_spec(seed=12))
-        result = train_application(model, train, TrainConfig(epochs=3, learning_rate=1e-3, seed=13))
+        model = build_network(_app_spec(seed=12))
+        result = train_application(model, train, _settings(3), seed=13)
         assert len(result.trace) == 3
         assert [e for e, _, _ in result.trace] == [1, 2, 3]
 
     def test_task_mismatch_rejected(self):
         train, _ = _cls_samples(count=4)
-        model = build_nonewnet2d(_app_spec(size=64))
+        model = build_network(_app_spec(size=64))
         with pytest.raises(InvalidSpecError):
-            train_application(model, train, TrainConfig(epochs=1, seed=1))
+            train_application(model, train, _settings(1), seed=1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_epoch(self):
         ad.set_debug_validate(False)
         train, _ = _seg_samples(count=2)
-        model = build_nonewnet2d(_app_spec(seed=14))
+        model = build_network(_app_spec(seed=14))
         with pytest.raises(TrainingDivergedError) as err:
-            train_application(model, train, TrainConfig(epochs=4, learning_rate=1e14, seed=15))
+            train_application(model, train, _settings(4, 1e14), seed=15)
         assert err.value.epoch >= 1
 
     def test_classification_training_runs(self):
         train, _ = _cls_samples(count=4)
         spec = NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=64, width=64, seed=16)
-        model = build_ccnn(spec)
-        result = train_application(model, train, TrainConfig(epochs=1, learning_rate=1e-3, seed=17))
+        model = build_network(spec)
+        result = train_application(model, train, _settings(1), seed=17)
         assert len(result.trace) == 1
 
 
 class TestTrainDenoiserHv:
     def test_zero_noise_residual_denoiser_starts_at_zero_loss(self):
         train, _ = _seg_samples(count=2)
-        model = build_mcdncnn(NetworkSpec(kind="mcdncnn", base_channels=2, seed=20))
+        model = build_network(NetworkSpec(kind="mcdncnn", base_channels=2, seed=20))
         model.conv_out.weight.data = np.zeros_like(model.conv_out.weight.data)
         clean = train[0].image
         assert ad.mse_loss(model.forward(clean), clean).item() == 0.0
@@ -128,14 +123,14 @@ class TestTrainDenoiserHv:
     def test_training_reduces_held_out_mse(self):
         train, test = _seg_samples(count=8, seed=21)
         noise = NoiseSpec(kind="gaussian", sigma=70.0, seed=22)
-        model = build_redcnn(_den_spec(seed=23, base=4))
+        model = build_network(_den_spec(seed=23, base=4))
         dirty_test = corrupt_samples(test, noise, "test")
 
         def held_out_mse():
             return float(np.mean([ad.mse_loss(model.forward(d), s.image).item() for d, s in zip(dirty_test, test)]))
 
         before = held_out_mse()
-        train_denoiser_hv(model, train, TrainConfig(epochs=4, learning_rate=1e-3, seed=24), noise)
+        train_denoiser_hv(model, train, _settings(4), noise, seed=24)
         assert held_out_mse() < before
 
     def test_deterministic(self):
@@ -143,8 +138,8 @@ class TestTrainDenoiserHv:
         noise = NoiseSpec(kind="gaussian", sigma=50.0, seed=25)
 
         def run():
-            model = build_redcnn(_den_spec(seed=26))
-            train_denoiser_hv(model, train, TrainConfig(epochs=1, learning_rate=1e-3, seed=27), noise)
+            model = build_network(_den_spec(seed=26))
+            train_denoiser_hv(model, train, _settings(1), noise, seed=27)
             return parameter_checksum(model)
 
         assert run() == run()
@@ -153,26 +148,26 @@ class TestTrainDenoiserHv:
 class TestTrainDenoiserNnv:
     def test_application_weights_frozen(self):
         train, _ = _seg_samples(count=3)
-        app = build_nonewnet2d(_app_spec(seed=30))
+        app = build_network(_app_spec(seed=30))
         before = parameter_checksum(app)
-        denoiser = build_redcnn(_den_spec(seed=31))
+        denoiser = build_network(_den_spec(seed=31))
         noise = NoiseSpec(kind="gaussian", sigma=70.0, seed=32)
-        train_denoiser_nnv(denoiser, app, train, TrainConfig(epochs=2, learning_rate=1e-3, seed=33), noise)
+        train_denoiser_nnv(denoiser, app, train, _settings(2), noise, seed=33)
         assert parameter_checksum(app) == before
         assert all(p.requires_grad for p in app.parameters())  # flags restored
 
     def test_denoiser_actually_changes(self):
         train, _ = _seg_samples(count=3)
-        app = build_nonewnet2d(_app_spec(seed=34))
-        denoiser = build_redcnn(_den_spec(seed=35))
+        app = build_network(_app_spec(seed=34))
+        denoiser = build_network(_den_spec(seed=35))
         before = parameter_checksum(denoiser)
         noise = NoiseSpec(kind="gaussian", sigma=70.0, seed=36)
-        train_denoiser_nnv(denoiser, app, train, TrainConfig(epochs=1, learning_rate=1e-3, seed=37), noise)
+        train_denoiser_nnv(denoiser, app, train, _settings(1), noise, seed=37)
         assert parameter_checksum(denoiser) != before
 
     def test_identity_denoiser_equals_application_only_loss(self):
         train, _ = _seg_samples(count=20, seed=38)
-        app = build_nonewnet2d(_app_spec(seed=39))
+        app = build_network(_app_spec(seed=39))
         for sample in train:
             with Tape() as t1:
                 composed = composed_task_loss(None, app, sample.image, sample.label_map)
@@ -184,8 +179,8 @@ class TestTrainDenoiserNnv:
     def test_composed_gradient_matches_fd(self):
         train, _ = _seg_samples(count=1, seed=40)
         sample = train[0]
-        app = build_nonewnet2d(_app_spec(seed=41))
-        denoiser = build_redcnn(_den_spec(seed=42))
+        app = build_network(_app_spec(seed=41))
+        denoiser = build_network(_den_spec(seed=42))
         app.set_trainable(False)
         with Tape() as tape:
             loss = composed_task_loss(denoiser, app, sample.image, sample.label_map, train_denoiser=True)
@@ -204,8 +199,8 @@ class TestTrainDenoiserNnv:
 
     def test_composition_extent_mismatch_raises(self):
         train, _ = _cls_samples(count=2, size=64)
-        app = build_ccnn(NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=32, width=32, seed=43))
-        denoiser = build_redcnn(_den_spec(seed=44))
+        app = build_network(NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=32, width=32, seed=43))
+        denoiser = build_network(_den_spec(seed=44))
         with pytest.raises(InvalidCompositionError):
             composed_task_loss(denoiser, app, train[0].image, np.asarray(train[0].class_index))
 
@@ -213,8 +208,8 @@ class TestTrainDenoiserNnv:
 class TestComposedLossInvariant:
     def test_single_expression_equals_manual_staging(self):
         train, _ = _seg_samples(count=3, seed=50)
-        app = build_nonewnet2d(_app_spec(seed=51))
-        denoiser = build_redcnn(_den_spec(seed=52))
+        app = build_network(_app_spec(seed=51))
+        denoiser = build_network(_den_spec(seed=52))
         for sample in train:
             composed = composed_task_loss(denoiser, app, sample.image, sample.label_map)
             denoised = denoiser.forward(sample.image)
@@ -225,7 +220,7 @@ class TestComposedLossInvariant:
 class TestEvaluateScheme:
     def test_tc_with_zero_noise_equals_plain_evaluation(self):
         _, test = _seg_samples(count=3, seed=60)
-        app = build_nonewnet2d(_app_spec(seed=61))
+        app = build_network(_app_spec(seed=61))
         zero = NoiseSpec(kind="gaussian", sigma=0.0, seed=62)
         with_noise = evaluate_scheme(app, None, test, corrupt_samples(test, zero, "test"))
         plain = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
@@ -233,21 +228,21 @@ class TestEvaluateScheme:
 
     def test_per_sample_count_matches_test_size(self):
         _, test = _seg_samples(count=3, seed=63)
-        app = build_nonewnet2d(_app_spec(seed=64))
+        app = build_network(_app_spec(seed=64))
         report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
         assert report.sample_count == len(test)
 
     def test_aggregation_matches_hand_computation(self):
         _, test = _seg_samples(count=3, seed=65)
-        app = build_nonewnet2d(_app_spec(seed=66))
+        app = build_network(_app_spec(seed=66))
         report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
         per_sample = [sm.mean_dice for sm in report.per_sample]
         assert report.aggregates["dice"] == aggregate(per_sample)
 
     def test_denoiser_routing_changes_predictions(self):
         _, test = _seg_samples(count=3, seed=67)
-        app = build_nonewnet2d(_app_spec(seed=68))
-        denoiser = build_redcnn(_den_spec(seed=69))
+        app = build_network(_app_spec(seed=68))
+        denoiser = build_network(_den_spec(seed=69))
         noise = NoiseSpec(kind="gaussian", sigma=70.0, seed=70)
         routed = evaluate_scheme(app, denoiser, test, corrupt_samples(test, noise, "test"))
         direct = evaluate_scheme(app, None, test, corrupt_samples(test, noise, "test"))
@@ -255,13 +250,13 @@ class TestEvaluateScheme:
 
     def test_one_image_per_sample_required(self):
         _, test = _seg_samples(seed=73)
-        app = build_nonewnet2d(_app_spec(seed=74))
+        app = build_network(_app_spec(seed=74))
         with pytest.raises(InvalidInputError):
             evaluate_scheme(app, None, test, corrupt_samples(test[:1], None, "test"))
 
     def test_classification_report_kind(self):
         _, test = _cls_samples(count=4, seed=71)
-        app = build_ccnn(NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=64, width=64, seed=72))
+        app = build_network(NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=64, width=64, seed=72))
         report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
         assert report.task == "classification"
         assert "top1" in report.aggregates
