@@ -8,12 +8,12 @@ no-denoising baselines, on deterministic synthetic phantom data, with an
 """
 
 from .autodiff import Tape, Tensor, backward
-from .config import ExperimentConfig, load_config, parse_config, serialize_config
+from .config import ExperimentConfig, parse_config, serialize_config
 from .data import DatasetSpec, Sample, generate_dataset
 from .dct import DctSpectrum, dct8_forward, dct8_inverse, frequency_gradient, spectrum_sd
-from .metrics import MetricsReport, aggregate, dice, hausdorff, sensitivity, specificity, top1_accuracy
+from .metrics import MetricsReport, aggregate, dice, hausdorff, sensitivity, specificity
 from .networks import Model, NetworkSpec, build_network, load_checkpoint, save_checkpoint
-from .noise import NoiseSpec, add_gaussian, add_poisson, apply_noise
+from .noise import NoiseSpec, apply_noise
 from .optim import AdamState, adam_step, make_adam_state, xavier_uniform_init
 from .rng import Rng, derive_seed
 from .schemes import (

@@ -63,11 +63,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def copy(self) -> "Tensor":
-        t = _wrap(self.data.copy())
-        t.requires_grad = self.requires_grad
-        return t
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -252,14 +247,40 @@ def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int) -> np.ndarr
 
 # ---------------------------------------------------------------------------
 # Convolution family
+#
+# One map and its adjoint serve both ops: conv2d runs _correlate forward and
+# _correlate_t for its input gradient, transpose_conv2d the reverse. Neither
+# public op calls the other, so each is entered once per layer call.
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [C_in,H,W] with kernels [C_out,C_in,kh,kw]."""
+def _correlate(kmat: np.ndarray, v: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
+    """``kmat`` [K, C*kh*kw] times the float64 patches [C*kh*kw, oh*ow] of
+    ``v`` [C, H, W]: returns the [K, oh*ow] product and the patches."""
+    cols = _im2col(v, kh, kw, stride, padding, oh, ow).reshape(-1, oh * ow)
+    return kmat @ cols, cols
+
+
+def _correlate_t(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int, stride: int, padding: int, h: int, w: int):
+    """The adjoint of :func:`_correlate`: the patches ``kcols @ v``, with
+    ``kcols`` [C*kh*kw, K] and ``v`` [K, oh, ow], summed onto the padded
+    [C, h + 2*padding, w + 2*padding] grid and cropped to [C, h, w]."""
+    k, oh, ow = v.shape
+    if stride == 1:
+        full = _overlap_add(kcols, v, kh, kw)
+    else:
+        patches = kcols @ v.reshape(k, oh * ow).astype(_F64, copy=False)
+        full = _col2im(patches.reshape(-1, kh, kw, oh, ow), h + 2 * padding, w + 2 * padding, stride)
+    return full[:, padding : padding + h, padding : padding + w] if padding else full
+
+
+def _conv_extents(op: str, x: Tensor, kernels: Tensor, bias: Tensor, stride: int, padding: int, transposed: bool):
+    """C_out and output extents of conv2d (kernels [C_out, C_in, kh, kw]) or,
+    if ``transposed``, of transpose_conv2d (kernels [C_in, C_out, kh, kw])."""
     if x.data.ndim != 3 or kernels.data.ndim != 4:
-        raise InvalidShapeError(f"conv2d expects 3-d input and 4-d kernels, got {x.shape} and {kernels.shape}")
+        raise InvalidShapeError(f"{op} expects 3-d input and 4-d kernels, got {x.shape} and {kernels.shape}")
     cin, h, w = x.shape
-    cout, kcin, kh, kw = kernels.shape
+    kh, kw = kernels.shape[2:]
+    kcin, cout = kernels.shape[:2] if transposed else kernels.shape[1::-1]
     if kcin != cin:
         raise InvalidShapeError(f"kernel C_in {kcin} does not match input C_in {cin}")
     if bias.shape != (cout,):
@@ -268,29 +289,31 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: i
         raise InvalidShapeError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise InvalidShapeError(f"padding must be >= 0, got {padding}")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if kh > hp or kw > wp:
-        raise InvalidShapeError(f"kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    if transposed:
+        oh, ow = (h - 1) * stride - 2 * padding + kh, (w - 1) * stride - 2 * padding + kw
+    else:
+        oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    if oh < 1 or ow < 1:
+        raise InvalidShapeError(f"{op} of a {h}x{w} input by a {kh}x{kw} kernel has no output ({oh}x{ow})")
+    return cout, oh, ow
 
-    cols = _im2col(x.data, kh, kw, stride, padding, oh, ow).reshape(cin * kh * kw, oh * ow)
+
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation of [C_in,H,W] with kernels [C_out,C_in,kh,kw]."""
+    cout, oh, ow = _conv_extents("conv2d", x, kernels, bias, stride, padding, transposed=False)
+    cin, h, w = x.shape
+    kh, kw = kernels.shape[2:]
     kmat = kernels.data.reshape(cout, cin * kh * kw).astype(_F64)
-    out64 = kmat @ cols
+    out64, cols = _correlate(kmat, x.data, kh, kw, stride, padding, oh, ow)
     out64 += bias.data.astype(_F64)[:, None]
     out = _wrap(out64.reshape(cout, oh, ow))
 
     def backward_fn(g: np.ndarray):
-        g2 = g.reshape(cout, oh * ow)
         dx = dk = db = None
         if _needs(x):
-            if stride == 1:
-                dxp = _overlap_add(kmat.T, g, kh, kw)
-            else:
-                dxp = _col2im((kmat.T @ g2).reshape(cin, kh, kw, oh, ow), hp, wp, stride)
-            dx = dxp[:, padding : padding + h, padding : padding + w] if padding else dxp
+            dx = _correlate_t(kmat.T, g, kh, kw, stride, padding, h, w)
         if _needs(kernels):
-            dk = (g2 @ cols.T).reshape(cout, cin, kh, kw)
+            dk = (g.reshape(cout, oh * ow) @ cols.T).reshape(cout, cin, kh, kw)
         if _needs(bias):
             db = g.sum(axis=(1, 2))
         return dx, dk, db
@@ -305,41 +328,18 @@ def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, 
     Input [C_in,H,W], kernels [C_in,C_out,kh,kw], output extent
     (H-1)*stride - 2*padding + kh.
     """
-    if x.data.ndim != 3 or kernels.data.ndim != 4:
-        raise InvalidShapeError(
-            f"transpose_conv2d expects 3-d input and 4-d kernels, got {x.shape} and {kernels.shape}"
-        )
+    cout, oh, ow = _conv_extents("transpose_conv2d", x, kernels, bias, stride, padding, transposed=True)
     cin, h, w = x.shape
-    kcin, cout, kh, kw = kernels.shape
-    if kcin != cin:
-        raise InvalidShapeError(f"kernel C_in {kcin} does not match input C_in {cin}")
-    if bias.shape != (cout,):
-        raise InvalidShapeError(f"bias shape {bias.shape} does not match C_out {cout}")
-    if stride < 1:
-        raise InvalidShapeError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise InvalidShapeError(f"padding must be >= 0, got {padding}")
-    oh = (h - 1) * stride - 2 * padding + kh
-    ow = (w - 1) * stride - 2 * padding + kw
-    if oh < 1 or ow < 1:
-        raise InvalidShapeError(f"output extent {oh}x{ow} is not positive")
-
+    kh, kw = kernels.shape[2:]
     kmat = kernels.data.reshape(cin, cout * kh * kw).astype(_F64)
-    if stride == 1:
-        full = _overlap_add(kmat.T, x.data, kh, kw)
-    else:
-        cols64 = kmat.T @ x.data.reshape(cin, h * w).astype(_F64)
-        full = _col2im(cols64.reshape(cout, kh, kw, h, w), oh + 2 * padding, ow + 2 * padding, stride)
-    out64 = full[:, padding : padding + oh, padding : padding + ow] if padding else full
-    out64 = out64 + bias.data.astype(_F64)[:, None, None]
-    out = _wrap(out64)
+    out = _wrap(_correlate_t(kmat.T, x.data, kh, kw, stride, padding, oh, ow) + bias.data.astype(_F64)[:, None, None])
 
     def backward_fn(g: np.ndarray):
         dx = dk = db = None
         if _needs(x) or _needs(kernels):
-            gcols = _im2col(g, kh, kw, stride, padding, h, w).reshape(cout * kh * kw, h * w)
+            dxg, gcols = _correlate(kmat, g, kh, kw, stride, padding, h, w)
             if _needs(x):
-                dx = (kmat @ gcols).reshape(cin, h, w)
+                dx = dxg.reshape(cin, h, w)
             if _needs(kernels):
                 dk = (x.data.reshape(cin, h * w).astype(_F64) @ gcols.T).reshape(cin, cout, kh, kw)
         if _needs(bias):
@@ -488,18 +488,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return (g if _needs(a) else None, -g if _needs(b) else None)
 
     _record(out, (a, b), backward_fn)
-    return out
-
-
-def mul_const(x: Tensor, const) -> Tensor:
-    """Multiply by a non-differentiated constant (scalar or array)."""
-    c = np.asarray(const, dtype=_F64)
-    out = _wrap(x.data.astype(_F64) * c)
-
-    def backward_fn(g: np.ndarray):
-        return (g * c,) if _needs(x) else (None,)
-
-    _record(out, (x,), backward_fn)
     return out
 
 

@@ -8,10 +8,9 @@ runs of the same config produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .data import SEGMENTATION, DatasetSpec
+from .data import CLASSIFICATION, SEGMENTATION, DatasetSpec
 from .errors import ConfigError, InvalidSpecError
 from .networks import APPLICATION_KINDS, CCNN, DENOISER_KINDS, NONEWNET2D, NetworkSpec
 from .noise import NoiseSpec, noise_tag
@@ -73,83 +72,72 @@ class ExperimentConfig:
                 )
         self.train.validate()
         for scheme, paths in self.checkpoint_overrides.items():
+            where = f"checkpoint_overrides.{scheme}"
             if scheme not in SCHEME_KINDS:
                 raise ConfigError(f"checkpoint override for unknown scheme {scheme!r}")
-            unknown = set(paths) - {"application", "denoiser"}
+            unknown = set(_expect(paths, dict, where)) - {"application", "denoiser"}
             if unknown:
                 raise ConfigError(f"checkpoint override keys must be application/denoiser, got {sorted(unknown)}")
+            if not isinstance(paths.get("application"), str) or not isinstance(paths.get("denoiser"), str | None):
+                raise ConfigError(f"{where} needs an 'application' path and a 'denoiser' path or null")
         return self
 
 
-_DATASET_KEYS = {"task", "height", "width", "num_classes", "train_count", "test_count", "seed"}
-_NETWORK_KEYS = {"kind", "base_channels", "depth", "seed", "input_residual"}
-_NOISE_KEYS = {"kind", "mu", "sigma", "poisson_scale", "seed"}
-_TRAIN_KEYS = {
-    "epochs_application",
-    "epochs_denoiser",
-    "learning_rate",
-    "checkpoint_cadence",
-    "validation_fraction",
-}
-_TOP_KEYS = {
-    "seed",
-    "output_dir",
-    "dataset",
-    "application",
-    "denoiser",
-    "schemes",
-    "train_noise",
-    "test_noises",
-    "train",
-    "checkpoint_overrides",
-}
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
+# a network's input extents and class count are the dataset's
+_FROM_DATASET = ("num_classes", "height", "width")
+# field annotations are strings under ``from __future__ import annotations``
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
+def _expect(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        noun = "a list" if kind is list else "an object"
+        raise ConfigError(f"{where} must be {noun}, got {type(value).__name__}")
+    return value
+
+
+def _check_keys(obj, allowed: set, where: str) -> None:
+    unknown = set(_expect(obj, dict, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _number(obj: dict, key: str, kind: type, default, where: str):
-    value = obj.get(key, default)
+def _optional(raw: dict, key: str, kind: type, default):
+    value = raw.get(key)
+    return default if value is None else _expect(value, kind, key)
+
+
+def _value(obj: dict, key: str, kind: type, where: str):
+    value = obj[key]
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key} must be {kind.__name__}, got {value!r}") from exc
+        # no conversion to bool or str: bool("no") is True
+        if kind not in (bool, str) or isinstance(value, kind):
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where}.{key} must be {kind.__name__}, got {value!r}")
 
 
-def _seed_or(obj: dict, fallback: int, where: str):
-    return fallback if obj.get("seed") is None else _number(obj, "seed", int, None, where)
+def _section(cls, obj, where: str, defaults: dict, fixed: dict | None = None):
+    """``cls`` built from the JSON object ``obj``.
 
-
-def _parse_noise(obj: dict, where: str, default_seed: int) -> NoiseSpec:
-    _check_keys(obj, _NOISE_KEYS, where)
-    return NoiseSpec(
-        kind=obj.get("kind", "gaussian"),
-        mu=_number(obj, "mu", float, 0.0, where),
-        sigma=_number(obj, "sigma", float, 0.0, where),
-        poisson_scale=_number(obj, "poisson_scale", float, 0.1, where),
-        seed=_seed_or(obj, default_seed, where),
-    )
-
-
-def _parse_network(obj: dict, where: str, dataset: DatasetSpec, default_seed: int) -> NetworkSpec:
-    _check_keys(obj, _NETWORK_KEYS, where)
-    if "kind" not in obj:
-        raise ConfigError(f"{where} needs a 'kind'")
-    return NetworkSpec(
-        kind=obj["kind"],
-        base_channels=_number(obj, "base_channels", int, 8, where),
-        num_classes=dataset.num_classes,
-        height=dataset.height,
-        width=dataset.width,
-        seed=_seed_or(obj, default_seed, where),
-        depth=_number(obj, "depth", int, 3, where),
-        input_residual=bool(obj.get("input_residual", False)),
-    )
+    The keys are the fields of ``cls`` except the ``fixed`` ones. A given
+    value is checked against the field's type. A missing value, or a null
+    seed, takes the caller's default, else the field's own.
+    """
+    fixed = fixed or {}
+    names = [f for f in fields(cls) if f.name not in fixed]
+    _check_keys(obj, {f.name for f in names}, where)
+    values = dict(fixed)
+    for f in names:
+        if f.name in obj and not (f.name == "seed" and obj["seed"] is None):
+            values[f.name] = _value(obj, f.name, _TYPES[f.type], where)
+        elif f.name in defaults:
+            values[f.name] = defaults[f.name]
+        elif f.default is MISSING:
+            raise ConfigError(f"{where} needs a {f.name!r}")
+    return cls(**values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -161,47 +149,33 @@ def parse_config(text: str) -> ExperimentConfig:
     for key in ("seed", "output_dir", "dataset", "application"):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")
-    seed = _number(raw, "seed", int, None, "config")
+    seed = _value(raw, "seed", int, "config")
 
-    dobj = raw["dataset"]
-    _check_keys(dobj, _DATASET_KEYS, "dataset")
-    task = dobj.get("task", SEGMENTATION)
-    dataset = DatasetSpec(
-        task=task,
-        height=_number(dobj, "height", int, 64, "dataset"),
-        width=_number(dobj, "width", int, 64, "dataset"),
-        num_classes=_number(dobj, "num_classes", int, 4 if task == SEGMENTATION else 3, "dataset"),
-        train_count=_number(dobj, "train_count", int, 200, "dataset"),
-        test_count=_number(dobj, "test_count", int, 50, "dataset"),
-        seed=_seed_or(dobj, derive_seed(seed, "dataset"), "dataset"),
-    )
+    dataset_defaults = {"seed": derive_seed(seed, "dataset")}
+    if isinstance(raw["dataset"], dict) and raw["dataset"].get("task") == CLASSIFICATION:
+        dataset_defaults["num_classes"] = 3
+    dataset = _section(DatasetSpec, raw["dataset"], "dataset", dataset_defaults)
 
-    application = _parse_network(raw["application"], "application", dataset, derive_seed(seed, "init/application"))
-    denoiser = None
-    if raw.get("denoiser") is not None:
-        denoiser = _parse_network(raw["denoiser"], "denoiser", dataset, derive_seed(seed, "init/denoiser"))
+    from_dataset = {name: getattr(dataset, name) for name in _FROM_DATASET}
 
-    schemes = list(raw.get("schemes", [TC, TD, HV, NNV] if denoiser is not None else [TC, TD]))
+    def network(key: str) -> NetworkSpec:
+        return _section(NetworkSpec, raw[key], key, {"seed": derive_seed(seed, f"init/{key}")}, from_dataset)
 
-    train_noise = _parse_noise(raw.get("train_noise", {}), "train_noise", derive_seed(seed, "noise/train"))
-    test_raw = raw.get("test_noises")
-    if test_raw is None:
-        test_raw = [dict(raw.get("train_noise", {}))]
+    application = network("application")
+    denoiser = network("denoiser") if raw.get("denoiser") is not None else None
+
+    schemes = _optional(raw, "schemes", list, [TC, TD, HV, NNV] if denoiser is not None else [TC, TD])
+
+    train_raw = raw.get("train_noise", {})
+    train_noise = _section(NoiseSpec, train_raw, "train_noise", {"seed": derive_seed(seed, "noise/train")})
+    test_raw = _optional(raw, "test_noises", list, [train_raw])
     test_noises = [
-        _parse_noise(obj, f"test_noises[{i}]", derive_seed(seed, f"noise/test/{i}")) for i, obj in enumerate(test_raw)
+        _section(NoiseSpec, obj, f"test_noises[{i}]", {"seed": derive_seed(seed, f"noise/test/{i}")})
+        for i, obj in enumerate(test_raw)
     ]
 
-    tobj = raw.get("train", {})
-    _check_keys(tobj, _TRAIN_KEYS, "train")
-    train = TrainSettings(
-        epochs_application=_number(tobj, "epochs_application", int, 30, "train"),
-        epochs_denoiser=_number(tobj, "epochs_denoiser", int, 30, "train"),
-        learning_rate=_number(tobj, "learning_rate", float, 1e-3, "train"),
-        checkpoint_cadence=_number(tobj, "checkpoint_cadence", int, 1, "train"),
-        validation_fraction=_number(tobj, "validation_fraction", float, 0.1, "train"),
-    )
+    train = _section(TrainSettings, raw.get("train", {}), "train", {})
 
-    overrides = raw.get("checkpoint_overrides") or {}
     cfg = ExperimentConfig(
         seed=seed,
         output_dir=str(raw["output_dir"]),
@@ -212,7 +186,7 @@ def parse_config(text: str) -> ExperimentConfig:
         train_noise=train_noise,
         test_noises=test_noises,
         train=train,
-        checkpoint_overrides={k: dict(v) for k, v in overrides.items()},
+        checkpoint_overrides=_optional(raw, "checkpoint_overrides", dict, {}),
     )
     try:
         return cfg.validate()
@@ -227,13 +201,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     def net(spec: NetworkSpec | None):
         if spec is None:
             return None
-        return {
-            "kind": spec.kind,
-            "base_channels": spec.base_channels,
-            "depth": spec.depth,
-            "seed": spec.seed,
-            "input_residual": spec.input_residual,
-        }
+        return {k: v for k, v in asdict(spec).items() if k not in _FROM_DATASET}
 
     payload = {
         "seed": cfg.seed,
@@ -249,13 +217,3 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-
-def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config(path.read_text())
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(serialize_config(cfg))

@@ -127,12 +127,26 @@ def _intensity_range(class_id: int) -> tuple[float, float]:
     return lo, lo + 90.0
 
 
+def _blend(rng: Rng, image: np.ndarray, struct: _Structure, fill, archetype: int) -> np.ndarray:
+    """Blend ``fill`` into ``image`` over the structure's soft-edged shape and
+    return the shape's hard mask. An annulus draws its inner radius here,
+    after every draw the caller made for ``fill``."""
+    r = struct.radius_field(*image.shape)
+    rmin = min(struct.ra, struct.rb)
+    weight = _soft_inside((1.0 - r) * rmin)
+    member = r <= 1.0
+    if archetype == _ARCH_ANNULUS:
+        q = 0.45 + 0.15 * float(rng.uniform(1)[0])
+        weight = np.minimum(weight, _soft_inside((r - q) * rmin))
+        member &= r >= q
+    np.copyto(image, image * (1.0 - weight) + fill * weight)
+    return member
+
+
 def _render_structure(
-    rng: Rng, image: np.ndarray, labels: np.ndarray | None, struct: _Structure, class_id: int, archetype: int
+    rng: Rng, image: np.ndarray, labels: np.ndarray, struct: _Structure, class_id: int, archetype: int
 ) -> None:
     m, n = image.shape
-    r = struct.radius_field(m, n)
-    rmin = min(struct.ra, struct.rb)
     lo, hi = _intensity_range(class_id)
     value = lo + (hi - lo) * float(rng.uniform(1)[0])
     fill = np.full((m, n), value, dtype=np.float64)
@@ -143,16 +157,7 @@ def _render_structure(
         yy, xx = np.ogrid[0:m, 0:n]
         k = 2.0 * math.pi / period
         fill = fill + 30.0 * np.sin(k * (math.cos(theta) * yy + math.sin(theta) * xx) + phase)
-    if archetype == _ARCH_ANNULUS:
-        q = 0.45 + 0.15 * float(rng.uniform(1)[0])
-        weight = np.minimum(_soft_inside((1.0 - r) * rmin), _soft_inside((r - q) * rmin))
-        member = (r <= 1.0) & (r >= q)
-    else:
-        weight = _soft_inside((1.0 - r) * rmin)
-        member = r <= 1.0
-    np.copyto(image, image * (1.0 - weight) + fill * weight)
-    if labels is not None:
-        labels[member] = class_id
+    labels[_blend(rng, image, struct, fill, archetype)] = class_id
 
 
 def _segmentation_sample(spec: DatasetSpec, rng: Rng, force_class: int) -> Sample:
@@ -182,19 +187,7 @@ def _classification_sample(spec: DatasetSpec, rng: Rng, class_id: int) -> Sample
     scale = (min(m, n) / 64.0) ** 2
     total_area = (120.0 + 140.0 * float(rng.uniform(1)[0])) * scale
     placed: list[_Structure] = []
-    value_lo, value_hi = 100.0, 200.0
-
-    def render(struct: _Structure, archetype: int, value: float) -> None:
-        r = struct.radius_field(m, n)
-        rmin = min(struct.ra, struct.rb)
-        if archetype == _ARCH_ANNULUS:
-            q = 0.45 + 0.15 * float(rng.uniform(1)[0])
-            weight = np.minimum(_soft_inside((1.0 - r) * rmin), _soft_inside((r - q) * rmin))
-        else:
-            weight = _soft_inside((1.0 - r) * rmin)
-        np.copyto(image, image * (1.0 - weight) + value * weight)
-
-    value = value_lo + (value_hi - value_lo) * float(rng.uniform(1)[0])
+    value = 100.0 + 100.0 * float(rng.uniform(1)[0])
     if class_id == 0:
         # one compact blob
         ecc = 1.0 + 0.3 * float(rng.uniform(1)[0])
@@ -202,7 +195,7 @@ def _classification_sample(spec: DatasetSpec, rng: Rng, class_id: int) -> Sample
         struct = _place(rng, m, n, placed, ecc * rb)
         if struct is not None:
             struct.rb = rb
-            render(struct, _ARCH_FILLED, value)
+            _blend(rng, image, struct, value, _ARCH_FILLED)
     elif class_id == 1:
         # several small foci with the same total area
         foci = 2 + int(rng.uniform(1)[0] * 2)
@@ -215,7 +208,7 @@ def _classification_sample(spec: DatasetSpec, rng: Rng, class_id: int) -> Sample
                 continue
             struct.rb = rb
             placed.append(struct)
-            render(struct, _ARCH_FILLED, value)
+            _blend(rng, image, struct, value, _ARCH_FILLED)
     else:
         # a ring whose annular area matches the blob area distribution
         q = 0.5
@@ -224,7 +217,7 @@ def _classification_sample(spec: DatasetSpec, rng: Rng, class_id: int) -> Sample
         struct = _place(rng, m, n, placed, ecc * rb)
         if struct is not None:
             struct.rb = rb
-            render(struct, _ARCH_ANNULUS, value)
+            _blend(rng, image, struct, value, _ARCH_ANNULUS)
     image = np.clip(image, 0.0, 255.0)
     return Sample(image=Tensor(image[None].astype(np.float32)), class_index=class_id)
 

@@ -89,16 +89,6 @@ def specificity(pred: np.ndarray, truth: np.ndarray, class_id: int) -> float | N
     return int(np.logical_and(~a, ~b).sum()) / negatives
 
 
-def top1_accuracy(predictions, truths) -> float:
-    predictions = np.asarray(predictions)
-    truths = np.asarray(truths)
-    if predictions.shape != truths.shape:
-        raise InvalidShapeError(f"prediction/truth counts differ: {predictions.shape} vs {truths.shape}")
-    if predictions.size == 0:
-        raise InvalidShapeError("top1_accuracy needs at least one prediction")
-    return float((predictions == truths).mean(dtype=np.float64))
-
-
 def aggregate(values) -> tuple[float, float]:
     """Two-pass mean and population SD (divide by N)."""
     arr = np.asarray(list(values), dtype=np.float64)
@@ -156,9 +146,6 @@ class MetricsReport:
     @property
     def sample_count(self) -> int:
         return len(self.per_sample)
-
-    def summary(self) -> dict:
-        return {name: value for name, value in sorted(self.aggregates.items())}
 
 
 def segmentation_report(per_sample: list[SampleMetrics], num_classes: int) -> MetricsReport:

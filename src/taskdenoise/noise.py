@@ -53,44 +53,17 @@ def noise_tag(spec: NoiseSpec) -> str:
     return f"poisson_scale{spec.poisson_scale:g}"
 
 
-def gaussian_field(spec: NoiseSpec, shape: tuple) -> np.ndarray:
-    """Pre-clamp additive Gaussian noise field (float64)."""
-    spec.validate()
-    if spec.kind != GAUSSIAN:
-        raise InvalidSpecError(f"expected gaussian spec, got {spec.kind}")
-    rng = Rng(spec.seed)
-    n = int(np.prod(shape))
-    return rng.gaussian(n, spec.mu, spec.sigma).reshape(shape)
-
-
-def poisson_field(spec: NoiseSpec, image: np.ndarray) -> np.ndarray:
-    """Pre-clamp Poisson resampling of an image (float64)."""
-    spec.validate()
-    if spec.kind != POISSON:
-        raise InvalidSpecError(f"expected poisson spec, got {spec.kind}")
-    if np.any(image < 0):
-        raise InvalidInputError("poisson noise requires non-negative pixel values")
-    rng = Rng(spec.seed)
-    lam = spec.poisson_scale
-    counts = rng.poisson(np.asarray(image, dtype=np.float64) * lam)
-    return counts.astype(np.float64) / lam
-
-
-def add_gaussian(image: Tensor, spec: NoiseSpec) -> Tensor:
-    """image + N(mu, sigma^2) i.i.d. per pixel, clamped into [0, 255]."""
-    field = gaussian_field(spec, image.shape)
-    noisy = np.clip(image.data.astype(np.float64) + field, 0.0, INTENSITY_MAX)
-    return Tensor(noisy.astype(np.float32))
-
-
-def add_poisson(image: Tensor, spec: NoiseSpec) -> Tensor:
-    """Poisson(scale * pixel) / scale per pixel, clamped into [0, 255]."""
-    resampled = poisson_field(spec, image.data)
-    return Tensor(np.clip(resampled, 0.0, INTENSITY_MAX).astype(np.float32))
-
-
 def apply_noise(image: Tensor, spec: NoiseSpec) -> Tensor:
+    """The image with ``spec``'s noise drawn from ``Rng(spec.seed)``, clamped
+    into [0, 255]: Gaussian adds N(mu, sigma^2) i.i.d. per pixel; Poisson
+    draws Poisson(scale * pixel) / scale, and rejects negative pixels."""
     spec.validate()
+    rng = Rng(spec.seed)
+    pixels = image.data.astype(np.float64)
     if spec.kind == GAUSSIAN:
-        return add_gaussian(image, spec)
-    return add_poisson(image, spec)
+        noisy = pixels + rng.gaussian(pixels.size, spec.mu, spec.sigma).reshape(pixels.shape)
+    else:
+        if np.any(pixels < 0):
+            raise InvalidInputError("poisson noise requires non-negative pixel values")
+        noisy = rng.poisson(pixels * spec.poisson_scale) / spec.poisson_scale
+    return Tensor(np.clip(noisy, 0.0, INTENSITY_MAX).astype(np.float32))

@@ -112,17 +112,15 @@ def _restore(model: Model, snapshot: tuple) -> None:
         bn.stats.var = var.copy()
 
 
-def _run_training(
-    model: Model, items: list, settings: TrainSettings, purpose: str, seed: int, step_loss, eval_loss
-) -> TrainResult:
+def _run_training(model: Model, items: list, settings: TrainSettings, purpose: str, seed: int, loss_fn) -> TrainResult:
     """Adam training over items with best-validation checkpoint selection.
 
     ``purpose`` ("application" or "denoiser") picks the epoch count, and the
     shuffle order derives from the global ``seed`` and the purpose.
-    ``step_loss(item)`` builds the recorded training loss; ``eval_loss(item)``
-    computes the selection loss without recording. A held-out tail of the
-    items (validation_fraction) drives checkpoint selection; with no holdout
-    the training loss is used instead.
+    ``loss_fn(item, train)`` is the loss of one item: recorded for the step
+    with ``train=True``, computed for selection with ``train=False``. A
+    held-out tail of the items (validation_fraction) drives checkpoint
+    selection; with no holdout the training loss is used instead.
     """
     settings.validate()
     epochs = settings.epochs_application if purpose == "application" else settings.epochs_denoiser
@@ -142,7 +140,7 @@ def _run_training(
         total = 0.0
         for step, idx in enumerate(order):
             with Tape() as tape:
-                loss = step_loss(train_items[int(idx)])
+                loss = loss_fn(train_items[int(idx)], True)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainingDivergedError(epoch, step)
@@ -151,7 +149,7 @@ def _run_training(
             total += value
         train_loss = total / max(1, len(train_items))
         if val_items and (epoch % settings.checkpoint_cadence == 0 or epoch == epochs):
-            val_loss = float(np.mean([eval_loss(item) for item in val_items]))
+            val_loss = float(np.mean([loss_fn(item, False).item() for item in val_items]))
         elif val_items:
             val_loss = math.nan
         else:
@@ -178,15 +176,11 @@ def train_application(
     images = corrupt_samples(samples, noise_spec, "train")
     items = list(zip(images, [_target(s) for s in samples]))
 
-    def step_loss(item):
+    def loss_fn(item, train: bool):
         image, target = item
-        return cross_entropy_loss(model.forward(image, train=True), target)
+        return cross_entropy_loss(model.forward(image, train=train), target)
 
-    def eval_loss(item):
-        image, target = item
-        return cross_entropy_loss(model.forward(image, train=False), target).item()
-
-    return _run_training(model, items, settings, "application", seed, step_loss, eval_loss)
+    return _run_training(model, items, settings, "application", seed, loss_fn)
 
 
 def train_denoiser_hv(
@@ -196,15 +190,11 @@ def train_denoiser_hv(
     dirty = corrupt_samples(samples, noise_spec, "train")
     items = [(d, s.image) for d, s in zip(dirty, samples)]
 
-    def step_loss(item):
+    def loss_fn(item, train: bool):
         noisy, clean = item
-        return mse_loss(model.forward(noisy, train=True), clean)
+        return mse_loss(model.forward(noisy, train=train), clean)
 
-    def eval_loss(item):
-        noisy, clean = item
-        return mse_loss(model.forward(noisy, train=False), clean).item()
-
-    return _run_training(model, items, settings, "denoiser", seed, step_loss, eval_loss)
+    return _run_training(model, items, settings, "denoiser", seed, loss_fn)
 
 
 def train_denoiser_nnv(
@@ -219,17 +209,13 @@ def train_denoiser_nnv(
     dirty = corrupt_samples(samples, noise_spec, "train")
     items = list(zip(dirty, [_target(s) for s in samples]))
     application.set_trainable(False)
+
+    def loss_fn(item, train: bool):
+        noisy, target = item
+        return composed_task_loss(model, application, noisy, target, train_denoiser=train)
+
     try:
-
-        def step_loss(item):
-            noisy, target = item
-            return composed_task_loss(model, application, noisy, target, train_denoiser=True)
-
-        def eval_loss(item):
-            noisy, target = item
-            return composed_task_loss(model, application, noisy, target, train_denoiser=False).item()
-
-        return _run_training(model, items, settings, "denoiser", seed, step_loss, eval_loss)
+        return _run_training(model, items, settings, "denoiser", seed, loss_fn)
     finally:
         application.set_trainable(True)
 

@@ -60,15 +60,16 @@ def check_op_gradients(op_forward, params, probe_seed: int = 0, tol: float = FD_
     """Verify analytic gradients of sum(w * op_forward()) for every param entry.
 
     ``op_forward`` rebuilds the op output from the current param data. The
-    probe weights w are fixed; the finite-difference loss is accumulated in
-    float64 by the checker itself.
+    probe weights w are fixed float32 values, so the analytic loss (a linear
+    head) and the finite-difference probe weight the output alike; the
+    probe's loss is accumulated in float64 by the checker itself.
     """
     out0 = op_forward()
-    w = np.random.default_rng(probe_seed).normal(size=out0.data.shape)
+    w = np.random.default_rng(probe_seed).normal(size=out0.data.shape).astype(np.float32)
 
     with Tape() as tape:
-        loss = ad.tsum(ad.mul_const(op_forward(), w))
-        grads = ad.backward(loss, tape)
+        weighted = ad.linear(ad.flatten(op_forward()), Tensor(w.reshape(1, -1)), Tensor(np.zeros(1)))
+        grads = ad.backward(ad.tsum(weighted), tape)
 
     def probe() -> float:
         return float((op_forward().data.astype(np.float64) * w).sum())

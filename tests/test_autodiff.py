@@ -80,7 +80,7 @@ class TestConv2d:
         k = Tensor(rng.normal(size=(cout, cin, kk, kk)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.normal(size=cout).astype(np.float32), requires_grad=True)
         out = ad.conv2d(x, k, b, stride, padding)
-        g_out = rng.normal(size=out.shape)
+        g_out = rng.normal(size=out.shape).astype(np.float32).astype(np.float64)
 
         xp = np.pad(x.data.astype(np.float64), ((0, 0), (padding, padding), (padding, padding)))
         oh, ow = out.shape[1], out.shape[2]
@@ -93,7 +93,8 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
 
         with Tape() as tape:
-            loss = ad.tsum(ad.mul_const(ad.conv2d(x, k, b, stride, padding), g_out))
+            head = Tensor(g_out.reshape(1, -1))
+            loss = ad.tsum(ad.linear(ad.flatten(ad.conv2d(x, k, b, stride, padding)), head, Tensor(np.zeros(1))))
             grads = ad.backward(loss, tape)
         dk_ref = np.zeros(k.shape)
         dxp_ref = np.zeros(xp.shape)
@@ -151,6 +152,41 @@ class TestTransposeConv2d:
         k = _rand((2, 3, 3, 3), 21, grad=True)
         b = _rand((3,), 22, grad=True)
         check_op_gradients(lambda: ad.transpose_conv2d(x, k, b, stride, padding), [x, k, b])
+
+
+class TestConvInvalidShapes:
+    # x shape, kernel shape and bias length of a valid call (conv2d kernels are
+    # [C_out, C_in, kh, kw], transpose_conv2d kernels [C_in, C_out, kh, kw]),
+    # and the same plus stride and padding for a call with no output
+    VALID = {"conv2d": ((2, 6, 6), (3, 2, 3, 3), 3), "transpose_conv2d": ((2, 6, 6), (2, 3, 3, 3), 3)}
+    NO_OUTPUT = {"conv2d": ((2, 2, 2), (3, 2, 5, 5), 3, 1, 0), "transpose_conv2d": ((2, 1, 1), (2, 3, 1, 1), 3, 1, 1)}
+
+    @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
+    @pytest.mark.parametrize(
+        "case", ["kernel_2d", "cin_mismatch", "bias_length", "stride_0", "padding_neg", "no_output"]
+    )
+    def test_raises(self, op, case):
+        xs, ks, nb = self.VALID[op]
+        stride, padding = 1, 0
+        if case == "kernel_2d":
+            ks = ks[:2]
+        elif case == "cin_mismatch":
+            xs = (4,) + xs[1:]
+        elif case == "bias_length":
+            nb += 1
+        elif case == "stride_0":
+            stride = 0
+        elif case == "padding_neg":
+            padding = -1
+        else:
+            xs, ks, nb, stride, padding = self.NO_OUTPUT[op]
+        with pytest.raises(InvalidShapeError):
+            getattr(ad, op)(_rand(xs, 0), _rand(ks, 1), _t(np.zeros(nb)), stride, padding)
+
+    @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
+    def test_valid_call_is_accepted(self, op):
+        xs, ks, nb = self.VALID[op]
+        assert getattr(ad, op)(_rand(xs, 0), _rand(ks, 1), _t(np.zeros(nb))).shape[0] == nb
 
 
 class TestMaxPool:

@@ -63,6 +63,26 @@ class TestExitCodes:
         assert err.startswith("config-error:") and key in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("schemes", 5, "schemes must be a list, got int"),
+            ("schemes", "tc", "schemes must be a list, got str"),
+            ("test_noises", 5, "test_noises must be a list, got int"),
+            ("test_noises", {"kind": "gaussian"}, "test_noises must be a list, got dict"),
+            ("checkpoint_overrides", 5, "checkpoint_overrides must be an object, got int"),
+            ("checkpoint_overrides", {"tc": 5}, "checkpoint_overrides.tc must be an object, got int"),
+            ("checkpoint_overrides", {"tc": {"application": 5}}, "checkpoint_overrides.tc needs an 'application' path"),
+            ("checkpoint_overrides", {"tc": {"denoiser": "d"}}, "checkpoint_overrides.tc needs an 'application' path"),
+            ("denoiser", {"kind": "redcnn", "input_residual": "no"}, "denoiser.input_residual must be bool, got 'no'"),
+        ],
+    )
+    def test_malformed_shape_is_config_error(self, tmp_path, capsys, key, value, message):
+        cfg = _write_config(tmp_path, **{key: value})
+        assert main(["generate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config-error: {message}") and err.count("\n") == 1
+
     def test_colliding_test_noise_tags_are_a_config_error(self, tmp_path, capsys):
         noises = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "gaussian", "sigma": 40.0, "mu": 60.0}]
         cfg = _write_config(tmp_path, test_noises=noises)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from taskdenoise.config import load_config, parse_config, save_config, serialize_config
+from taskdenoise.config import parse_config, serialize_config
 from taskdenoise.errors import ConfigError
 from taskdenoise.noise import noise_tag
 
@@ -113,7 +113,62 @@ class TestParsing:
         assert cfg.application.num_classes == 3
 
 
+_NOISE = {"kind": "gaussian", "mu": 0.0, "poisson_scale": 0.1}
+_TRAIN = {
+    "checkpoint_cadence": 1,
+    "epochs_application": 30,
+    "epochs_denoiser": 30,
+    "learning_rate": 0.001,
+    "validation_fraction": 0.1,
+}
+_NET = {"base_channels": 8, "depth": 3, "input_residual": False}
+
+# Canonical forms, compared as text: a default written as 0 instead of 0.0,
+# or a field added, renamed or dropped, changes the text.
+PINNED = [
+    (
+        MINIMAL,
+        {
+            "application": {**_NET, "kind": "nonewnet2d", "seed": 18164861813927922619},
+            "checkpoint_overrides": {},
+            "dataset": {"height": 64, "num_classes": 4, "seed": 10592022248623063394, "task": "segmentation",
+                        "test_count": 5, "train_count": 20, "width": 64},
+            "denoiser": {**_NET, "kind": "redcnn", "seed": 10064887618164953490},
+            "output_dir": "runs/demo",
+            "schemes": ["tc", "td", "hv", "nnv"],
+            "seed": 42,
+            "test_noises": [
+                {**_NOISE, "seed": 18107448835936757259, "sigma": 70.0},
+                {**_NOISE, "seed": 7416639357460744287, "sigma": 50.0},
+            ],
+            "train": _TRAIN,
+            "train_noise": {**_NOISE, "seed": 14181911049311031405, "sigma": 70.0},
+        },
+    ),
+    (
+        '{"seed": 3, "output_dir": "runs/cls", "dataset": {"task": "classification"}, "application": {"kind": "ccnn"}}',
+        {
+            "application": {**_NET, "kind": "ccnn", "seed": 3600905376767202805},
+            "checkpoint_overrides": {},
+            "dataset": {"height": 64, "num_classes": 3, "seed": 9897383344551738464, "task": "classification",
+                        "test_count": 50, "train_count": 200, "width": 64},
+            "denoiser": None,
+            "output_dir": "runs/cls",
+            "schemes": ["tc", "td"],
+            "seed": 3,
+            "test_noises": [{**_NOISE, "seed": 11518945773783427154, "sigma": 0.0}],
+            "train": _TRAIN,
+            "train_noise": {**_NOISE, "seed": 6813366963136609029, "sigma": 0.0},
+        },
+    ),
+]
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("text,expected", PINNED, ids=["minimal", "classification_defaults"])
+    def test_serialized_text_is_pinned(self, text, expected):
+        assert serialize_config(parse_config(text)) == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_parse_serialize_parse_is_fixed_point(self):
         cfg1 = parse_config(MINIMAL)
         text1 = serialize_config(cfg1)
@@ -121,12 +176,3 @@ class TestRoundTrip:
         text2 = serialize_config(cfg2)
         assert text1 == text2
         assert cfg1 == cfg2
-
-    def test_file_round_trip(self, tmp_path):
-        cfg = parse_config(MINIMAL)
-        save_config(cfg, tmp_path / "c.json")
-        assert load_config(tmp_path / "c.json") == cfg
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(tmp_path / "absent.json")

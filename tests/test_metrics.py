@@ -16,7 +16,6 @@ from taskdenoise.metrics import (
     segmentation_report,
     sensitivity,
     specificity,
-    top1_accuracy,
     write_per_sample_csv,
 )
 
@@ -171,15 +170,19 @@ class TestSensitivitySpecificity:
         assert sensitivity(np.zeros((2, 2), int), np.zeros((2, 2), int), 1) is None
 
 
+def _top1(predictions, truths) -> float:
+    return classification_report(predictions, truths, 3).aggregates["top1"][0]
+
+
 class TestTop1:
     def test_all_correct(self):
-        assert top1_accuracy([0, 1, 2], [0, 1, 2]) == 1.0
+        assert _top1([0, 1, 2], [0, 1, 2]) == 1.0
 
     def test_all_wrong(self):
-        assert top1_accuracy([1, 2, 0], [0, 1, 2]) == 0.0
+        assert _top1([1, 2, 0], [0, 1, 2]) == 0.0
 
     def test_three_of_four(self):
-        assert top1_accuracy([0, 1, 2, 2], [0, 1, 2, 0]) == 0.75
+        assert _top1([0, 1, 2, 2], [0, 1, 2, 0]) == 0.75
 
 
 class TestAggregate:
