@@ -4,8 +4,8 @@ The engine is deliberately small: a :class:`Tensor` is an immutable float32
 array, a :class:`Tape` records every differentiable operation executed while
 it is active, and :func:`backward` replays the records in reverse to produce
 exact gradients. The operation set is exactly what the four network recipes
-need (convolutions, transposed convolutions, max pooling, batch norm,
-ReLU, and the two losses).
+need (convolutions, transposed convolutions, max pooling over
+non-overlapping windows, batch norm, ReLU, and the two losses).
 
 Numeric policy: values are stored as float32; every reduction (convolution
 dot products, means, loss sums, normalization statistics) accumulates in
@@ -17,6 +17,18 @@ float64 sum. Each sum adds the same terms in the same order (extra terms
 only if they are exact zeros), so every value and every checkpoint stays
 byte-identical across such changes; see the im2col section for the
 convolutions.
+
+Forward ops do only the work their result needs:
+
+- Record-only state: what only an op's backward reads (relu's mask,
+  batchnorm's normalized input, max pooling's argmax) is built only when
+  :func:`_recording` holds, i.e. a tape is active and some input needs a
+  gradient. :func:`_record` applies the same rule, so an evaluation forward
+  builds none of it.
+- Flat-view broadcasts: a per-channel value is broadcast over a flat
+  [C, H*W] view of a C-contiguous array, in place. numpy runs one inner
+  loop per row of a [C, H, W] broadcast of ``v[:, None, None]`` but one per
+  channel over the flat view.
 """
 
 from __future__ import annotations
@@ -114,10 +126,18 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
+def _needs(t) -> bool:
+    return isinstance(t, Tensor) and t.requires_grad
+
+
+def _recording(inputs: Sequence) -> bool:
+    """Whether an op on ``inputs`` goes on the tape: a tape is active and
+    some input needs a gradient. Record-only state is built only then."""
+    return bool(_TAPE_STACK) and any(_needs(t) for t in inputs)
+
+
 def _record(out: Tensor, inputs: Sequence, backward_fn: Callable) -> None:
-    if not _TAPE_STACK:
-        return
-    if not any(t.requires_grad for t in inputs if isinstance(t, Tensor)):
+    if not _recording(inputs):
         return
     out.requires_grad = True
     tape = _TAPE_STACK[-1]
@@ -153,10 +173,6 @@ def backward(loss: Tensor, tape: Tape) -> dict:
                 grads[key] = contrib
                 leaves[key] = tensor
     return {leaves[k]: g.astype(_F32) for k, g in grads.items() if k in leaves}
-
-
-def _needs(t) -> bool:
-    return isinstance(t, Tensor) and t.requires_grad
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +238,9 @@ def _col2im(cols: np.ndarray, hp: int, wp: int, stride: int) -> np.ndarray:
     return out
 
 
-def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int) -> np.ndarray:
+def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int, bias: np.ndarray | None) -> np.ndarray:
     """Stride-1 col2im of the patches ``kcols @ v``, [C*kh*kw, K] by [K, H, W],
-    onto [C, H+kh-1, W+kw-1].
+    onto [C, H+kh-1, W+kw-1], plus ``bias`` per channel if given.
 
     In the GEMM operand each row of ``v`` is followed by kw - 1 zeros, so a
     patch row spans the output's full width wp, and on the flat output
@@ -242,6 +258,8 @@ def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int) -> np.ndarr
         for b in range(kw):
             start = a * wp + b
             flat[:, start : start + h * wp] += blocks[:, a * kw + b]
+    if bias is not None:
+        flat += bias[:, None]
     return flat[:, : hp * wp].reshape(-1, hp, wp)
 
 
@@ -260,16 +278,24 @@ def _correlate(kmat: np.ndarray, v: np.ndarray, kh: int, kw: int, stride: int, p
     return kmat @ cols, cols
 
 
-def _correlate_t(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int, stride: int, padding: int, h: int, w: int):
+def _correlate_t(
+    kcols: np.ndarray, v: np.ndarray, kh: int, kw: int, stride: int, padding: int, h: int, w: int,
+    bias: np.ndarray | None = None,
+):
     """The adjoint of :func:`_correlate`: the patches ``kcols @ v``, with
     ``kcols`` [C*kh*kw, K] and ``v`` [K, oh, ow], summed onto the padded
-    [C, h + 2*padding, w + 2*padding] grid and cropped to [C, h, w]."""
+    [C, h + 2*padding, w + 2*padding] grid, plus ``bias`` per channel if
+    given, and cropped to [C, h, w]. The bias goes on before the crop, while
+    the grid is still one contiguous block."""
     k, oh, ow = v.shape
     if stride == 1:
-        full = _overlap_add(kcols, v, kh, kw)
+        full = _overlap_add(kcols, v, kh, kw, bias)
     else:
         patches = kcols @ v.reshape(k, oh * ow).astype(_F64, copy=False)
         full = _col2im(patches.reshape(-1, kh, kw, oh, ow), h + 2 * padding, w + 2 * padding, stride)
+        if bias is not None:
+            flat = full.reshape(len(full), -1)  # a view: _col2im's result is C-contiguous
+            flat += bias[:, None]
     return full[:, padding : padding + h, padding : padding + w] if padding else full
 
 
@@ -332,7 +358,7 @@ def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, 
     cin, h, w = x.shape
     kh, kw = kernels.shape[2:]
     kmat = kernels.data.reshape(cin, cout * kh * kw).astype(_F64)
-    out = _wrap(_correlate_t(kmat.T, x.data, kh, kw, stride, padding, oh, ow) + bias.data.astype(_F64)[:, None, None])
+    out = _wrap(_correlate_t(kmat.T, x.data, kh, kw, stride, padding, oh, ow, bias.data.astype(_F64)))
 
     def backward_fn(g: np.ndarray):
         dx = dk = db = None
@@ -351,20 +377,34 @@ def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, 
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Max pooling; backward routes gradient to the lowest-linear-index maximum."""
+    """Max pooling over non-overlapping windows (``stride == window``);
+    backward routes gradient to the lowest-linear-index maximum.
+
+    The window cells, strided views of the input, are folded in linear-index
+    order by a strict ``>``, so a tie keeps the first cell: not
+    ``np.maximum``, which may return either zero of a +0.0/-0.0 tie.
+    """
     if x.data.ndim != 3:
         raise InvalidShapeError(f"maxpool2d expects 3-d input, got {x.shape}")
     c, h, w = x.shape
-    if window < 1 or stride < 1:
-        raise InvalidShapeError("window and stride must be >= 1")
+    if window < 1 or stride != window:
+        raise InvalidShapeError(f"maxpool2d needs stride equal to a window >= 1, got window {window}, stride {stride}")
     if window > h or window > w:
         raise InvalidShapeError(f"window {window} exceeds input extents {h}x{w}")
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    cols = _im2col(x.data, window, window, stride, 0, oh, ow).reshape(c, window * window, oh, ow)
-    # argmax returns the first maximum, i.e. the lowest linear index in the window
-    arg = cols.argmax(axis=1)
-    out = _wrap(np.take_along_axis(cols, arg[:, None], axis=1)[:, 0])
+    k = window
+    oh, ow = h // k, w // k
+    cells = [x.data[:, a : a + k * oh : k, b : b + k * ow : k] for a in range(k) for b in range(k)]
+    recording = _recording((x,))
+    best = cells[0]
+    arg = np.zeros((c, oh, ow), dtype=np.intp) if recording else None
+    for cell in range(1, k * k):
+        later = cells[cell] > best
+        best = np.where(later, cells[cell], best)
+        if recording:
+            arg = np.where(later, cell, arg)
+    out = _wrap(best)
+    if not recording:
+        return out
 
     def backward_fn(g: np.ndarray):
         if not _needs(x):
@@ -373,11 +413,9 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         # this beats a put_along_axis scatter plus the inverse permutation,
         # which allocate two more input-sized arrays
         dx = np.zeros((c, h, w), dtype=_F64)
-        for cell in range(window * window):
-            a, b = divmod(cell, window)
-            ha = a + stride * (oh - 1) + 1
-            wb = b + stride * (ow - 1) + 1
-            dx[:, a:ha:stride, b:wb:stride] += g * (arg == cell)
+        for cell in range(k * k):
+            a, b = divmod(cell, k)
+            dx[:, a : a + k * oh : k, b : b + k * ow : k] += g * (arg == cell)
         return (dx,)
 
     _record(out, (x,), backward_fn)
@@ -427,25 +465,38 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, tra
         mu = stats.mean.astype(_F64)
         var = stats.var.astype(_F64)
     ivar = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (xm - mu[:, None, None]) * ivar[:, None, None]
-    out = _wrap(gamma.data.astype(_F64)[:, None, None] * xhat + beta.data.astype(_F64)[:, None, None])
-    xhat32 = xhat.astype(_F32)
+    gamma64 = gamma.data.astype(_F64)[:, None]
+    # xm becomes xhat, then the output, in place
+    xhat = xm.reshape(c, n)
+    xhat -= mu[:, None]
+    xhat *= ivar[:, None]
+    recording = _recording((x, gamma, beta))
+    xhat32 = xhat.astype(_F32) if recording else None
+    xhat *= gamma64
+    xhat += beta.data.astype(_F64)[:, None]
+    out = _wrap(xm)
+    if not recording:
+        return out
 
     def backward_fn(g: np.ndarray):
         dx = dgamma = dbeta = None
+        g = g.reshape(c, n)
         xh = xhat32.astype(_F64)
         if _needs(gamma):
-            dgamma = (g * xh).sum(axis=(1, 2))
+            dgamma = (g * xh).sum(axis=1)
         if _needs(beta):
-            dbeta = g.sum(axis=(1, 2))
+            dbeta = g.sum(axis=1)
         if _needs(x):
-            gscaled = g * gamma.data.astype(_F64)[:, None, None]
+            dx = g * gamma64
             if train:
-                sum_g = gscaled.sum(axis=(1, 2), keepdims=True)
-                sum_gx = (gscaled * xh).sum(axis=(1, 2), keepdims=True)
-                dx = ivar[:, None, None] * (gscaled - sum_g / n - xh * sum_gx / n)
-            else:
-                dx = gscaled * ivar[:, None, None]
+                sum_g = dx.sum(axis=1, keepdims=True)
+                sum_gx = (dx * xh).sum(axis=1, keepdims=True)
+                xh *= sum_gx
+                xh /= n
+                dx -= sum_g / n
+                dx -= xh
+            dx *= ivar[:, None]
+            dx = dx.reshape(c, h, w)
         return dx, dgamma, dbeta
 
     _record(out, (x, gamma, beta), backward_fn)
@@ -458,6 +509,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, tra
 
 def relu(x: Tensor) -> Tensor:
     out = _wrap(np.maximum(x.data, 0))
+    if not _recording((x,)):
+        return out
     mask = x.data > 0
 
     def backward_fn(g: np.ndarray):

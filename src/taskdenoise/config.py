@@ -108,14 +108,24 @@ def _optional(raw: dict, key: str, kind: type, default):
     return default if value is None else _expect(value, kind, key)
 
 
+def _convertible(value, kind: type) -> bool:
+    """Whether ``kind(value)`` means what the config says. Nothing converts
+    to bool or str (bool("no") is True), nothing from bool (True is 1), and
+    a fraction does not convert to int (int(3.7) is 3)."""
+    if kind in (bool, str):
+        return isinstance(value, kind)
+    if isinstance(value, bool):
+        return False
+    return not (kind is int and isinstance(value, float) and not value.is_integer())
+
+
 def _value(obj: dict, key: str, kind: type, where: str):
     value = obj[key]
-    try:
-        # no conversion to bool or str: bool("no") is True
-        if kind not in (bool, str) or isinstance(value, kind):
+    if _convertible(value, kind):
+        try:
             return kind(value)
-    except (TypeError, ValueError):
-        pass
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise ConfigError(f"{where}.{key} must be {kind.__name__}, got {value!r}")
 
 

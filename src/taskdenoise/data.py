@@ -26,6 +26,8 @@ from .tensorio import read_tensor, write_tensor
 
 SEGMENTATION = "segmentation"
 CLASSIFICATION = "classification"
+# a saved dataset's split directories
+SPLITS = ("train", "test")
 
 _ARCH_FILLED, _ARCH_ANNULUS, _ARCH_STRIPED = 0, 1, 2
 
@@ -279,14 +281,16 @@ def save_dataset(spec: DatasetSpec, train: list[Sample], test: list[Sample], dir
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "manifest.json").unlink(missing_ok=True)
-    for split, samples in (("train", train), ("test", test)):
+    for split, samples in zip(SPLITS, (train, test)):
         for i, sample in enumerate(samples):
             save_sample(sample, directory / split, f"{i:04d}")
     # last: only a complete dataset has a manifest
     (directory / "manifest.json").write_text(json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n")
 
 
-def load_dataset(directory) -> tuple[DatasetSpec, list[Sample], list[Sample]]:
+def load_dataset(directory, splits: tuple = SPLITS) -> tuple[DatasetSpec, list[Sample] | None, list[Sample] | None]:
+    """(spec, train, test) of a saved dataset. Only the ``splits`` named
+    are read; a split not named comes back as None."""
     directory = Path(directory)
     manifest = directory / "manifest.json"
     if not manifest.is_file():
@@ -295,8 +299,6 @@ def load_dataset(directory) -> tuple[DatasetSpec, list[Sample], list[Sample]]:
         spec = DatasetSpec(**json.loads(manifest.read_text())).validate()
     except (TypeError, ValueError) as exc:
         raise FormatError(manifest, 0, f"malformed manifest: {exc}") from exc
-    splits = []
-    for split, count in (("train", spec.train_count), ("test", spec.test_count)):
-        samples = [load_sample(directory / split, f"{i:04d}") for i in range(count)]
-        splits.append(samples)
-    return spec, splits[0], splits[1]
+    counts = {"train": spec.train_count, "test": spec.test_count}
+    loaded = {split: [load_sample(directory / split, f"{i:04d}") for i in range(counts[split])] for split in splits}
+    return spec, loaded.get("train"), loaded.get("test")

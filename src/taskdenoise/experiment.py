@@ -9,8 +9,9 @@ Artifact layout under the output directory:
     dct/<name>.{csv,pgm}          spectrum and frequency-gradient heatmaps
 
 Training a scheme trains its missing dependencies (nnv needs the tc-trained
-application network) and reads the dataset only if something is missing;
-evaluation never trains and fails on missing checkpoints. ``compare``
+application network) and reads the dataset's train split only if something
+is missing; evaluation reads only the test split, never trains and fails
+on missing checkpoints. ``compare``
 prepares each evaluation input once and shares it across schemes: one
 dataset read, one load per checkpoint directory (tc's application network
 serves tc, hv and nnv), and one corrupted test set per test noise, since
@@ -29,7 +30,7 @@ from . import dct as dct_mod
 from . import metrics as metrics_mod
 from . import schemes as schemes_mod
 from .config import ExperimentConfig
-from .data import Sample, generate_dataset, load_dataset, save_dataset
+from .data import SPLITS, Sample, generate_dataset, load_dataset, save_dataset
 from .errors import CheckpointError, ConfigError
 from .networks import Model, build_network, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, noise_tag
@@ -49,12 +50,14 @@ def _checkpoint_dir(out: Path, scheme: str) -> Path:
     return out / "checkpoints" / scheme
 
 
-def ensure_dataset(cfg: ExperimentConfig, out: Path, regenerate: bool = False):
-    """Load the dataset if already generated for this spec, else generate it."""
+def ensure_dataset(cfg: ExperimentConfig, out: Path, regenerate: bool = False, splits: tuple = SPLITS):
+    """(train, test) samples: the ``splits`` named are read if the dataset
+    was already generated for this spec (a split not named is None), else
+    the dataset is generated and both are returned."""
     ddir = _dataset_dir(out)
     manifest = ddir / "manifest.json"
     if manifest.is_file() and not regenerate:
-        spec, train, test = load_dataset(ddir)
+        spec, train, test = load_dataset(ddir, splits)
         if spec == cfg.dataset:
             return train, test
     train, test = generate_dataset(cfg.dataset)
@@ -114,7 +117,7 @@ def ensure_scheme_trained(
     if scheme in cfg.checkpoint_overrides or all(_complete(d) for d in (app_dir, den_dir) if d is not None):
         return paths
     if train_samples is None:
-        train_samples, _ = ensure_dataset(cfg, out)
+        train_samples, _ = ensure_dataset(cfg, out, splits=("train",))
     if not _complete(app_dir):
         model = build_network(cfg.application)
         noise = cfg.train_noise if scheme == TD else None
@@ -185,7 +188,7 @@ def _score(
 def cmd_eval(cfg: ExperimentConfig, scheme: str, test_noise: NoiseSpec, out_dir=None):
     """Evaluate one scheme at one test noise; returns (report, csv path)."""
     out = resolve_out_dir(cfg, out_dir)
-    _, test_samples = ensure_dataset(cfg, out)
+    _, test_samples = ensure_dataset(cfg, out, splits=("test",))
     components = load_scheme_components(cfg, scheme, out)
     images = schemes_mod.corrupt_samples(test_samples, test_noise, "test")
     return _score(scheme, test_noise, components, test_samples, images, out)

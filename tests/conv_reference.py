@@ -1,21 +1,24 @@
-"""Slice-loop reference for the convolution family, used by tests only.
+"""Straightforward reference versions of the layout-heavy ops, used by tests only.
 
-These are the straightforward versions of ``conv2d``, ``transpose_conv2d``
-and ``maxpool2d``: pad a copy with ``np.pad``, gather patches with one
-strided slice per kernel offset in the input's dtype, cast the patch matrix
-to float64, and scatter gradients back with one strided ``+=`` per kernel
-offset (and, for pooling, one masked ``+=`` per window cell). Every float64
-sum adds its terms in kernel-offset order starting from +0.0. The
-production ops in :mod:`taskdenoise.autodiff` move data differently but must
-produce the same bits; ``test_conv_exact.py`` holds them to that.
+``conv2d``, ``transpose_conv2d`` and ``maxpool2d`` are the slice-loop
+versions: pad a copy with ``np.pad``, gather patches with one strided slice
+per kernel offset in the input's dtype, cast the patch matrix to float64,
+and scatter gradients back with one strided ``+=`` per kernel offset (and,
+for pooling, one masked ``+=`` per window cell). Every float64 sum adds its
+terms in kernel-offset order starting from +0.0. ``batchnorm2d`` broadcasts
+its per-channel values over [C, H, W] and always keeps the normalized
+input for backward. The production ops in :mod:`taskdenoise.autodiff` move
+data differently but must produce the same bits; ``test_conv_exact.py``
+holds them to that.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from taskdenoise.autodiff import Tensor, _needs, _record, _wrap
+from taskdenoise.autodiff import BN_EPS, BN_MOMENTUM, Tensor, _needs, _record, _wrap
 
+_F32 = np.float32
 _F64 = np.float64
 
 
@@ -129,4 +132,42 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         return (dx,)
 
     _record(out, (x,), backward_fn)
+    return out
+
+
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats, train: bool) -> Tensor:
+    c, h, w = x.shape
+    n = h * w
+    xm = x.data.astype(_F64)
+    if train:
+        mu = xm.mean(axis=(1, 2))
+        var = xm.var(axis=(1, 2))
+        stats.mean = (BN_MOMENTUM * stats.mean.astype(_F64) + (1 - BN_MOMENTUM) * mu).astype(_F32)
+        stats.var = (BN_MOMENTUM * stats.var.astype(_F64) + (1 - BN_MOMENTUM) * var).astype(_F32)
+    else:
+        mu = stats.mean.astype(_F64)
+        var = stats.var.astype(_F64)
+    ivar = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (xm - mu[:, None, None]) * ivar[:, None, None]
+    out = _wrap(gamma.data.astype(_F64)[:, None, None] * xhat + beta.data.astype(_F64)[:, None, None])
+    xhat32 = xhat.astype(_F32)
+
+    def backward_fn(g: np.ndarray):
+        dx = dgamma = dbeta = None
+        xh = xhat32.astype(_F64)
+        if _needs(gamma):
+            dgamma = (g * xh).sum(axis=(1, 2))
+        if _needs(beta):
+            dbeta = g.sum(axis=(1, 2))
+        if _needs(x):
+            gscaled = g * gamma.data.astype(_F64)[:, None, None]
+            if train:
+                sum_g = gscaled.sum(axis=(1, 2), keepdims=True)
+                sum_gx = (gscaled * xh).sum(axis=(1, 2), keepdims=True)
+                dx = ivar[:, None, None] * (gscaled - sum_g / n - xh * sum_gx / n)
+            else:
+                dx = gscaled * ivar[:, None, None]
+        return dx, dgamma, dbeta
+
+    _record(out, (x, gamma, beta), backward_fn)
     return out

@@ -225,10 +225,11 @@ class TestMaxPool:
         x.requires_grad = True
         check_op_gradients(lambda: ad.maxpool2d(x, 2, 2), [x])
 
-    def test_overlapping_windows_gradient(self):
-        vals = 0.5 * np.random.default_rng(5).permutation(25).reshape(1, 5, 5).astype(np.float32)
-        x = Tensor(vals, requires_grad=True)
-        check_op_gradients(lambda: ad.maxpool2d(x, 3, 1), [x])
+    def test_stride_other_than_window_raises(self):
+        # only non-overlapping, gap-free windows are pooled
+        for window, stride in [(3, 1), (2, 1), (3, 2), (2, 3), (0, 0)]:
+            with pytest.raises(InvalidShapeError, match="maxpool2d needs stride equal"):
+                ad.maxpool2d(_rand((1, 6, 6), 0), window, stride)
 
 
 class TestBatchNorm:

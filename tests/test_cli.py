@@ -75,6 +75,9 @@ class TestExitCodes:
             ("checkpoint_overrides", {"tc": {"application": 5}}, "checkpoint_overrides.tc needs an 'application' path"),
             ("checkpoint_overrides", {"tc": {"denoiser": "d"}}, "checkpoint_overrides.tc needs an 'application' path"),
             ("denoiser", {"kind": "redcnn", "input_residual": "no"}, "denoiser.input_residual must be bool, got 'no'"),
+            ("train", {"epochs_application": True}, "train.epochs_application must be int, got True"),
+            ("train", {"epochs_application": 1.5}, "train.epochs_application must be int, got 1.5"),
+            ("dataset", {"task": "segmentation", "train_count": 3.7}, "dataset.train_count must be int, got 3.7"),
         ],
     )
     def test_malformed_shape_is_config_error(self, tmp_path, capsys, key, value, message):

@@ -104,6 +104,35 @@ class TestParsing:
         cfg = parse_config(json.dumps(raw))
         assert [noise_tag(n) for n in cfg.test_noises] == ["gaussian_sigma40", "poisson_scale0.1"]
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("dataset", "train_count", 3.7),
+            ("dataset", "height", True),
+            ("train", "epochs_application", True),
+            ("train", "checkpoint_cadence", 1.5),
+            ("train", "learning_rate", False),
+            (None, "seed", 4.5),
+        ],
+    )
+    def test_number_that_would_be_truncated_or_a_bool_rejected(self, section, key, value):
+        raw = json.loads(MINIMAL)
+        raw.setdefault("train", {})
+        (raw if section is None else raw[section])[key] = value
+        where = "config" if section is None else section
+        kind = "float" if key == "learning_rate" else "int"
+        with pytest.raises(ConfigError, match=rf"^{where}\.{key} must be {kind}, got {value!r}$"):
+            parse_config(json.dumps(raw))
+
+    def test_integral_float_and_numeric_string_accepted_as_int(self):
+        raw = json.loads(MINIMAL)
+        raw["dataset"]["train_count"] = 20.0
+        raw["dataset"]["test_count"] = "5"
+        raw["train"] = {"learning_rate": "0.01"}
+        cfg = parse_config(json.dumps(raw))
+        assert (cfg.dataset.train_count, cfg.dataset.test_count, cfg.train.learning_rate) == (20, 5, 0.01)
+        assert type(cfg.dataset.train_count) is int and type(cfg.dataset.test_count) is int
+
     def test_classification_defaults(self):
         raw = json.loads(MINIMAL)
         raw["dataset"] = {"task": "classification", "train_count": 10, "test_count": 5}

@@ -1,4 +1,4 @@
-"""The convolution family gives the same bits as the slice-loop reference.
+"""The convolution family and batchnorm give the same bits as the reference.
 
 The brute-force oracles in ``test_autodiff.py`` compare with tolerances,
 so they cannot see a float64 sum that adds its terms in another order.
@@ -6,7 +6,9 @@ These tests compare bytes: forward outputs, and every float64 gradient the
 op's backward returns, at each layer shape the four networks run (64x64,
 width 8) and at the strides and extents only the tests use. The output
 gradient fed to backward holds +0.0 and -0.0 entries, as relu's backward
-produces, so that a changed sign of zero shows too.
+produces, so that a changed sign of zero shows too. Ops that skip their
+backward-only state when nothing is recorded must give the same output
+bytes either way.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 
 import conv_reference as ref
 from taskdenoise import autodiff as ad
-from taskdenoise.autodiff import Tape, Tensor
+from taskdenoise.autodiff import RunningStats, Tape, Tensor
 from taskdenoise.networks import ALL_KINDS, NetworkSpec, build_network
 
 OPS = ("conv2d", "transpose_conv2d", "maxpool2d")
@@ -105,7 +107,7 @@ def test_transpose_conv2d_strides(stride, padding, kernel):
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 5, 5), (3, 7, 6), (1, 6, 7)])
-@pytest.mark.parametrize("window,stride", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("window,stride", [(2, 2), (3, 3)])
 def test_maxpool2d_extents(shape, window, stride):
     assert_exact("maxpool2d", [_rand(shape, 7)], (window, stride))
 
@@ -114,3 +116,49 @@ def test_maxpool2d_ties():
     # ties route the gradient to the first maximum on both paths
     x = np.round(_rand((2, 7, 6), 8)).astype(np.float32)
     assert_exact("maxpool2d", [x], (2, 2))
+
+
+def _stats(c: int, seed: int) -> RunningStats:
+    rng = np.random.default_rng(seed)
+    return RunningStats(rng.normal(size=c).astype(np.float32), rng.uniform(0.5, 2.0, size=c).astype(np.float32))
+
+
+@pytest.mark.parametrize("shape", [(8, 64, 64), (3, 5, 7)])
+@pytest.mark.parametrize("train", [True, False])
+def test_batchnorm2d(shape, train):
+    c = shape[0]
+    arrays = [_rand(shape, 9) * 3 + 1, 1 + 0.5 * _rand((c,), 10), _rand((c,), 11)]
+    results = []
+    for op in (ad.batchnorm2d, ref.batchnorm2d):
+        stats = _stats(c, 12)
+        out, backward = _run(op, arrays, (stats, train))
+        results.append((out.data, stats, backward(_output_grad(shape, 13))))
+    (out, stats, grads), (out_ref, stats_ref, grads_ref) = results
+    _same_bits(out, out_ref, f"batchnorm2d train={train} forward")
+    _same_bits(stats.mean, stats_ref.mean, "running mean")
+    _same_bits(stats.var, stats_ref.var, "running var")
+    assert len(grads) == len(grads_ref) == 3
+    for i, (d, d_ref) in enumerate(zip(grads, grads_ref)):
+        _same_bits(d, d_ref, f"batchnorm2d train={train} gradient of input {i}")
+
+
+def _forward_calls():
+    """(op, input arrays, other args) of the ops that build backward-only state."""
+    c = 8
+    return [
+        (ad.relu, [_rand((c, 9, 7), 14)], ()),
+        (ad.batchnorm2d, [_rand((c, 9, 7), 15), 1 + _rand((c,), 16), _rand((c,), 17)], (_stats(c, 18), False)),
+        (ad.maxpool2d, [np.round(_rand((c, 9, 7), 19))], (2, 2)),
+        (ad.transpose_conv2d, [_rand((3, 5, 4), 20), _rand((3, c, 3, 3), 21), _rand((c,), 22)], (1, 1)),
+        (ad.transpose_conv2d, [_rand((3, 5, 4), 23), _rand((3, c, 2, 2), 24), _rand((c,), 25)], (2, 0)),
+    ]
+
+
+@pytest.mark.parametrize("call", range(5), ids=["relu", "batchnorm2d", "maxpool2d", "tconv-s1p1", "tconv-s2p0"])
+def test_forward_is_the_same_with_and_without_a_tape(call):
+    op, arrays, args = _forward_calls()[call]
+    plain = op(*[Tensor(a) for a in arrays], *args)
+    with Tape() as tape:
+        recorded = op(*[Tensor(a, requires_grad=True) for a in arrays], *args)
+    assert len(tape) == 1 and recorded.requires_grad and not plain.requires_grad
+    _same_bits(plain.data, recorded.data, f"{op.__name__}{args[-2:]} forward")

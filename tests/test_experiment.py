@@ -253,6 +253,27 @@ class TestSharedEvaluationInputs:
         cmd_train(cfg, "nnv")
         assert len(calls["load_dataset"]) == 1 and not calls["load_checkpoint"]
 
+    def test_each_command_reads_only_the_splits_it_uses(self, tmp_path, monkeypatch):
+        cfg = parse_config(_config_text(tmp_path / "run", train_count=20, test_count=5, epochs=1))
+        cmd_generate(cfg)
+        reads = []
+        real = data.read_tensor
+
+        def counting(path):
+            reads.append(Path(path).parent.name)
+            return real(path)
+
+        monkeypatch.setattr(data, "read_tensor", counting)
+        cmd_train(cfg, "tc")
+        assert Counter(reads) == {"train": 40}  # image and label map per sample
+        reads.clear()
+        cmd_eval(cfg, "tc", cfg.test_noises[0])
+        assert Counter(reads) == {"test": 10}
+        reads.clear()
+        cfg.schemes = ["tc"]
+        cmd_compare(cfg)
+        assert Counter(reads) == {"train": 40, "test": 10}
+
     def test_overrides_share_by_resolved_directory(self, cfg, tmp_path, calls):
         cmd_train(cfg, "tc")
         run = tmp_path / "run"
