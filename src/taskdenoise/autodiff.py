@@ -29,10 +29,31 @@ Forward ops do only the work their result needs:
   [C, H*W] view of a C-contiguous array, in place. numpy runs one inner
   loop per row of a [C, H, W] broadcast of ``v[:, None, None]`` but one per
   channel over the flat view.
+
+What a recorded op keeps for its backward: every op keeps its inputs (the
+record holds them). Beyond those, conv2d and transpose_conv2d keep the
+float64 kernel matrix, max pooling the index of each window's maximum,
+batchnorm the float32 normalized input and the per-channel scale, relu its
+mask, mse_loss the float64 difference and cross_entropy_loss the float64
+log-probabilities. No op keeps a patch matrix: conv2d's backward rebuilds
+its input's patches right before the kernel-gradient GEMM, and
+transpose_conv2d's backward builds its gradient's patches once for both
+of its GEMMs.
+
+Scratch arena: the convolution family's float64 work arrays (the padded
+input, the im2col patches, the overlap-add operand and GEMM product) are
+views into one reused buffer per role, see :func:`_scratch`. Rule: no
+arena view outlives the op call or backward call that filled it, so
+nothing an op returns, records or keeps for backward may alias the arena.
+The results that leave an op are copies already: the float32 cast in
+:func:`_wrap`, the fresh grid that col2im and overlap-add sum into, and
+the output of every gradient GEMM. The arena belongs to the process and
+is not thread-safe: to run ops concurrently, use processes, not threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -176,6 +197,28 @@ def backward(loss: Tensor, tape: Tape) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Scratch arena
+#
+# One float64 buffer per role, reused by every convolution call in the
+# process: "pad" (the zero-padded input), "cols" (im2col patches),
+# "operand" and "blocks" (the overlap-add GEMM's operand and product). See
+# the module docstring for the rule that keeps arena views from escaping.
+
+_ARENA: dict[str, np.ndarray] = {}
+
+
+def _scratch(role: str, shape: tuple) -> np.ndarray:
+    """A C-contiguous float64 view of ``shape`` into ``role``'s buffer, which
+    grows to the largest size requested and never shrinks. Its contents are
+    garbage on entry and valid until the next ``_scratch(role, ...)``."""
+    n = math.prod(shape)
+    buf = _ARENA.get(role)
+    if buf is None or buf.size < n:
+        buf = _ARENA[role] = np.empty(n, dtype=_F64)
+    return buf[:n].reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # im2col / col2im
 #
 # These helpers only move data to and from the float64 GEMMs. A change of
@@ -193,32 +236,33 @@ def backward(loss: Tensor, tape: Tape) -> dict:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
-    """Float64 patches [C, kh, kw, oh, ow] of ``x`` zero-padded by ``padding``.
+    """Float64 patches [C*kh*kw, oh*ow] of ``x`` zero-padded by ``padding``,
+    in the arena's ``cols`` slot.
 
-    The padded copy is float64 and gets its zero border written one strip
-    per side, so the patches need no cast of their own.
+    The padded copy (the ``pad`` slot) is float64 and gets its zero border
+    written one strip per side, so the patches need no cast of their own.
     """
     c, h, w = x.shape
+    cols = _scratch("cols", (c, kh, kw, oh, ow))
     if stride == kh == kw and padding == 0:
         # non-overlapping windows: the patches are a permutation of the input
-        windows = x[:, : oh * kh, : ow * kw].reshape(c, oh, kh, ow, kw).transpose(0, 2, 4, 1, 3)
-        return np.ascontiguousarray(windows, dtype=_F64)
+        cols[...] = x[:, : oh * kh, : ow * kw].reshape(c, oh, kh, ow, kw).transpose(0, 2, 4, 1, 3)
+        return cols.reshape(-1, oh * ow)
     xp = x
     if padding:
         p = padding
-        xp = np.empty((c, h + 2 * p, w + 2 * p), dtype=_F64)
+        xp = _scratch("pad", (c, h + 2 * p, w + 2 * p))
         xp[:, :p] = 0.0
         xp[:, p + h :] = 0.0
         xp[:, p : p + h, :p] = 0.0
         xp[:, p : p + h, p + w :] = 0.0
         xp[:, p : p + h, p : p + w] = x
-    cols = np.empty((c, kh, kw, oh, ow), dtype=_F64)
     for a in range(kh):
         ha = a + stride * (oh - 1) + 1
         for b in range(kw):
             wb = b + stride * (ow - 1) + 1
             cols[:, a, b] = xp[:, a:ha:stride, b:wb:stride]
-    return cols
+    return cols.reshape(-1, oh * ow)
 
 
 def _col2im(cols: np.ndarray, hp: int, wp: int, stride: int) -> np.ndarray:
@@ -249,10 +293,11 @@ def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int, bias: np.nd
     """
     k, h, w = v.shape
     hp, wp = h + kh - 1, w + kw - 1
-    operand = np.empty((k, h, wp), dtype=_F64)
+    operand = _scratch("operand", (k, h, wp))
     operand[:, :, :w] = v
     operand[:, :, w:] = 0.0
-    blocks = (kcols @ operand.reshape(k, h * wp)).reshape(-1, kh * kw, h * wp)
+    blocks = np.matmul(kcols, operand.reshape(k, h * wp), out=_scratch("blocks", (len(kcols), h * wp)))
+    blocks = blocks.reshape(-1, kh * kw, h * wp)
     flat = np.zeros((blocks.shape[0], hp * wp + kw - 1), dtype=_F64)
     for a in range(kh):
         for b in range(kw):
@@ -267,15 +312,16 @@ def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int, bias: np.nd
 # Convolution family
 #
 # One map and its adjoint serve both ops: conv2d runs _correlate forward and
-# _correlate_t for its input gradient, transpose_conv2d the reverse. Neither
-# public op calls the other, so each is entered once per layer call.
+# _correlate_t for its input gradient, transpose_conv2d the reverse (its
+# backward multiplies the patches _correlate would build by hand, because
+# its kernel gradient needs them too). Neither public op calls the other,
+# so each is entered once per layer call.
 
 
 def _correlate(kmat: np.ndarray, v: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
     """``kmat`` [K, C*kh*kw] times the float64 patches [C*kh*kw, oh*ow] of
-    ``v`` [C, H, W]: returns the [K, oh*ow] product and the patches."""
-    cols = _im2col(v, kh, kw, stride, padding, oh, ow).reshape(-1, oh * ow)
-    return kmat @ cols, cols
+    ``v`` [C, H, W]: the [K, oh*ow] product."""
+    return kmat @ _im2col(v, kh, kw, stride, padding, oh, ow)
 
 
 def _correlate_t(
@@ -291,7 +337,8 @@ def _correlate_t(
     if stride == 1:
         full = _overlap_add(kcols, v, kh, kw, bias)
     else:
-        patches = kcols @ v.reshape(k, oh * ow).astype(_F64, copy=False)
+        operand = v.reshape(k, oh * ow).astype(_F64, copy=False)
+        patches = np.matmul(kcols, operand, out=_scratch("blocks", (len(kcols), oh * ow)))
         full = _col2im(patches.reshape(-1, kh, kw, oh, ow), h + 2 * padding, w + 2 * padding, stride)
         if bias is not None:
             flat = full.reshape(len(full), -1)  # a view: _col2im's result is C-contiguous
@@ -330,7 +377,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: i
     cin, h, w = x.shape
     kh, kw = kernels.shape[2:]
     kmat = kernels.data.reshape(cout, cin * kh * kw).astype(_F64)
-    out64, cols = _correlate(kmat, x.data, kh, kw, stride, padding, oh, ow)
+    out64 = _correlate(kmat, x.data, kh, kw, stride, padding, oh, ow)
     out64 += bias.data.astype(_F64)[:, None]
     out = _wrap(out64.reshape(cout, oh, ow))
 
@@ -339,6 +386,9 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: i
         if _needs(x):
             dx = _correlate_t(kmat.T, g, kh, kw, stride, padding, h, w)
         if _needs(kernels):
+            # rebuilt from x: kept from the forward, the float64 patches would
+            # hold about 18x the bytes of x until this call
+            cols = _im2col(x.data, kh, kw, stride, padding, oh, ow)
             dk = (g.reshape(cout, oh * ow) @ cols.T).reshape(cout, cin, kh, kw)
         if _needs(bias):
             db = g.sum(axis=(1, 2))
@@ -363,9 +413,9 @@ def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, 
     def backward_fn(g: np.ndarray):
         dx = dk = db = None
         if _needs(x) or _needs(kernels):
-            dxg, gcols = _correlate(kmat, g, kh, kw, stride, padding, h, w)
+            gcols = _im2col(g, kh, kw, stride, padding, h, w)  # built once for both GEMMs
             if _needs(x):
-                dx = dxg.reshape(cin, h, w)
+                dx = (kmat @ gcols).reshape(cin, h, w)
             if _needs(kernels):
                 dk = (x.data.reshape(cin, h * w).astype(_F64) @ gcols.T).reshape(cin, cout, kh, kw)
         if _needs(bias):

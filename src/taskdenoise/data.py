@@ -288,17 +288,22 @@ def save_dataset(spec: DatasetSpec, train: list[Sample], test: list[Sample], dir
     (directory / "manifest.json").write_text(json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n")
 
 
+def load_dataset_spec(directory) -> DatasetSpec:
+    """The spec in a saved dataset's manifest; reads no sample."""
+    manifest = Path(directory) / "manifest.json"
+    if not manifest.is_file():
+        raise FormatError(manifest, 0, "missing dataset manifest")
+    try:
+        return DatasetSpec(**json.loads(manifest.read_text())).validate()
+    except (TypeError, ValueError) as exc:
+        raise FormatError(manifest, 0, f"malformed manifest: {exc}") from exc
+
+
 def load_dataset(directory, splits: tuple = SPLITS) -> tuple[DatasetSpec, list[Sample] | None, list[Sample] | None]:
     """(spec, train, test) of a saved dataset. Only the ``splits`` named
     are read; a split not named comes back as None."""
     directory = Path(directory)
-    manifest = directory / "manifest.json"
-    if not manifest.is_file():
-        raise FormatError(manifest, 0, "missing dataset manifest")
-    try:
-        spec = DatasetSpec(**json.loads(manifest.read_text())).validate()
-    except (TypeError, ValueError) as exc:
-        raise FormatError(manifest, 0, f"malformed manifest: {exc}") from exc
+    spec = load_dataset_spec(directory)
     counts = {"train": spec.train_count, "test": spec.test_count}
     loaded = {split: [load_sample(directory / split, f"{i:04d}") for i in range(counts[split])] for split in splits}
     return spec, loaded.get("train"), loaded.get("test")

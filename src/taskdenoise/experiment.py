@@ -11,10 +11,10 @@ Artifact layout under the output directory:
 Training a scheme trains its missing dependencies (nnv needs the tc-trained
 application network) and reads the dataset's train split only if something
 is missing; evaluation reads only the test split, never trains and fails
-on missing checkpoints. ``compare``
-prepares each evaluation input once and shares it across schemes: one
-dataset read, one load per checkpoint directory (tc's application network
-serves tc, hv and nnv), and one corrupted test set per test noise, since
+on missing checkpoints. ``compare`` prepares each evaluation input once
+and shares it across schemes: one dataset read, one load per checkpoint
+directory (tc's application network serves tc, hv and nnv, and nnv's
+training if it runs), and one corrupted test set per test noise, since
 the dirty images depend only on the noise spec and the sample index.
 ``eval`` and ``compare`` score through one function. All artifacts are
 pure functions of the config.
@@ -30,7 +30,7 @@ from . import dct as dct_mod
 from . import metrics as metrics_mod
 from . import schemes as schemes_mod
 from .config import ExperimentConfig
-from .data import SPLITS, Sample, generate_dataset, load_dataset, save_dataset
+from .data import SPLITS, Sample, generate_dataset, load_dataset, load_dataset_spec, save_dataset
 from .errors import CheckpointError, ConfigError
 from .networks import Model, build_network, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, noise_tag
@@ -53,13 +53,12 @@ def _checkpoint_dir(out: Path, scheme: str) -> Path:
 def ensure_dataset(cfg: ExperimentConfig, out: Path, regenerate: bool = False, splits: tuple = SPLITS):
     """(train, test) samples: the ``splits`` named are read if the dataset
     was already generated for this spec (a split not named is None), else
-    the dataset is generated and both are returned."""
+    the dataset is generated and both are returned. The manifest alone
+    decides, so a stale dataset's samples are never read."""
     ddir = _dataset_dir(out)
-    manifest = ddir / "manifest.json"
-    if manifest.is_file() and not regenerate:
-        spec, train, test = load_dataset(ddir, splits)
-        if spec == cfg.dataset:
-            return train, test
+    if not regenerate and (ddir / "manifest.json").is_file() and load_dataset_spec(ddir) == cfg.dataset:
+        _, train, test = load_dataset(ddir, splits)
+        return train, test
     train, test = generate_dataset(cfg.dataset)
     save_dataset(cfg.dataset, train, test, ddir)
     return train, test
@@ -103,14 +102,17 @@ def _complete(ckpt: Path) -> bool:
 
 
 def ensure_scheme_trained(
-    cfg: ExperimentConfig, scheme: str, out: Path, train_samples: list[Sample] | None = None
+    cfg: ExperimentConfig, scheme: str, out: Path, train_samples: list[Sample] | None = None, loaded: dict | None = None
 ) -> dict:
     """Train the scheme's missing checkpoints; returns their paths.
 
     Returns {"application": Path, "denoiser": Path | None}. Checkpoint
     overrides short-circuit training entirely for that scheme. Without
     ``train_samples`` the train split is read from the dataset, and only if
-    something must be trained.
+    something must be trained. The application network nnv trains through
+    is loaded through ``loaded`` (see :func:`load_scheme_components`), so
+    evaluation can reuse it: training leaves it bit-identical, because it
+    is frozen and runs in eval mode.
     """
     app_dir, den_dir = _scheme_dirs(cfg, scheme, out)
     paths = {"application": app_dir, "denoiser": den_dir}
@@ -128,7 +130,7 @@ def ensure_scheme_trained(
         if scheme == HV:
             result = schemes_mod.train_denoiser_hv(denoiser, train_samples, cfg.train, cfg.train_noise, cfg.seed)
         else:
-            app_model, _ = load_checkpoint(app_dir)
+            app_model = _load_shared(app_dir, {} if loaded is None else loaded)
             result = schemes_mod.train_denoiser_nnv(
                 denoiser, app_model, train_samples, cfg.train, cfg.train_noise, cfg.seed
             )
@@ -147,6 +149,14 @@ def cmd_train(cfg: ExperimentConfig, scheme: str, out_dir=None) -> dict:
 # Evaluation
 
 
+def _load_shared(ckpt: Path, loaded: dict) -> Model:
+    """The model of ``ckpt``, loaded only if ``loaded`` does not hold it yet."""
+    key = ckpt.resolve()
+    if key not in loaded:
+        loaded[key], _ = load_checkpoint(ckpt)
+    return loaded[key]
+
+
 def load_scheme_components(
     cfg: ExperimentConfig, scheme: str, out: Path, loaded: dict | None = None
 ) -> tuple[Model, Model | None]:
@@ -162,12 +172,9 @@ def load_scheme_components(
     def load(role: str, ckpt: Path | None) -> Model | None:
         if ckpt is None:
             return None
-        key = ckpt.resolve()
-        if key not in loaded:
-            if not _complete(ckpt):
-                raise CheckpointError(f"missing {role} checkpoint for scheme {scheme!r} at {ckpt}")
-            loaded[key], _ = load_checkpoint(ckpt)
-        return loaded[key]
+        if ckpt.resolve() not in loaded and not _complete(ckpt):
+            raise CheckpointError(f"missing {role} checkpoint for scheme {scheme!r} at {ckpt}")
+        return _load_shared(ckpt, loaded)
 
     app_dir, den_dir = _scheme_dirs(cfg, scheme, out)
     return load("application", app_dir), load("denoiser", den_dir)
@@ -206,9 +213,9 @@ def cmd_compare(cfg: ExperimentConfig, out_dir=None) -> ComparisonResult:
     and write the aggregate comparison CSV."""
     out = resolve_out_dir(cfg, out_dir)
     train_samples, test_samples = ensure_dataset(cfg, out)
-    for scheme in cfg.schemes:
-        ensure_scheme_trained(cfg, scheme, out, train_samples)
     loaded: dict = {}
+    for scheme in cfg.schemes:
+        ensure_scheme_trained(cfg, scheme, out, train_samples, loaded)
     components = {scheme: load_scheme_components(cfg, scheme, out, loaded) for scheme in cfg.schemes}
     dirty = [schemes_mod.corrupt_samples(test_samples, noise, "test") for noise in cfg.test_noises]
     rows: list[tuple[str, str, metrics_mod.MetricsReport]] = []

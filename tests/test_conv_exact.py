@@ -8,17 +8,22 @@ width 8) and at the strides and extents only the tests use. The output
 gradient fed to backward holds +0.0 and -0.0 entries, as relu's backward
 produces, so that a changed sign of zero shows too. Ops that skip their
 backward-only state when nothing is recorded must give the same output
-bytes either way.
+bytes either way. One training step of each network must give the same
+loss, gradient and running-stat bytes with the reference ops swapped in,
+which the per-op tests cannot show: that a result still in use is not
+overwritten when a later call reuses the convolution scratch buffers.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import conv_reference as ref
 from taskdenoise import autodiff as ad
-from taskdenoise.autodiff import RunningStats, Tape, Tensor
+from taskdenoise.autodiff import RunningStats, Tape, Tensor, backward
 from taskdenoise.networks import ALL_KINDS, NetworkSpec, build_network
 
 OPS = ("conv2d", "transpose_conv2d", "maxpool2d")
@@ -55,30 +60,47 @@ def assert_exact(name: str, arrays, args, seed: int = 0) -> None:
         _same_bits(d, d_ref, f"{name}{args} gradient of input {i}")
 
 
-def _layer_calls(kind: str) -> list:
-    """(op name, input arrays, other args) of every conv/pool call in one
-    training-mode forward pass of ``kind`` at 64x64, width 8."""
-    spec = NetworkSpec(kind=kind, base_channels=8, num_classes=4, height=64, width=64, seed=5).validate()
-    model = build_network(spec)
-    calls = []
-    originals = {name: getattr(ad, name) for name in OPS}
-
-    def recording(name):
-        def wrapper(*args):
-            tensors = [a for a in args if isinstance(a, Tensor)]
-            calls.append((name, [t.data.copy() for t in tensors], args[len(tensors):]))
-            return originals[name](*args)
-
-        return wrapper
-
+@contextmanager
+def _ops_replaced(replacements: dict):
+    """Swap ``ad``'s ops for ``replacements`` (name -> function) while
+    the block runs; the networks look their ops up in ``ad`` at call time."""
+    originals = {name: getattr(ad, name) for name in replacements}
     try:
-        for name in OPS:
-            setattr(ad, name, recording(name))
-        image = np.random.default_rng(1).uniform(0, 255, size=(1, 64, 64)).astype(np.float32)
-        model(Tensor(image), train=True)
+        for name, fn in replacements.items():
+            setattr(ad, name, fn)
+        yield
     finally:
         for name, fn in originals.items():
             setattr(ad, name, fn)
+
+
+def _network(kind: str):
+    spec = NetworkSpec(kind=kind, base_channels=8, num_classes=4, height=64, width=64, seed=5).validate()
+    return build_network(spec)
+
+
+def _image() -> Tensor:
+    return Tensor(np.random.default_rng(1).uniform(0, 255, size=(1, 64, 64)).astype(np.float32))
+
+
+def _layer_calls(kind: str) -> list:
+    """(op name, input arrays, other args) of every conv/pool call in one
+    training-mode forward pass of ``kind`` at 64x64, width 8."""
+    model = _network(kind)
+    calls = []
+
+    def recording(name):
+        real = getattr(ad, name)
+
+        def wrapper(*args):
+            tensors = [a for a in args if isinstance(a, Tensor)]
+            calls.append((name, [t.data.copy() for t in tensors], args[len(tensors):]))
+            return real(*args)
+
+        return wrapper
+
+    with _ops_replaced({name: recording(name) for name in OPS}):
+        model(_image(), train=True)
     return calls
 
 
@@ -88,6 +110,35 @@ def test_every_layer_of_the_networks(kind):
     assert {name for name, _, _ in calls} >= {"conv2d"}
     for i, (name, arrays, args) in enumerate(calls):
         assert_exact(name, arrays, args, seed=i)
+
+
+def _training_step(kind: str) -> list:
+    """Bytes of one recorded train-mode step of ``kind`` at 64x64, width 8:
+    the loss, every parameter gradient and the batchnorm running stats."""
+    model = _network(kind)
+    image = _image()
+    rng = np.random.default_rng(2)
+    with Tape() as tape:
+        out = model(image, train=True)
+        if out.shape == image.shape:
+            loss = ad.mse_loss(out, Tensor(rng.uniform(0, 255, size=image.shape)))
+        else:
+            loss = ad.cross_entropy_loss(out, rng.integers(0, 4, size=out.shape[1:]))
+        grads = backward(loss, tape)
+    results = [loss.data] + [grads[p] for p in model.parameters()]
+    return results + [a for bn in model.batchnorm_layers() for a in (bn.stats.mean, bn.stats.var)]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_whole_network_step(kind):
+    # every op's results must stay intact while later ops and backward
+    # calls reuse the convolution scratch buffers: the reference ops use none
+    step = _training_step(kind)
+    with _ops_replaced({name: getattr(ref, name) for name in (*OPS, "batchnorm2d")}):
+        step_ref = _training_step(kind)
+    assert len(step) == len(step_ref)
+    for i, (a, a_ref) in enumerate(zip(step, step_ref)):
+        _same_bits(a, a_ref, f"{kind} step result {i}")
 
 
 def _rand(shape, seed):

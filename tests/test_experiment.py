@@ -242,6 +242,13 @@ class TestSharedEvaluationInputs:
         cmd_compare(cfg)
         assert len(calls["load_dataset"]) == 1
 
+    def test_compare_that_trains_nnv_loads_each_checkpoint_once(self, tmp_path, calls):
+        cfg = self._cfg(tmp_path / "run")
+        cmd_generate(cfg)
+        cmd_compare(cfg)
+        ckpts = (tmp_path / "run" / "checkpoints").resolve()
+        assert Counter(Path(d).resolve() for d in calls["load_checkpoint"]) == {ckpts / s: 1 for s in cfg.schemes}
+
     def test_train_reads_no_dataset_when_checkpoints_exist(self, tmp_path, calls):
         cfg = self._cfg(tmp_path / "run")
         cmd_train(cfg, "nnv")
@@ -273,6 +280,17 @@ class TestSharedEvaluationInputs:
         cfg.schemes = ["tc"]
         cmd_compare(cfg)
         assert Counter(reads) == {"train": 40, "test": 10}
+
+    def test_a_stale_dataset_is_regenerated_unread(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cmd_generate(parse_config(_config_text(out, train_count=20, test_count=5)))
+        reads = []
+        real = data.read_tensor
+        monkeypatch.setattr(data, "read_tensor", lambda path: reads.append(path) or real(path))
+        cfg = parse_config(_config_text(out, train_count=20, test_count=6))
+        _, test = experiment.ensure_dataset(cfg, out, splits=("test",))
+        assert not reads
+        assert len(test) == 6 and data.load_dataset_spec(out / "dataset") == cfg.dataset
 
     def test_overrides_share_by_resolved_directory(self, cfg, tmp_path, calls):
         cmd_train(cfg, "tc")
