@@ -4,8 +4,12 @@ The engine is deliberately small: a :class:`Tensor` is an immutable float32
 array, a :class:`Tape` records every differentiable operation executed while
 it is active, and :func:`backward` replays the records in reverse to produce
 exact gradients. The operation set is exactly what the four network recipes
-need (convolutions, transposed convolutions, max pooling over
-non-overlapping windows, batch norm, ReLU, and the two losses).
+need, in the layouts they run: convolutions and transposed convolutions at
+stride 1 with any padding, or at a stride equal to their square kernel with
+padding 0, whose windows tile the grid (conv2d's input extents must then be
+divisible by the stride); max pooling over non-overlapping windows,
+``maxpool2d(x, window)``; batch norm, ReLU, and the two losses. Any other
+layout is an :class:`InvalidShapeError`.
 
 Numeric policy: values are stored as float32; every reduction (convolution
 dot products, means, loss sums, normalization statistics) accumulates in
@@ -46,8 +50,8 @@ views into one reused buffer per role, see :func:`_scratch`. Rule: no
 arena view outlives the op call or backward call that filled it, so
 nothing an op returns, records or keeps for backward may alias the arena.
 The results that leave an op are copies already: the float32 cast in
-:func:`_wrap`, the fresh grid that col2im and overlap-add sum into, and
-the output of every gradient GEMM. The arena belongs to the process and
+:func:`_wrap`, the fresh grid that the adjoint map sums into, and the
+output of every gradient GEMM. The arena belongs to the process and
 is not thread-safe: to run ops concurrently, use processes, not threads.
 """
 
@@ -219,9 +223,11 @@ def _scratch(role: str, shape: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# im2col / col2im
+# im2col and overlap-add
 #
-# These helpers only move data to and from the float64 GEMMs. A change of
+# These helpers only move data to and from the float64 GEMMs, in the two
+# layouts of the module docstring: stride 1 (one unit-step slice per kernel
+# offset) and windows that tile the grid (a permutation). A change of
 # layout may not reorder any float64 sum: each output element receives the
 # same terms, in the same kernel-offset (a, b) order, starting from +0.0, as
 # one strided slice per offset would give it; extra terms are allowed only
@@ -244,9 +250,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int,
     """
     c, h, w = x.shape
     cols = _scratch("cols", (c, kh, kw, oh, ow))
-    if stride == kh == kw and padding == 0:
-        # non-overlapping windows: the patches are a permutation of the input
-        cols[...] = x[:, : oh * kh, : ow * kw].reshape(c, oh, kh, ow, kw).transpose(0, 2, 4, 1, 3)
+    if stride > 1:
+        # windows that tile the input: the patches are a permutation of it
+        cols[...] = x.reshape(c, oh, kh, ow, kw).transpose(0, 2, 4, 1, 3)
         return cols.reshape(-1, oh * ow)
     xp = x
     if padding:
@@ -258,33 +264,15 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int,
         xp[:, p : p + h, p + w :] = 0.0
         xp[:, p : p + h, p : p + w] = x
     for a in range(kh):
-        ha = a + stride * (oh - 1) + 1
         for b in range(kw):
-            wb = b + stride * (ow - 1) + 1
-            cols[:, a, b] = xp[:, a:ha:stride, b:wb:stride]
+            cols[:, a, b] = xp[:, a : a + oh, b : b + ow]
     return cols.reshape(-1, oh * ow)
 
 
-def _col2im(cols: np.ndarray, hp: int, wp: int, stride: int) -> np.ndarray:
-    """Sum patches [C, kh, kw, oh, ow] back onto the [C, hp, wp] grid they were cut from."""
-    c, kh, kw, oh, ow = cols.shape
-    if stride == kh == kw and (hp, wp) == (oh * kh, ow * kw):
-        # windows that tile the grid: each cell receives exactly one term
-        tiles = np.zeros((c, oh, kh, ow, kw), dtype=_F64)
-        tiles += cols.transpose(0, 3, 1, 4, 2)
-        return tiles.reshape(c, hp, wp)
-    out = np.zeros((c, hp, wp), dtype=_F64)
-    for a in range(kh):
-        ha = a + stride * (oh - 1) + 1
-        for b in range(kw):
-            wb = b + stride * (ow - 1) + 1
-            out[:, a:ha:stride, b:wb:stride] += cols[:, a, b]
-    return out
-
-
-def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int, bias: np.ndarray | None) -> np.ndarray:
+def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Stride-1 col2im of the patches ``kcols @ v``, [C*kh*kw, K] by [K, H, W],
-    onto [C, H+kh-1, W+kw-1], plus ``bias`` per channel if given.
+    onto the [C, H+kh-1, W+kw-1] grid, returned as a [C, (H+kh-1)*(W+kw-1)]
+    view with contiguous rows.
 
     In the GEMM operand each row of ``v`` is followed by kw - 1 zeros, so a
     patch row spans the output's full width wp, and on the flat output
@@ -303,46 +291,44 @@ def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int, bias: np.nd
         for b in range(kw):
             start = a * wp + b
             flat[:, start : start + h * wp] += blocks[:, a * kw + b]
-    if bias is not None:
-        flat += bias[:, None]
-    return flat[:, : hp * wp].reshape(-1, hp, wp)
+    return flat[:, : hp * wp]
 
 
 # ---------------------------------------------------------------------------
 # Convolution family
 #
-# One map and its adjoint serve both ops: conv2d runs _correlate forward and
-# _correlate_t for its input gradient, transpose_conv2d the reverse (its
-# backward multiplies the patches _correlate would build by hand, because
-# its kernel gradient needs them too). Neither public op calls the other,
-# so each is entered once per layer call.
-
-
-def _correlate(kmat: np.ndarray, v: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int):
-    """``kmat`` [K, C*kh*kw] times the float64 patches [C*kh*kw, oh*ow] of
-    ``v`` [C, H, W]: the [K, oh*ow] product."""
-    return kmat @ _im2col(v, kh, kw, stride, padding, oh, ow)
+# One map and its adjoint serve both ops. The map multiplies a kernel
+# matrix by _im2col's patches; _correlate_t is its adjoint. conv2d runs the
+# map forward and the adjoint for its input gradient, transpose_conv2d the
+# reverse (its backward builds the patches once, because its kernel
+# gradient needs them too). Neither public op calls the other, so each is
+# entered once per layer call.
 
 
 def _correlate_t(
     kcols: np.ndarray, v: np.ndarray, kh: int, kw: int, stride: int, padding: int, h: int, w: int,
     bias: np.ndarray | None = None,
 ):
-    """The adjoint of :func:`_correlate`: the patches ``kcols @ v``, with
+    """The adjoint of the im2col map: the patches ``kcols @ v``, with
     ``kcols`` [C*kh*kw, K] and ``v`` [K, oh, ow], summed onto the padded
     [C, h + 2*padding, w + 2*padding] grid, plus ``bias`` per channel if
-    given, and cropped to [C, h, w]. The bias goes on before the crop, while
-    the grid is still one contiguous block."""
+    given, and cropped to [C, h, w]. The bias goes on before the crop, over
+    one flat row per channel."""
     k, oh, ow = v.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
     if stride == 1:
-        full = _overlap_add(kcols, v, kh, kw, bias)
+        flat = _overlap_add(kcols, v, kh, kw)
     else:
+        # windows that tile the grid (padding 0): each cell receives exactly one term
         operand = v.reshape(k, oh * ow).astype(_F64, copy=False)
         patches = np.matmul(kcols, operand, out=_scratch("blocks", (len(kcols), oh * ow)))
-        full = _col2im(patches.reshape(-1, kh, kw, oh, ow), h + 2 * padding, w + 2 * padding, stride)
-        if bias is not None:
-            flat = full.reshape(len(full), -1)  # a view: _col2im's result is C-contiguous
-            flat += bias[:, None]
+        c = len(kcols) // (kh * kw)
+        tiles = np.zeros((c, oh, kh, ow, kw), dtype=_F64)
+        tiles += patches.reshape(c, kh, kw, oh, ow).transpose(0, 3, 1, 4, 2)
+        flat = tiles.reshape(c, hp * wp)
+    if bias is not None:
+        flat += bias[:, None]
+    full = flat.reshape(-1, hp, wp)
     return full[:, padding : padding + h, padding : padding + w] if padding else full
 
 
@@ -358,10 +344,15 @@ def _conv_extents(op: str, x: Tensor, kernels: Tensor, bias: Tensor, stride: int
         raise InvalidShapeError(f"kernel C_in {kcin} does not match input C_in {cin}")
     if bias.shape != (cout,):
         raise InvalidShapeError(f"bias shape {bias.shape} does not match C_out {cout}")
-    if stride < 1:
-        raise InvalidShapeError(f"stride must be >= 1, got {stride}")
     if padding < 0:
         raise InvalidShapeError(f"padding must be >= 0, got {padding}")
+    if not (stride == 1 or (stride == kh == kw > 1 and padding == 0)):
+        raise InvalidShapeError(
+            f"{op} takes stride 1, or stride equal to a square kernel with padding 0; "
+            f"got stride {stride}, a {kh}x{kw} kernel and padding {padding}"
+        )
+    if stride > 1 and not transposed and (h % stride or w % stride):
+        raise InvalidShapeError(f"{op} at stride {stride} needs input extents divisible by it, got {h}x{w}")
     if transposed:
         oh, ow = (h - 1) * stride - 2 * padding + kh, (w - 1) * stride - 2 * padding + kw
     else:
@@ -377,7 +368,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: i
     cin, h, w = x.shape
     kh, kw = kernels.shape[2:]
     kmat = kernels.data.reshape(cout, cin * kh * kw).astype(_F64)
-    out64 = _correlate(kmat, x.data, kh, kw, stride, padding, oh, ow)
+    out64 = kmat @ _im2col(x.data, kh, kw, stride, padding, oh, ow)
     out64 += bias.data.astype(_F64)[:, None]
     out = _wrap(out64.reshape(cout, oh, ow))
 
@@ -426,9 +417,10 @@ def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, 
     return out
 
 
-def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """Max pooling over non-overlapping windows (``stride == window``);
-    backward routes gradient to the lowest-linear-index maximum.
+def maxpool2d(x: Tensor, window: int) -> Tensor:
+    """Max pooling over non-overlapping ``window`` x ``window`` windows at
+    stride ``window``; backward routes gradient to the lowest-linear-index
+    maximum.
 
     The window cells, strided views of the input, are folded in linear-index
     order by a strict ``>``, so a tie keeps the first cell: not
@@ -437,8 +429,8 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     if x.data.ndim != 3:
         raise InvalidShapeError(f"maxpool2d expects 3-d input, got {x.shape}")
     c, h, w = x.shape
-    if window < 1 or stride != window:
-        raise InvalidShapeError(f"maxpool2d needs stride equal to a window >= 1, got window {window}, stride {stride}")
+    if window < 1:
+        raise InvalidShapeError(f"maxpool2d needs a window >= 1, got {window}")
     if window > h or window > w:
         raise InvalidShapeError(f"window {window} exceeds input extents {h}x{w}")
     k = window

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from . import experiment
 from .config import ExperimentConfig, parse_config
@@ -22,7 +23,7 @@ from .schemes import SCHEME_KINDS
 
 def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
     try:
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if seed_override is not None:

@@ -252,7 +252,7 @@ class NoNewNet2d(Model):
             h = ad.relu(a(h))
             h = ad.relu(b(h))
             skips.append(h)
-            h = ad.maxpool2d(h, 2, 2)
+            h = ad.maxpool2d(h, 2)
         h = ad.relu(self.bott_a(h))
         h = ad.relu(self.bott_b(h))
         for i, up, a, b in self.dec:
@@ -293,7 +293,7 @@ class Ccnn(Model):
             )
         h = x
         for conv in self.convs:
-            h = ad.maxpool2d(ad.relu(conv(h)), 2, 2)
+            h = ad.maxpool2d(ad.relu(conv(h)), 2)
         return self.fc(ad.flatten(h))
 
 

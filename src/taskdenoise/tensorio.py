@@ -29,7 +29,10 @@ def write_tensor(path, data: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise FormatError(path, 0, f"cannot read: {exc.strerror}") from exc
     if len(raw) < 4 or raw[:4] != MAGIC:
         raise FormatError(path, 0, "bad magic (expected TSR1)")
     if len(raw) < 5:

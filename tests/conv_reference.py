@@ -112,7 +112,8 @@ def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, 
     return out
 
 
-def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
+def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
+    stride = window if stride is None else stride
     c, h, w = x.shape
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1

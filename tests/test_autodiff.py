@@ -50,11 +50,11 @@ class TestConv2d:
         assert out.data[0, 0, 0] == 10.0
 
     def test_output_extent_formula(self):
-        x = _rand((3, 11, 9), 0)
-        k = _rand((4, 3, 3, 3), 1)
+        x = _rand((3, 10, 8), 0)
+        k = _rand((4, 3, 2, 2), 1)
         b = _t(np.zeros(4))
-        out = ad.conv2d(x, k, b, stride=2, padding=1)
-        assert out.shape == (4, (11 + 2 - 3) // 2 + 1, (9 + 2 - 3) // 2 + 1)
+        out = ad.conv2d(x, k, b, stride=2, padding=0)
+        assert out.shape == (4, (10 - 2) // 2 + 1, (8 - 2) // 2 + 1)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(InvalidShapeError):
@@ -64,18 +64,21 @@ class TestConv2d:
         with pytest.raises(InvalidShapeError):
             ad.conv2d(_rand((1, 2, 2), 0), _rand((1, 1, 5, 5), 1), _t(np.zeros(1)))
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
+    # stride 2 runs the 2x2 kernel whose windows tile the (even) input
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
     def test_gradients(self, stride, padding):
-        x = _rand((2, 6, 5), 10, grad=True)
-        k = _rand((3, 2, 3, 3), 11, grad=True)
+        kk, w = (3, 5) if stride == 1 else (2, 4)
+        x = _rand((2, 6, w), 10, grad=True)
+        k = _rand((3, 2, kk, kk), 11, grad=True)
         b = _rand((3,), 12, grad=True)
         check_op_gradients(lambda: ad.conv2d(x, k, b, stride, padding), [x, k, b])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
     def test_gradients_vs_brute_force(self, stride, padding):
         # independent float64 loop oracle for forward and kernel/input grads
         rng = np.random.default_rng(13)
-        cin, cout, h, w, kk = 2, 3, 6, 5, 3
+        cin, cout, h = 2, 3, 6
+        kk, w = (3, 5) if stride == 1 else (2, 4)
         x = Tensor(rng.normal(size=(cin, h, w)).astype(np.float32), requires_grad=True)
         k = Tensor(rng.normal(size=(cout, cin, kk, kk)).astype(np.float32), requires_grad=True)
         b = Tensor(rng.normal(size=cout).astype(np.float32), requires_grad=True)
@@ -127,18 +130,20 @@ class TestTransposeConv2d:
         out = ad.transpose_conv2d(x, k, b, stride=2, padding=0)
         assert out.shape == (3, (5 - 1) * 2 + 2, (4 - 1) * 2 + 2)
 
+    # (stride, padding, kernel): the stride-1 map and the tiling one
+    LAYOUTS = [(1, 0, 3), (1, 1, 3), (2, 0, 2)]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_adjoint_of_conv2d(self, seed):
         rng = np.random.default_rng(seed)
-        stride = int(rng.integers(1, 3))
-        padding = int(rng.integers(0, 2))
+        stride, padding, kk = self.LAYOUTS[seed % len(self.LAYOUTS)]
         cin, cout = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         # stride-exact extents so conv does not truncate trailing rows
         oh, ow = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        h = (oh - 1) * stride + 3 - 2 * padding
-        w = (ow - 1) * stride + 3 - 2 * padding
+        h = (oh - 1) * stride + kk - 2 * padding
+        w = (ow - 1) * stride + kk - 2 * padding
         x = _t(rng.normal(size=(cin, h, w)))
-        k = _t(rng.normal(size=(cout, cin, 3, 3)))
+        k = _t(rng.normal(size=(cout, cin, kk, kk)))
         conv_out = ad.conv2d(x, k, _t(np.zeros(cout)), stride, padding)
         y = _t(rng.normal(size=conv_out.shape))
         back = ad.transpose_conv2d(y, k, _t(np.zeros(cin)), stride, padding)
@@ -146,10 +151,12 @@ class TestTransposeConv2d:
         rhs = float((x.data.astype(np.float64) * back.data).sum())
         assert abs(lhs - rhs) < 1e-4
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 0), (2, 1)])
+    # stride 2 runs the 2x2 kernel whose windows tile the output
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
     def test_gradients(self, stride, padding):
+        kk = 3 if stride == 1 else 2
         x = _rand((2, 4, 4), 20, grad=True)
-        k = _rand((2, 3, 3, 3), 21, grad=True)
+        k = _rand((2, 3, kk, kk), 21, grad=True)
         b = _rand((3,), 22, grad=True)
         check_op_gradients(lambda: ad.transpose_conv2d(x, k, b, stride, padding), [x, k, b])
 
@@ -163,12 +170,20 @@ class TestConvInvalidShapes:
 
     @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
     @pytest.mark.parametrize(
-        "case", ["kernel_2d", "cin_mismatch", "bias_length", "stride_0", "padding_neg", "no_output"]
+        "case",
+        [
+            "kernel_2d", "cin_mismatch", "bias_length", "stride_0", "padding_neg", "no_output",
+            "stride_2_kernel_3", "stride_kernel_padding_1",
+        ],
     )
     def test_raises(self, op, case):
         xs, ks, nb = self.VALID[op]
         stride, padding = 1, 0
-        if case == "kernel_2d":
+        if case == "stride_2_kernel_3":
+            stride = 2
+        elif case == "stride_kernel_padding_1":
+            ks, stride, padding = ks[:2] + (2, 2), 2, 1
+        elif case == "kernel_2d":
             ks = ks[:2]
         elif case == "cin_mismatch":
             xs = (4,) + xs[1:]
@@ -180,8 +195,18 @@ class TestConvInvalidShapes:
             padding = -1
         else:
             xs, ks, nb, stride, padding = self.NO_OUTPUT[op]
-        with pytest.raises(InvalidShapeError):
+        # a stride outside the accepted layouts names the layout rule
+        rule = "takes stride 1, or stride equal to a square kernel" if case.startswith("stride") else None
+        with pytest.raises(InvalidShapeError, match=rule):
             getattr(ad, op)(_rand(xs, 0), _rand(ks, 1), _t(np.zeros(nb)), stride, padding)
+
+    def test_conv2d_stride_over_odd_extent_raises(self):
+        # conv2d's strided windows must tile its input; a transposed conv's
+        # tile its output at any input extent
+        with pytest.raises(InvalidShapeError, match="divisible"):
+            ad.conv2d(_rand((2, 6, 5), 0), _rand((3, 2, 2, 2), 1), _t(np.zeros(3)), 2, 0)
+        out = ad.transpose_conv2d(_rand((2, 6, 5), 0), _rand((2, 3, 2, 2), 1), _t(np.zeros(3)), 2, 0)
+        assert out.shape == (3, 12, 10)
 
     @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
     def test_valid_call_is_accepted(self, op):
@@ -192,44 +217,42 @@ class TestConvInvalidShapes:
 class TestMaxPool:
     def test_constant_input(self):
         x = _t(np.full((2, 4, 4), 7.0))
-        out = ad.maxpool2d(x, 2, 2)
+        out = ad.maxpool2d(x, 2)
         np.testing.assert_array_equal(out.data, np.full((2, 2, 2), 7.0, np.float32))
 
     def test_exhaustive_max(self):
         x = _t([[[1.0, 2.0], [3.0, 4.0]]])
-        out = ad.maxpool2d(x, 2, 2)
+        out = ad.maxpool2d(x, 2)
         assert out.data.ravel().tolist() == [4.0]
 
     def test_gradient_routes_to_argmax(self):
         x = _t([[[1.0, 2.0], [3.0, 4.0]]], grad=True)
         with Tape() as tape:
-            loss = ad.tsum(ad.maxpool2d(x, 2, 2))
+            loss = ad.tsum(ad.maxpool2d(x, 2))
             grads = ad.backward(loss, tape)
         np.testing.assert_array_equal(grads[x][0], [[0.0, 0.0], [0.0, 1.0]])
 
     def test_tie_breaks_to_lowest_linear_index(self):
         x = _t(np.full((1, 2, 2), 5.0), grad=True)
         with Tape() as tape:
-            loss = ad.tsum(ad.maxpool2d(x, 2, 2))
+            loss = ad.tsum(ad.maxpool2d(x, 2))
             grads = ad.backward(loss, tape)
         np.testing.assert_array_equal(grads[x][0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_window_too_large_raises(self):
         with pytest.raises(InvalidShapeError):
-            ad.maxpool2d(_rand((1, 2, 2), 0), 3, 1)
+            ad.maxpool2d(_rand((1, 2, 2), 0), 3)
 
     def test_gradient_vs_fd(self):
         # values spread out so no window has near-ties within the fd step
         vals = 0.25 * np.arange(32, dtype=np.float32).reshape(2, 4, 4)
         x = Tensor(vals + 0.01 * np.random.default_rng(3).normal(size=vals.shape).astype(np.float32))
         x.requires_grad = True
-        check_op_gradients(lambda: ad.maxpool2d(x, 2, 2), [x])
+        check_op_gradients(lambda: ad.maxpool2d(x, 2), [x])
 
-    def test_stride_other_than_window_raises(self):
-        # only non-overlapping, gap-free windows are pooled
-        for window, stride in [(3, 1), (2, 1), (3, 2), (2, 3), (0, 0)]:
-            with pytest.raises(InvalidShapeError, match="maxpool2d needs stride equal"):
-                ad.maxpool2d(_rand((1, 6, 6), 0), window, stride)
+    def test_window_below_one_raises(self):
+        with pytest.raises(InvalidShapeError, match="maxpool2d needs a window >= 1"):
+            ad.maxpool2d(_rand((1, 6, 6), 0), 0)
 
 
 class TestBatchNorm:

@@ -105,7 +105,17 @@ class TestExitCodes:
     def test_dct_on_missing_image_is_format_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         code = main(["dct", "--config", str(cfg), "--image", str(tmp_path / "absent.tsr1")])
-        assert code != 0
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("format-error:") and "absent.tsr1" in err
+        assert err.count("\n") == 1
+
+    def test_dct_on_directory_image_is_format_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        code = main(["dct", "--config", str(cfg), "--image", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("format-error:") and err.count("\n") == 1
 
 
 class TestPipelineSmoke:

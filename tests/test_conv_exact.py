@@ -4,7 +4,7 @@ The brute-force oracles in ``test_autodiff.py`` compare with tolerances,
 so they cannot see a float64 sum that adds its terms in another order.
 These tests compare bytes: forward outputs, and every float64 gradient the
 op's backward returns, at each layer shape the four networks run (64x64,
-width 8) and at the strides and extents only the tests use. The output
+width 8) and at other extents and strides of the layouts the ops accept. The output
 gradient fed to backward holds +0.0 and -0.0 entries, as relu's backward
 produces, so that a changed sign of zero shows too. Ops that skip their
 backward-only state when nothing is recorded must give the same output
@@ -145,28 +145,30 @@ def _rand(shape, seed):
     return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
 
 
-@pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (2, 1, 3), (2, 0, 3), (3, 2, 3), (2, 0, 2)])
+@pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (3, 0, 3), (2, 0, 2)])
 def test_conv2d_strides(stride, padding, kernel):
-    arrays = [_rand((2, 7, 6), 1), _rand((3, 2, kernel, kernel), 2), _rand((3,), 3)]
+    # a strided conv's windows tile its input, so its extents are multiples of the stride
+    h = 7 if stride == 1 else 4 * stride
+    arrays = [_rand((2, h, 6), 1), _rand((3, 2, kernel, kernel), 2), _rand((3,), 3)]
     assert_exact("conv2d", arrays, (stride, padding))
 
 
-@pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (2, 1, 3), (2, 0, 3), (2, 0, 2), (1, 0, 1)])
+@pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (3, 0, 3), (2, 0, 2), (1, 0, 1)])
 def test_transpose_conv2d_strides(stride, padding, kernel):
     arrays = [_rand((2, 5, 4), 4), _rand((2, 3, kernel, kernel), 5), _rand((3,), 6)]
     assert_exact("transpose_conv2d", arrays, (stride, padding))
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 5, 5), (3, 7, 6), (1, 6, 7)])
-@pytest.mark.parametrize("window,stride", [(2, 2), (3, 3)])
-def test_maxpool2d_extents(shape, window, stride):
-    assert_exact("maxpool2d", [_rand(shape, 7)], (window, stride))
+@pytest.mark.parametrize("window", [2, 3], ids=["2-2", "3-3"])  # window-stride
+def test_maxpool2d_extents(shape, window):
+    assert_exact("maxpool2d", [_rand(shape, 7)], (window,))
 
 
 def test_maxpool2d_ties():
     # ties route the gradient to the first maximum on both paths
     x = np.round(_rand((2, 7, 6), 8)).astype(np.float32)
-    assert_exact("maxpool2d", [x], (2, 2))
+    assert_exact("maxpool2d", [x], (2,))
 
 
 def _stats(c: int, seed: int) -> RunningStats:
@@ -199,7 +201,7 @@ def _forward_calls():
     return [
         (ad.relu, [_rand((c, 9, 7), 14)], ()),
         (ad.batchnorm2d, [_rand((c, 9, 7), 15), 1 + _rand((c,), 16), _rand((c,), 17)], (_stats(c, 18), False)),
-        (ad.maxpool2d, [np.round(_rand((c, 9, 7), 19))], (2, 2)),
+        (ad.maxpool2d, [np.round(_rand((c, 9, 7), 19))], (2,)),
         (ad.transpose_conv2d, [_rand((3, 5, 4), 20), _rand((3, c, 3, 3), 21), _rand((c,), 22)], (1, 1)),
         (ad.transpose_conv2d, [_rand((3, 5, 4), 23), _rand((3, c, 2, 2), 24), _rand((c,), 25)], (2, 0)),
     ]
