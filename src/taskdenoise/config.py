@@ -8,6 +8,7 @@ runs of the same config produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .data import CLASSIFICATION, SEGMENTATION, DatasetSpec
@@ -120,12 +121,17 @@ def _convertible(value, kind: type) -> bool:
 
 
 def _value(obj: dict, key: str, kind: type, where: str):
+    """``obj[key]`` as ``kind``; a float must be finite, whether it comes
+    as a JSON NaN/Infinity literal or as a string such as "nan"."""
     value = obj[key]
     if _convertible(value, kind):
         try:
-            return kind(value)
+            converted = kind(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if kind is not float or math.isfinite(converted):
+                return converted
     raise ConfigError(f"{where}.{key} must be {kind.__name__}, got {value!r}")
 
 

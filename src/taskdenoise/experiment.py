@@ -12,7 +12,8 @@ Training a scheme trains its missing dependencies (nnv needs the tc-trained
 application network) and reads the dataset's train split only if something
 is missing; evaluation reads only the test split, never trains and fails
 on missing checkpoints. ``compare`` prepares each evaluation input once
-and shares it across schemes: one dataset read, one load per checkpoint
+and shares it across schemes: one dataset read (of the train split too
+only if some scheme has a checkpoint to train), one load per checkpoint
 directory (tc's application network serves tc, hv and nnv, and nnv's
 training if it runs), and one corrupted test set per test noise, since
 the dirty images depend only on the noise spec and the sample index.
@@ -101,6 +102,12 @@ def _complete(ckpt: Path) -> bool:
     return (ckpt / "manifest.json").is_file()
 
 
+def _needs_training(cfg: ExperimentConfig, scheme: str, out: Path) -> bool:
+    """Whether the scheme has a checkpoint to train (never under an override)."""
+    dirs = [d for d in _scheme_dirs(cfg, scheme, out) if d is not None]
+    return scheme not in cfg.checkpoint_overrides and not all(_complete(d) for d in dirs)
+
+
 def ensure_scheme_trained(
     cfg: ExperimentConfig, scheme: str, out: Path, train_samples: list[Sample] | None = None, loaded: dict | None = None
 ) -> dict:
@@ -116,7 +123,7 @@ def ensure_scheme_trained(
     """
     app_dir, den_dir = _scheme_dirs(cfg, scheme, out)
     paths = {"application": app_dir, "denoiser": den_dir}
-    if scheme in cfg.checkpoint_overrides or all(_complete(d) for d in (app_dir, den_dir) if d is not None):
+    if not _needs_training(cfg, scheme, out):
         return paths
     if train_samples is None:
         train_samples, _ = ensure_dataset(cfg, out, splits=("train",))
@@ -212,7 +219,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir=None) -> ComparisonResult:
     """Train whatever is missing, evaluate every scheme at every test noise,
     and write the aggregate comparison CSV."""
     out = resolve_out_dir(cfg, out_dir)
-    train_samples, test_samples = ensure_dataset(cfg, out)
+    trains = any(_needs_training(cfg, scheme, out) for scheme in cfg.schemes)
+    train_samples, test_samples = ensure_dataset(cfg, out, splits=SPLITS if trains else ("test",))
     loaded: dict = {}
     for scheme in cfg.schemes:
         ensure_scheme_trained(cfg, scheme, out, train_samples, loaded)
@@ -224,27 +232,8 @@ def cmd_compare(cfg: ExperimentConfig, out_dir=None) -> ComparisonResult:
             report, _ = _score(scheme, test_noise, components[scheme], test_samples, images, out)
             rows.append((scheme, noise_tag(test_noise), report))
     path = out / "compare.csv"
-    _write_compare_csv(rows, path)
+    metrics_mod.write_compare_csv(rows, path)
     return ComparisonResult(path=path, rows=rows)
-
-
-def _write_compare_csv(rows: list, path: Path) -> None:
-    metric_names = sorted({name for _, _, r in rows for name in r.aggregates})
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["scheme", "test_noise"]
-        for name in metric_names:
-            header += [f"{name}_mean", f"{name}_sd"]
-        header.append("hausdorff_undefined")
-        writer.writerow(header)
-        for scheme, tag, report in rows:
-            row = [scheme, tag]
-            for name in metric_names:
-                pair = report.aggregates.get(name)
-                row += [f"{pair[0]:.6g}", f"{pair[1]:.6g}"] if pair else ["", ""]
-            row.append(report.hausdorff_undefined)
-            writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------

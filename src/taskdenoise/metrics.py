@@ -4,12 +4,19 @@ Dice, boundary Hausdorff distance, sensitivity/specificity (one-vs-rest over
 pixels), top-1 accuracy, and mean +/- SD aggregation (population SD). Dice
 of two empty sets is 1.0 (agreement on absence); Hausdorff with an empty
 side is undefined and excluded from aggregates but counted.
+
+A scored test set is a list of (sample, class, metric, value) rows, one per
+line of its per-sample CSV: per foreground class, dice, hausdorff,
+sensitivity and specificity of a segmentation sample; with an empty class,
+the predicted class and top1 (0 or 1) of a classification sample.
+:func:`report` aggregates the rows, and the CSV writers of both the
+per-sample and the comparison files live here.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,78 +107,61 @@ def aggregate(values) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Per-sample evaluation and reports
+# Per-sample rows and reports
 
 
-@dataclass
-class SampleMetrics:
-    """Metrics for one segmentation sample, per foreground class."""
-
-    dice_by_class: dict[int, float]
-    hausdorff_by_class: dict[int, float | None]
-    sensitivity_by_class: dict[int, float | None]
-    specificity_by_class: dict[int, float | None]
-
-    @property
-    def mean_dice(self) -> float:
-        return float(np.mean(list(self.dice_by_class.values())))
-
-    @property
-    def mean_hausdorff(self) -> float | None:
-        defined = [v for v in self.hausdorff_by_class.values() if v is not None]
-        return float(np.mean(defined)) if defined else None
+def evaluate_segmentation_sample(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> list[tuple]:
+    """(class, metric, value) rows of one sample, foreground classes 1..k-1
+    only; an undefined value is None."""
+    rows = []
+    for c in range(1, num_classes):
+        rows += [
+            (c, "dice", dice(pred, truth, c)),
+            (c, "hausdorff", hausdorff(pred, truth, c)),
+            (c, "sensitivity", sensitivity(pred, truth, c)),
+            (c, "specificity", specificity(pred, truth, c)),
+        ]
+    return rows
 
 
-def evaluate_segmentation_sample(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> SampleMetrics:
-    """All per-class metrics for one sample. Foreground classes only: 1..k-1."""
-    classes = range(1, num_classes)
-    return SampleMetrics(
-        dice_by_class={c: dice(pred, truth, c) for c in classes},
-        hausdorff_by_class={c: hausdorff(pred, truth, c) for c in classes},
-        sensitivity_by_class={c: sensitivity(pred, truth, c) for c in classes},
-        specificity_by_class={c: specificity(pred, truth, c) for c in classes},
-    )
+# metrics averaged over each sample's defined values before aggregation, and
+# metrics aggregated over every defined value; other metrics are not aggregated
+_SAMPLE_MEAN = ("dice", "hausdorff")
+_POOLED = ("sensitivity", "specificity", "top1")
 
 
 @dataclass
 class MetricsReport:
-    """Aggregated evaluation of one scheme on one test set."""
+    """Evaluation of one scheme on one test set: the per-sample
+    (sample, class, metric, value) rows and their aggregates."""
 
-    task: str
-    num_classes: int
-    per_sample: list = field(default_factory=list)  # SampleMetrics, or (pred, truth) class pairs
-    aggregates: dict = field(default_factory=dict)  # metric name -> (mean, sd)
-    hausdorff_undefined: int = 0
+    rows: list
+    aggregates: dict  # metric name -> (mean, sd)
+    hausdorff_undefined: int
 
     @property
     def sample_count(self) -> int:
-        return len(self.per_sample)
+        return len({row[0] for row in self.rows})
 
 
-def segmentation_report(per_sample: list[SampleMetrics], num_classes: int) -> MetricsReport:
-    report = MetricsReport(task="segmentation", num_classes=num_classes, per_sample=per_sample)
-    report.aggregates["dice"] = aggregate([s.mean_dice for s in per_sample])
-    defined = [s.mean_hausdorff for s in per_sample if s.mean_hausdorff is not None]
-    report.hausdorff_undefined = sum(
-        1 for s in per_sample for v in s.hausdorff_by_class.values() if v is None
-    )
-    if defined:
-        report.aggregates["hausdorff"] = aggregate(defined)
-    sens = [v for s in per_sample for v in s.sensitivity_by_class.values() if v is not None]
-    spec = [v for s in per_sample for v in s.specificity_by_class.values() if v is not None]
-    if sens:
-        report.aggregates["sensitivity"] = aggregate(sens)
-    if spec:
-        report.aggregates["specificity"] = aggregate(spec)
-    return report
-
-
-def classification_report(predictions, truths, num_classes: int) -> MetricsReport:
-    report = MetricsReport(task="classification", num_classes=num_classes)
-    report.per_sample = list(zip(np.asarray(predictions).tolist(), np.asarray(truths).tolist()))
-    correct = [1.0 if p == t else 0.0 for p, t in report.per_sample]
-    report.aggregates["top1"] = aggregate(correct)
-    return report
+def report(rows: list[tuple]) -> MetricsReport:
+    """Aggregate (sample, class, metric, value) rows. A metric with no
+    defined value is left out, and so is a sample with no defined value of
+    a per-sample mean metric."""
+    defined: dict = {}  # metric -> sample -> defined values, in row order
+    undefined = 0
+    for sample, _, metric, value in rows:
+        if value is None:
+            undefined += metric == "hausdorff"
+        else:
+            defined.setdefault(metric, {}).setdefault(sample, []).append(value)
+    aggregates = {}
+    for metric, by_sample in defined.items():
+        if metric in _SAMPLE_MEAN:
+            aggregates[metric] = aggregate(float(np.mean(values)) for values in by_sample.values())
+        elif metric in _POOLED:
+            aggregates[metric] = aggregate(v for values in by_sample.values() for v in values)
+    return MetricsReport(rows=rows, aggregates=aggregates, hausdorff_undefined=undefined)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +174,29 @@ def _fmt(value) -> str:
     return f"{value:.6g}"
 
 
-def write_per_sample_csv(report: MetricsReport, path) -> None:
-    """One row per (sample, class, metric)."""
+def _open_csv(path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    return open(path, "w", newline="", encoding="utf-8")
+
+
+def write_per_sample_csv(report: MetricsReport, path) -> None:
+    """One line per report row; an undefined value is left empty."""
+    with _open_csv(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "class", "metric", "value"])
-        if report.task == "classification":
-            for i, (pred, truth) in enumerate(report.per_sample):
-                writer.writerow([i, "", "predicted", pred])
-                writer.writerow([i, "", "top1", _fmt(1.0 if pred == truth else 0.0)])
-            return
-        for i, sm in enumerate(report.per_sample):
-            for c in sorted(sm.dice_by_class):
-                writer.writerow([i, c, "dice", _fmt(sm.dice_by_class[c])])
-                writer.writerow([i, c, "hausdorff", _fmt(sm.hausdorff_by_class[c])])
-                writer.writerow([i, c, "sensitivity", _fmt(sm.sensitivity_by_class[c])])
-                writer.writerow([i, c, "specificity", _fmt(sm.specificity_by_class[c])])
+        writer.writerows((i, c, metric, _fmt(value)) for i, c, metric, value in report.rows)
+
+
+def write_compare_csv(rows: list, path) -> None:
+    """One line per (scheme, test noise tag, report): mean and SD of every
+    metric any report aggregates (empty where a report lacks it), then the
+    count of undefined Hausdorff values."""
+    names = sorted({name for _, _, r in rows for name in r.aggregates})
+    with _open_csv(path) as fh:
+        writer = csv.writer(fh)
+        stats = [f"{name}_{stat}" for name in names for stat in ("mean", "sd")]
+        writer.writerow(["scheme", "test_noise", *stats, "hausdorff_undefined"])
+        for scheme, tag, r in rows:
+            values = [_fmt(v) for n in names for v in r.aggregates.get(n, (None, None))]
+            writer.writerow([scheme, tag, *values, r.hausdorff_undefined])

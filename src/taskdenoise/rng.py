@@ -96,7 +96,7 @@ class Rng:
         """
         mean = np.asarray(mean, dtype=np.float64)
         flat = mean.ravel()
-        if np.any(flat < 0):
+        if not np.all(flat >= 0):  # NaN as well: no draw would ever be accepted for it
             raise ValueError("Poisson mean must be non-negative")
         out = np.zeros(flat.shape, dtype=np.int64)
         small = flat < 30.0

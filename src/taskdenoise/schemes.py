@@ -4,7 +4,8 @@ TC and TD train the application network directly on clean or dirty images.
 HV trains a denoiser on (dirty, clean) pairs with pixel MSE. NNV trains a
 denoiser through the frozen clean-trained application network, minimizing
 the task loss of the composition. Evaluation routes the corrupted test set
-through the scheme's denoiser (if any), then the application network.
+through the scheme's denoiser (if any), then the application network, and
+scores each prediction into the per-sample rows of :mod:`metrics`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .autodiff import Tape, Tensor, backward, cross_entropy_loss, mse_loss
-from .data import CLASSIFICATION, SEGMENTATION, Sample
+from .data import Sample
 from .errors import InvalidCompositionError, InvalidInputError, InvalidShapeError, InvalidSpecError, TrainingDivergedError
 from .metrics import MetricsReport
 from .networks import Model
@@ -251,21 +252,21 @@ def evaluate_scheme(
     images: list[Tensor],
 ) -> MetricsReport:
     """Route each test image (dirty or clean, one per sample, as
-    ``corrupt_samples`` makes them) through the scheme and report metrics.
+    ``corrupt_samples`` makes them) through the scheme and report its
+    (sample, class, metric, value) rows, scored right after each prediction.
 
     Neither model nor image is modified, so one set of dirty images and one
     loaded model can serve every scheme.
     """
     if len(images) != len(test_samples):
         raise InvalidInputError(f"{len(images)} images for {len(test_samples)} test samples")
-    task = SEGMENTATION if test_samples[0].label_map is not None else CLASSIFICATION
-    if task == SEGMENTATION:
-        num_classes = application.spec.num_classes
-        per_sample = []
-        for image, sample in zip(images, test_samples):
-            pred = predict(application, denoiser, image)
-            per_sample.append(metrics_mod.evaluate_segmentation_sample(pred, sample.label_map, num_classes))
-        return metrics_mod.segmentation_report(per_sample, num_classes)
-    preds = [predict(application, denoiser, image) for image in images]
-    truths = [s.class_index for s in test_samples]
-    return metrics_mod.classification_report(preds, truths, application.spec.num_classes)
+    num_classes = application.spec.num_classes
+    rows = []
+    for i, (image, sample) in enumerate(zip(images, test_samples)):
+        pred = predict(application, denoiser, image)
+        if sample.label_map is None:
+            rows += [(i, "", "predicted", pred), (i, "", "top1", float(pred == sample.class_index))]
+        else:
+            scored = metrics_mod.evaluate_segmentation_sample(pred, sample.label_map, num_classes)
+            rows += [(i, *row) for row in scored]
+    return metrics_mod.report(rows)

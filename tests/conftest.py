@@ -1,4 +1,5 @@
-"""Shared test helpers: finite-difference gradient checking.
+"""Shared test helpers: finite-difference gradient checking, and an
+application-network stub that scores fixed logits without any BLAS.
 
 Forward values are float32, so central differences carry rounding noise of
 roughly eps32 * |output| / (2h), about 1e-4 absolute at h = 1e-3 for
@@ -13,6 +14,8 @@ noise-free brute-force float64 oracles in the op tests.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,3 +83,13 @@ def check_op_gradients(op_forward, params, probe_seed: int = 0, tol: float = FD_
         for idx, fd_val in fd.items():
             err = rel_err(analytic[idx], fd_val)
             assert err < tol, f"param entry {idx}: analytic {analytic[idx]:.6g} vs fd {fd_val:.6g} (err {err:.3g})"
+
+
+class LogitsStub:
+    """Application network whose forward hands the image back as its logits."""
+
+    def __init__(self, num_classes: int):
+        self.spec = SimpleNamespace(num_classes=num_classes)
+
+    def forward(self, image: Tensor, train: bool = False) -> Tensor:
+        return image

@@ -51,7 +51,14 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config-error:")
 
     @pytest.mark.parametrize(
-        "section,key,value", [("dataset", "train_count", "ten"), (None, "seed", "x"), ("train", "epochs_application", None)]
+        "section,key,value",
+        [
+            ("dataset", "train_count", "ten"),
+            (None, "seed", "x"),
+            ("train", "epochs_application", None),
+            ("train_noise", "poisson_scale", "nan"),
+            ("train", "learning_rate", float("inf")),
+        ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, section, key, value):
         cfg = _write_config(tmp_path)

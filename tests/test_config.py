@@ -113,6 +113,11 @@ class TestParsing:
             ("train", "checkpoint_cadence", 1.5),
             ("train", "learning_rate", False),
             (None, "seed", 4.5),
+            # non-finite floats, as JSON NaN/Infinity literals or as strings
+            ("train", "learning_rate", float("nan")),
+            ("train", "learning_rate", float("inf")),
+            ("train_noise", "poisson_scale", "nan"),
+            ("train_noise", "sigma", "inf"),
         ],
     )
     def test_number_that_would_be_truncated_or_a_bool_rejected(self, section, key, value):
@@ -120,7 +125,7 @@ class TestParsing:
         raw.setdefault("train", {})
         (raw if section is None else raw[section])[key] = value
         where = "config" if section is None else section
-        kind = "float" if key == "learning_rate" else "int"
+        kind = "float" if key in ("learning_rate", "poisson_scale", "sigma") else "int"
         with pytest.raises(ConfigError, match=rf"^{where}\.{key} must be {kind}, got {value!r}$"):
             parse_config(json.dumps(raw))
 

@@ -5,19 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from conftest import LogitsStub
+from taskdenoise.autodiff import Tensor
+from taskdenoise.data import Sample
 from taskdenoise.errors import InvalidShapeError
 from taskdenoise.metrics import (
     aggregate,
     boundary_pixels,
-    classification_report,
     dice,
     evaluate_segmentation_sample,
     hausdorff,
-    segmentation_report,
+    report,
     sensitivity,
     specificity,
     write_per_sample_csv,
 )
+from taskdenoise.schemes import evaluate_scheme
 
 
 def brute_force_boundary(mask):
@@ -170,8 +173,15 @@ class TestSensitivitySpecificity:
         assert sensitivity(np.zeros((2, 2), int), np.zeros((2, 2), int), 1) is None
 
 
+def _classification_report(predictions, truths):
+    """Report of scoring one-hot logits of the predictions against the truths."""
+    samples = [Sample(image=Tensor(np.zeros((1, 2, 2))), class_index=t) for t in truths]
+    logits = [Tensor(np.eye(3)[p]) for p in predictions]
+    return evaluate_scheme(LogitsStub(3), None, samples, logits)
+
+
 def _top1(predictions, truths) -> float:
-    return classification_report(predictions, truths, 3).aggregates["top1"][0]
+    return _classification_report(predictions, truths).aggregates["top1"][0]
 
 
 class TestTop1:
@@ -204,48 +214,51 @@ class TestAggregate:
 
 
 class TestReportsAndCsv:
-    def _sample_metrics(self):
+    def _sample_rows(self, index=0):
         pred = np.array([[1, 1, 0], [0, 2, 2], [0, 0, 0]])
         truth = np.array([[1, 0, 0], [0, 2, 2], [0, 0, 0]])
-        return evaluate_segmentation_sample(pred, truth, num_classes=3)
+        return [(index, *row) for row in evaluate_segmentation_sample(pred, truth, num_classes=3)]
 
     def test_sample_metrics_fields(self):
-        sm = self._sample_metrics()
-        assert set(sm.dice_by_class) == {1, 2}
-        assert sm.dice_by_class[2] == 1.0
-        assert 0.0 < sm.mean_dice <= 1.0
+        rows = self._sample_rows()
+        metrics = ["dice", "hausdorff", "sensitivity", "specificity"]
+        assert [(c, m) for _, c, m, _ in rows] == [(c, m) for c in (1, 2) for m in metrics]
+        values = {(c, m): v for _, c, m, v in rows}
+        assert values[2, "dice"] == 1.0
+        assert values[1, "dice"] == pytest.approx(2 / 3)
 
     def test_segmentation_report_aggregates(self):
-        report = segmentation_report([self._sample_metrics()] * 3, num_classes=3)
-        assert report.sample_count == 3
-        mean, sd = report.aggregates["dice"]
+        r = report([row for i in range(3) for row in self._sample_rows(i)])
+        assert r.sample_count == 3
+        mean, sd = r.aggregates["dice"]
         assert sd == pytest.approx(0.0, abs=1e-12)
-        assert mean == pytest.approx(self._sample_metrics().mean_dice)
+        assert mean == pytest.approx((2 / 3 + 1.0) / 2)  # classes averaged first
 
     def test_undefined_hausdorff_counted(self):
         pred = np.zeros((3, 3), int)
         truth = np.zeros((3, 3), int)
         truth[0, 0] = 1
-        report = segmentation_report([evaluate_segmentation_sample(pred, truth, 2)], num_classes=2)
-        assert report.hausdorff_undefined == 1
-        assert "hausdorff" not in report.aggregates
+        r = report([(0, *row) for row in evaluate_segmentation_sample(pred, truth, 2)])
+        assert r.hausdorff_undefined == 1
+        assert "hausdorff" not in r.aggregates
 
     def test_classification_report(self):
-        report = classification_report([0, 1, 2, 0], [0, 1, 1, 0], num_classes=3)
-        assert report.aggregates["top1"][0] == pytest.approx(0.75)
+        r = _classification_report([0, 1, 2, 0], [0, 1, 1, 0])
+        assert set(r.aggregates) == {"top1"}  # the predicted class is not aggregated
+        assert r.aggregates["top1"][0] == pytest.approx(0.75)
+        assert r.sample_count == 4
 
     def test_per_sample_csv_layout(self, tmp_path):
-        report = segmentation_report([self._sample_metrics()], num_classes=3)
         path = tmp_path / "m.csv"
-        write_per_sample_csv(report, path)
+        write_per_sample_csv(report(self._sample_rows()), path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "sample,class,metric,value"
         assert len(lines) == 1 + 2 * 4  # two classes x four metrics
 
     def test_csv_six_significant_digits(self, tmp_path):
-        report = classification_report([0, 1, 1], [0, 1, 0], num_classes=2)
+        r = _classification_report([0, 1, 1], [0, 1, 0])
         path = tmp_path / "c.csv"
-        write_per_sample_csv(report, path)
+        write_per_sample_csv(r, path)
         assert "0.666667" not in path.read_text()  # values are 0/1 exactly
-        mean, _ = report.aggregates["top1"]
+        mean, _ = r.aggregates["top1"]
         assert f"{mean:.6g}" == "0.666667"

@@ -73,6 +73,10 @@ class TestPoisson:
         with pytest.raises(ValueError):
             Rng(10).poisson(np.array([-1.0]))
 
+    def test_nan_mean_raises(self):
+        with pytest.raises(ValueError):
+            Rng(1).poisson(np.array([np.nan]))
+
     @pytest.mark.parametrize("mean", [0.5, 4.0, 12.0, 80.0, 1000.0])
     def test_moments(self, mean):
         n = 60_000

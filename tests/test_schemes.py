@@ -8,7 +8,7 @@ from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tape
 from taskdenoise.data import DatasetSpec, generate_dataset
 from taskdenoise.errors import InvalidCompositionError, InvalidInputError, InvalidSpecError, TrainingDivergedError
-from taskdenoise.metrics import aggregate
+from taskdenoise.metrics import aggregate, dice
 from taskdenoise.networks import NetworkSpec, build_network, parameter_checksum
 from taskdenoise.noise import NoiseSpec
 from taskdenoise.schemes import (
@@ -16,6 +16,7 @@ from taskdenoise.schemes import (
     composed_task_loss,
     corrupt_samples,
     evaluate_scheme,
+    predict,
     train_application,
     train_denoiser_hv,
     train_denoiser_nnv,
@@ -236,7 +237,8 @@ class TestEvaluateScheme:
         _, test = _seg_samples(count=3, seed=65)
         app = build_network(_app_spec(seed=66))
         report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
-        per_sample = [sm.mean_dice for sm in report.per_sample]
+        preds = [predict(app, None, s.image) for s in test]
+        per_sample = [np.mean([dice(p, s.label_map, c) for c in (1, 2)]) for p, s in zip(preds, test)]
         assert report.aggregates["dice"] == aggregate(per_sample)
 
     def test_denoiser_routing_changes_predictions(self):
@@ -258,5 +260,5 @@ class TestEvaluateScheme:
         _, test = _cls_samples(count=4, seed=71)
         app = build_network(NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=64, width=64, seed=72))
         report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
-        assert report.task == "classification"
-        assert "top1" in report.aggregates
+        assert [(i, c, m) for i, c, m, _ in report.rows] == [(i, "", m) for i in range(3) for m in ("predicted", "top1")]
+        assert set(report.aggregates) == {"top1"}
