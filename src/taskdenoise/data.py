@@ -5,9 +5,15 @@ structures (filled ellipses, annuli, striped ellipses) on a textured
 background. Structure intensity ranges overlap across classes on purpose:
 pixel intensity alone cannot separate classes, shape and texture can.
 
-Segmentation samples carry a per-pixel label map (0 = background);
-classification samples carry a class index encoded in structure morphology
-(compact blob / multiple foci / ring), not in global intensity statistics.
+A sample's target is one int32 array: a per-pixel label map
+(0 = background) for segmentation, or a 0-d class index for classification,
+encoded in structure morphology (compact blob / multiple foci / ring), not
+in global intensity statistics.
+
+A saved dataset holds ``<split>/<i>.img.tsr1`` (the [1, H, W] image) and
+``<split>/<i>.lbl.tsr1`` (the target: [H, W], or rank 0 for a class index)
+for both tasks, and ``manifest.json``, written last. Reading checks every
+sample against the manifest.
 """
 
 from __future__ import annotations
@@ -58,11 +64,11 @@ class DatasetSpec:
 
 @dataclass
 class Sample:
-    """One image with either a label map (segmentation) or a class index."""
+    """One [1, H, W] image and its int32 target: an [H, W] label map
+    (segmentation) or a 0-d class index (classification)."""
 
     image: Tensor
-    label_map: np.ndarray | None = None
-    class_index: int | None = None
+    target: np.ndarray
 
 
 @dataclass
@@ -180,48 +186,33 @@ def _segmentation_sample(spec: DatasetSpec, rng: Rng, force_class: int) -> Sampl
         placed.append(struct)
         _render_structure(rng, image, labels, struct, class_id, (class_id - 1) % 3)
     image = np.clip(image, 0.0, 255.0)
-    return Sample(image=Tensor(image[None].astype(np.float32)), label_map=labels)
+    return Sample(Tensor(image[None].astype(np.float32)), labels)
 
 
 def _classification_sample(spec: DatasetSpec, rng: Rng, class_id: int) -> Sample:
+    """Class 0 is one compact blob, class 1 two or three elongated foci of
+    the same total area, class 2 one ring whose annular area (area factor
+    1 - 0.5**2) matches the blob's."""
     m, n = spec.height, spec.width
     image = _background(rng, m, n)
     scale = (min(m, n) / 64.0) ** 2
     total_area = (120.0 + 140.0 * float(rng.uniform(1)[0])) * scale
     placed: list[_Structure] = []
     value = 100.0 + 100.0 * float(rng.uniform(1)[0])
-    if class_id == 0:
-        # one compact blob
-        ecc = 1.0 + 0.3 * float(rng.uniform(1)[0])
-        rb = math.sqrt(total_area / (math.pi * ecc))
+    foci = 2 + int(rng.uniform(1)[0] * 2) if class_id == 1 else 1
+    ring = 0.75 if class_id == 2 else 1.0
+    for _ in range(foci):
+        u = float(rng.uniform(1)[0])
+        ecc = 1.2 + 1.0 * u if class_id == 1 else 1.0 + 0.3 * u
+        rb = math.sqrt(total_area / foci / (math.pi * ecc * ring))
         struct = _place(rng, m, n, placed, ecc * rb)
-        if struct is not None:
-            struct.rb = rb
-            _blend(rng, image, struct, value, _ARCH_FILLED)
-    elif class_id == 1:
-        # several small foci with the same total area
-        foci = 2 + int(rng.uniform(1)[0] * 2)
-        for _ in range(foci):
-            area = total_area / foci
-            ecc = 1.2 + 1.0 * float(rng.uniform(1)[0])
-            rb = math.sqrt(area / (math.pi * ecc))
-            struct = _place(rng, m, n, placed, ecc * rb)
-            if struct is None:
-                continue
-            struct.rb = rb
-            placed.append(struct)
-            _blend(rng, image, struct, value, _ARCH_FILLED)
-    else:
-        # a ring whose annular area matches the blob area distribution
-        q = 0.5
-        ecc = 1.0 + 0.3 * float(rng.uniform(1)[0])
-        rb = math.sqrt(total_area / (math.pi * ecc * (1.0 - q * q)))
-        struct = _place(rng, m, n, placed, ecc * rb)
-        if struct is not None:
-            struct.rb = rb
-            _blend(rng, image, struct, value, _ARCH_ANNULUS)
+        if struct is None:
+            continue
+        struct.rb = rb
+        placed.append(struct)
+        _blend(rng, image, struct, value, _ARCH_ANNULUS if class_id == 2 else _ARCH_FILLED)
     image = np.clip(image, 0.0, 255.0)
-    return Sample(image=Tensor(image[None].astype(np.float32)), class_index=class_id)
+    return Sample(Tensor(image[None].astype(np.float32)), np.asarray(class_id, dtype=np.int32))
 
 
 def _generate_split(spec: DatasetSpec, split: str, count: int) -> list[Sample]:
@@ -242,39 +233,7 @@ def generate_dataset(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
 
 
 # ---------------------------------------------------------------------------
-# Sample and dataset I/O
-
-
-def save_sample(sample: Sample, directory, stem: str) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_tensor(directory / f"{stem}.img.tsr1", sample.image.data)
-    if sample.label_map is not None:
-        write_tensor(directory / f"{stem}.lbl.tsr1", sample.label_map.astype(np.float32))
-    if sample.class_index is not None:
-        (directory / f"{stem}.cls").write_text(f"{sample.class_index}\n")
-
-
-def load_sample(directory, stem: str) -> Sample:
-    directory = Path(directory)
-    img_path = directory / f"{stem}.img.tsr1"
-    if not img_path.is_file():
-        raise FormatError(img_path, 0, "missing image tensor")
-    image = Tensor(read_tensor(img_path))
-    lbl_path = directory / f"{stem}.lbl.tsr1"
-    cls_path = directory / f"{stem}.cls"
-    label_map = None
-    class_index = None
-    if lbl_path.is_file():
-        label_map = np.rint(read_tensor(lbl_path)).astype(np.int32)
-    if cls_path.is_file():
-        try:
-            class_index = int(cls_path.read_text().strip())
-        except ValueError as exc:
-            raise FormatError(cls_path, 0, f"class index is not an integer: {exc}") from exc
-    if label_map is None and class_index is None:
-        raise FormatError(directory / stem, 0, "sample has neither label map nor class file")
-    return Sample(image=image, label_map=label_map, class_index=class_index)
+# Dataset I/O
 
 
 def save_dataset(spec: DatasetSpec, train: list[Sample], test: list[Sample], directory) -> None:
@@ -282,8 +241,10 @@ def save_dataset(spec: DatasetSpec, train: list[Sample], test: list[Sample], dir
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "manifest.json").unlink(missing_ok=True)
     for split, samples in zip(SPLITS, (train, test)):
+        (directory / split).mkdir(exist_ok=True)
         for i, sample in enumerate(samples):
-            save_sample(sample, directory / split, f"{i:04d}")
+            write_tensor(directory / split / f"{i:04d}.img.tsr1", sample.image.data)
+            write_tensor(directory / split / f"{i:04d}.lbl.tsr1", sample.target)
     # last: only a complete dataset has a manifest
     (directory / "manifest.json").write_text(json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n")
 
@@ -299,11 +260,32 @@ def load_dataset_spec(directory) -> DatasetSpec:
         raise FormatError(manifest, 0, f"malformed manifest: {exc}") from exc
 
 
+def _read_checked(path: Path, shape: tuple) -> np.ndarray:
+    data = read_tensor(path)
+    if data.shape != shape:
+        raise FormatError(path, 5, f"shape {data.shape} does not match the manifest's {shape}")
+    return data
+
+
 def load_dataset(directory, splits: tuple = SPLITS) -> tuple[DatasetSpec, list[Sample] | None, list[Sample] | None]:
     """(spec, train, test) of a saved dataset. Only the ``splits`` named
-    are read; a split not named comes back as None."""
+    are read; a split not named comes back as None. Every image must be
+    [1, H, W] and every target [H, W] or 0-d (by task) with integer values
+    in [0, num_classes); anything else is a FormatError naming the file."""
     directory = Path(directory)
     spec = load_dataset_spec(directory)
     counts = {"train": spec.train_count, "test": spec.test_count}
-    loaded = {split: [load_sample(directory / split, f"{i:04d}") for i in range(counts[split])] for split in splits}
+    target_shape = (spec.height, spec.width) if spec.task == SEGMENTATION else ()
+    loaded = {}
+    for split in splits:
+        loaded[split] = []
+        for i in range(counts[split]):
+            image = _read_checked(directory / split / f"{i:04d}.img.tsr1", (1, spec.height, spec.width))
+            lbl_path = directory / split / f"{i:04d}.lbl.tsr1"
+            target = _read_checked(lbl_path, target_shape)
+            bad = np.flatnonzero((target != np.rint(target)) | (target < 0) | (target >= spec.num_classes))
+            if bad.size:  # name the byte of the first bad value
+                at, value = 5 + 4 * target.ndim + 4 * int(bad[0]), target.flat[bad[0]]
+                raise FormatError(lbl_path, at, f"target {value} is not a class index in [0, {spec.num_classes})")
+            loaded[split].append(Sample(Tensor(image), target.astype(np.int32)))
     return spec, loaded.get("train"), loaded.get("test")

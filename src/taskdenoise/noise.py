@@ -7,6 +7,7 @@ unit and rescales. Clamping back into [0, 255] is the only nonlinearity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,9 @@ class NoiseSpec:
     def validate(self) -> "NoiseSpec":
         if self.kind not in (GAUSSIAN, POISSON):
             raise InvalidSpecError(f"unknown noise kind {self.kind!r}")
+        for name in ("mu", "sigma", "poisson_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"noise {name} must be finite, got {getattr(self, name)}")
         if self.kind == GAUSSIAN and self.sigma < 0:
             raise InvalidSpecError(f"gaussian sigma must be >= 0, got {self.sigma}")
         if self.kind == POISSON and self.poisson_scale <= 0:

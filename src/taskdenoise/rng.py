@@ -28,13 +28,6 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _mix64_int(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def derive_seed(seed: int, label: str) -> int:
     """Derive an independent stream seed from (seed, purpose label).
 
@@ -44,7 +37,8 @@ def derive_seed(seed: int, label: str) -> int:
     h = 0xCBF29CE484222325
     for b in label.encode("utf-8"):
         h = ((h ^ b) * 0x100000001B3) & _MASK64
-    return _mix64_int(_mix64_int(seed + _GAMMA) ^ h)
+    z = _mix64(np.array([(seed + _GAMMA) & _MASK64], dtype=np.uint64))
+    return int(_mix64(z ^ np.uint64(h))[0])
 
 
 class Rng:

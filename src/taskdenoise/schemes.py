@@ -42,8 +42,8 @@ class TrainSettings:
     def validate(self) -> "TrainSettings":
         if self.epochs_application < 1 or self.epochs_denoiser < 1:
             raise InvalidSpecError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise InvalidSpecError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidSpecError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.checkpoint_cadence < 1:
             raise InvalidSpecError("checkpoint_cadence must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
@@ -68,12 +68,6 @@ def corrupt_samples(samples: list[Sample], noise_spec: NoiseSpec | None, split_l
         per_sample = noise_spec.with_seed(derive_seed(noise_spec.seed, f"{split_label}/{i}"))
         out.append(apply_noise(s.image, per_sample))
     return out
-
-
-def _target(sample: Sample):
-    if sample.label_map is not None:
-        return sample.label_map
-    return np.asarray(sample.class_index)
 
 
 def _route(denoiser: Model | None, application: Model, image: Tensor, train_denoiser: bool) -> Tensor:
@@ -175,7 +169,7 @@ def train_application(
     """Train a segmentation/classification network on clean or dirty images."""
     _check_task_match(model, samples)
     images = corrupt_samples(samples, noise_spec, "train")
-    items = list(zip(images, [_target(s) for s in samples]))
+    items = [(image, s.target) for image, s in zip(images, samples)]
 
     def loss_fn(item, train: bool):
         image, target = item
@@ -208,7 +202,7 @@ def train_denoiser_nnv(
     """
     _check_task_match(application, samples)
     dirty = corrupt_samples(samples, noise_spec, "train")
-    items = list(zip(dirty, [_target(s) for s in samples]))
+    items = [(d, s.target) for d, s in zip(dirty, samples)]
     application.set_trainable(False)
 
     def loss_fn(item, train: bool):
@@ -225,7 +219,7 @@ def _check_task_match(model: Model, samples: list[Sample]) -> None:
     seg_model = model.kind == "nonewnet2d"
     if not samples:
         raise InvalidSpecError("empty sample list")
-    seg_data = samples[0].label_map is not None
+    seg_data = samples[0].target.ndim == 2
     if seg_model != seg_data:
         raise InvalidSpecError(
             f"dataset task does not match network kind {model.kind!r} "
@@ -264,9 +258,9 @@ def evaluate_scheme(
     rows = []
     for i, (image, sample) in enumerate(zip(images, test_samples)):
         pred = predict(application, denoiser, image)
-        if sample.label_map is None:
-            rows += [(i, "", "predicted", pred), (i, "", "top1", float(pred == sample.class_index))]
+        if sample.target.ndim == 0:
+            rows += [(i, "", "predicted", pred), (i, "", "top1", float(pred == sample.target))]
         else:
-            scored = metrics_mod.evaluate_segmentation_sample(pred, sample.label_map, num_classes)
+            scored = metrics_mod.evaluate_segmentation_sample(pred, sample.target, num_classes)
             rows += [(i, *row) for row in scored]
     return metrics_mod.report(rows)

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from taskdenoise.cli import main
+from taskdenoise.tensorio import write_tensor
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -108,6 +110,40 @@ class TestExitCodes:
         code = main(["eval", "--config", str(cfg), "--scheme", "tc"])
         assert code == 5
         assert capsys.readouterr().err.startswith("missing-checkpoint:")
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_test_sigma_is_spec_error(self, tmp_path, capsys, sigma):
+        cfg = _write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--scheme", "tc"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--scheme", "tc", "--test-sigma", sigma]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid-spec:") and "sigma" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run" / "metrics").exists()
+
+    @pytest.mark.parametrize(
+        "task,name,data",
+        [
+            ("segmentation", "0000.lbl.tsr1", np.full((16, 16), 3.0, np.float32)),
+            ("segmentation", "0001.lbl.tsr1", np.full((16, 16), 0.5, np.float32)),
+            ("segmentation", "0000.img.tsr1", np.zeros((1, 16, 15), np.float32)),
+            ("classification", "0000.lbl.tsr1", np.asarray(5.0, np.float32)),
+        ],
+    )
+    def test_sample_that_contradicts_the_manifest_is_format_error(self, tmp_path, capsys, task, name, data):
+        overrides = {}
+        if task == "classification":
+            dataset = {"task": task, "height": 16, "width": 16, "num_classes": 3, "train_count": 3, "test_count": 2}
+            overrides = {"dataset": dataset, "application": {"kind": "ccnn", "base_channels": 2}}
+        cfg = _write_config(tmp_path, **overrides)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        write_tensor(tmp_path / "run" / "dataset" / "test" / name, data)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--scheme", "tc"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("format-error:") and f"test/{name}" in err
+        assert err.count("\n") == 1
 
     def test_dct_on_missing_image_is_format_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

@@ -9,11 +9,10 @@ from taskdenoise.data import (
     DatasetSpec,
     generate_dataset,
     load_dataset,
-    load_sample,
     save_dataset,
-    save_sample,
 )
 from taskdenoise.errors import FormatError, InvalidSpecError
+from taskdenoise.tensorio import read_tensor, write_tensor
 
 
 def _seg_spec(**kw):
@@ -35,13 +34,13 @@ class TestSegmentationGenerator:
         for s in train + test:
             assert s.image.shape == (1, 64, 64)
             assert s.image.data.min() >= 0.0 and s.image.data.max() <= 255.0
-            assert s.label_map.shape == (64, 64)
-            assert s.label_map.min() >= 0 and s.label_map.max() < 4
+            assert s.target.shape == (64, 64) and s.target.dtype == np.int32
+            assert s.target.min() >= 0 and s.target.max() < 4
 
     def test_single_disk_marks_exactly_its_pixels(self):
         train, _ = generate_dataset(_seg_spec(num_classes=2, train_count=4, test_count=1))
         for s in train:
-            labeled = s.label_map == 1
+            labeled = s.target == 1
             assert labeled.sum() > 20  # a real structure exists
             # labeled pixels are bright relative to their complement
             inside = s.image.data[0][labeled].mean()
@@ -53,7 +52,7 @@ class TestSegmentationGenerator:
         train, _ = generate_dataset(spec)
         seen = set()
         for s in train:
-            seen.update(np.unique(s.label_map).tolist())
+            seen.update(np.unique(s.target).tolist())
         assert seen == {0, 1, 2, 3}
 
     def test_deterministic(self):
@@ -61,7 +60,7 @@ class TestSegmentationGenerator:
         b_train, b_test = generate_dataset(_seg_spec())
         for sa, sb in zip(a_train + a_test, b_train + b_test):
             assert sa.image.data.tobytes() == sb.image.data.tobytes()
-            assert np.array_equal(sa.label_map, sb.label_map)
+            assert np.array_equal(sa.target, sb.target)
 
     def test_train_test_disjoint(self):
         train, test = generate_dataset(_seg_spec())
@@ -79,7 +78,7 @@ class TestSegmentationGenerator:
         counts = np.zeros((k, 256))
         for s in train:
             intensities = s.image.data[0].ravel()
-            labels = s.label_map.ravel()
+            labels = s.target.ravel()
             for c in range(k):
                 counts[c] += np.histogram(intensities[labels == c], bins=bins)[0]
         best_class = counts.argmax(axis=0)
@@ -89,7 +88,7 @@ class TestSegmentationGenerator:
         for s in test:
             idx = np.clip(s.image.data[0].astype(np.int64), 0, 255)
             pred = best_class[idx]
-            scores.extend(dice(pred, s.label_map, c) for c in range(1, k))
+            scores.extend(dice(pred, s.target, c) for c in range(1, k))
         assert float(np.mean(scores)) < 0.8
 
 
@@ -99,26 +98,26 @@ class TestClassificationGenerator:
         assert len(train) == 30 and len(test) == 9
         for s in train + test:
             assert s.image.shape == (1, 64, 64)
-            assert s.class_index in (0, 1, 2)
-            assert s.label_map is None
+            assert s.target.shape == () and s.target.dtype == np.int32
+            assert int(s.target) in (0, 1, 2)
 
     def test_every_class_appears(self):
         train, _ = generate_dataset(_cls_spec(train_count=30))
-        assert {s.class_index for s in train} == {0, 1, 2}
+        assert {int(s.target) for s in train} == {0, 1, 2}
 
     def test_deterministic(self):
         a, _ = generate_dataset(_cls_spec())
         b, _ = generate_dataset(_cls_spec())
         for sa, sb in zip(a, b):
             assert sa.image.data.tobytes() == sb.image.data.tobytes()
-            assert sa.class_index == sb.class_index
+            assert sa.target == sb.target
 
     def test_global_mean_intensity_cannot_classify(self):
         # Bayes classifier on the global mean (histogram) must stay below 0.5
         spec = _cls_spec(train_count=120, test_count=60)
         train, test = generate_dataset(spec)
         means = np.array([s.image.data.mean() for s in train])
-        labels = np.array([s.class_index for s in train])
+        labels = np.array([s.target for s in train])
         edges = np.linspace(means.min() - 1e-6, means.max() + 1e-6, 25)
         counts = np.zeros((3, len(edges) - 1))
         for c in range(3):
@@ -127,7 +126,7 @@ class TestClassificationGenerator:
         correct = 0
         for s in test:
             bin_idx = np.clip(np.searchsorted(edges, s.image.data.mean()) - 1, 0, len(best) - 1)
-            correct += int(best[bin_idx] == s.class_index)
+            correct += int(best[bin_idx] == s.target)
         assert correct / len(test) < 0.5
 
     def test_more_than_three_classes_rejected(self):
@@ -135,40 +134,101 @@ class TestClassificationGenerator:
             _cls_spec(num_classes=5).validate()
 
 
+def _assert_round_trip_exact(tmp_path, spec):
+    train, test = generate_dataset(spec)
+    save_dataset(spec, train, test, tmp_path / "ds")
+    _, train2, test2 = load_dataset(tmp_path / "ds")
+    assert len(train2) == len(train) and len(test2) == len(test)
+    for sa, sb in zip(train + test, train2 + test2):
+        assert sa.image.data.tobytes() == sb.image.data.tobytes()
+        assert sb.target.dtype == np.int32 and sb.target.shape == sa.target.shape
+        assert np.array_equal(sa.target, sb.target)
+
+
 class TestSampleIO:
     def test_segmentation_round_trip(self, tmp_path):
-        train, _ = generate_dataset(_seg_spec(train_count=2, test_count=1))
-        save_sample(train[0], tmp_path, "0000")
-        back = load_sample(tmp_path, "0000")
-        assert back.image.data.tobytes() == train[0].image.data.tobytes()
-        assert np.array_equal(back.label_map, train[0].label_map)
+        _assert_round_trip_exact(tmp_path, _seg_spec(train_count=3, test_count=2))
 
     def test_classification_round_trip(self, tmp_path):
-        train, _ = generate_dataset(_cls_spec(train_count=3, test_count=1))
-        save_sample(train[1], tmp_path, "0001")
-        back = load_sample(tmp_path, "0001")
-        assert back.image.data.tobytes() == train[1].image.data.tobytes()
-        assert back.class_index == train[1].class_index
-
-    def test_missing_sample_raises(self, tmp_path):
-        with pytest.raises(FormatError):
-            load_sample(tmp_path, "0099")
+        _assert_round_trip_exact(tmp_path, _cls_spec(train_count=4, test_count=2))
 
     def test_dataset_round_trip(self, tmp_path):
-        spec = _seg_spec(train_count=4, test_count=2)
-        train, test = generate_dataset(spec)
-        save_dataset(spec, train, test, tmp_path / "ds")
-        spec2, train2, test2 = load_dataset(tmp_path / "ds")
-        assert spec2 == spec
-        for sa, sb in zip(train + test, train2 + test2):
-            assert sa.image.data.tobytes() == sb.image.data.tobytes()
-            assert np.array_equal(sa.label_map, sb.label_map)
+        spec = _cls_spec(train_count=3, test_count=2)
+        save_dataset(spec, *generate_dataset(spec), tmp_path / "ds")
+        spec2, train, test = load_dataset(tmp_path / "ds")
+        assert spec2 == spec and len(train) == 3 and len(test) == 2
+        # only the splits named are read
+        _, train, test = load_dataset(tmp_path / "ds", ("test",))
+        assert train is None and len(test) == 2
 
     def test_dataset_layout(self, tmp_path):
         spec = _cls_spec(train_count=2, test_count=1)
         train, test = generate_dataset(spec)
         save_dataset(spec, train, test, tmp_path / "ds")
-        assert (tmp_path / "ds" / "manifest.json").is_file()
-        assert (tmp_path / "ds" / "train" / "0000.img.tsr1").is_file()
-        assert (tmp_path / "ds" / "train" / "0001.cls").is_file()
-        assert (tmp_path / "ds" / "test" / "0000.img.tsr1").is_file()
+        names = sorted(p.relative_to(tmp_path / "ds").as_posix() for p in (tmp_path / "ds").rglob("*") if p.is_file())
+        assert names == [
+            "manifest.json",
+            "test/0000.img.tsr1",
+            "test/0000.lbl.tsr1",
+            "train/0000.img.tsr1",
+            "train/0000.lbl.tsr1",
+            "train/0001.img.tsr1",
+            "train/0001.lbl.tsr1",
+        ]
+        # a class index is a rank-0 tensor
+        assert read_tensor(tmp_path / "ds" / "train" / "0001.lbl.tsr1").shape == ()
+
+    def test_missing_sample_raises(self, tmp_path):
+        spec = _seg_spec(train_count=2, test_count=1)
+        save_dataset(spec, *generate_dataset(spec), tmp_path / "ds")
+        (tmp_path / "ds" / "train" / "0001.img.tsr1").unlink()
+        with pytest.raises(FormatError, match="0001.img.tsr1"):
+            load_dataset(tmp_path / "ds")
+
+    def test_dataset_without_label_tensors_names_the_missing_file(self, tmp_path):
+        # a classification dataset kept its class indices in text files before
+        spec = _cls_spec(train_count=2, test_count=1)
+        save_dataset(spec, *generate_dataset(spec), tmp_path / "ds")
+        (tmp_path / "ds" / "train" / "0000.lbl.tsr1").unlink()
+        (tmp_path / "ds" / "train" / "0000.cls").write_text("0\n")
+        with pytest.raises(FormatError, match=r"0000\.lbl\.tsr1"):
+            load_dataset(tmp_path / "ds")
+
+
+class TestSampleChecks:
+    """Every sample read must match the manifest's extents, task and classes."""
+
+    def _saved(self, tmp_path, spec):
+        save_dataset(spec, *generate_dataset(spec), tmp_path / "ds")
+        return tmp_path / "ds"
+
+    @pytest.mark.parametrize("value", [3.0, -1.0, 1.5, float("nan")])
+    def test_class_index_outside_the_classes_raises(self, tmp_path, value):
+        ds = self._saved(tmp_path, _cls_spec(train_count=2, test_count=1))
+        write_tensor(ds / "test" / "0000.lbl.tsr1", np.asarray(value, dtype=np.float32))
+        with pytest.raises(FormatError, match=r"test/0000\.lbl\.tsr1: byte 5: target") as err:
+            load_dataset(ds)
+        assert "\n" not in str(err.value)
+
+    def test_fractional_label_in_a_map_names_its_byte(self, tmp_path):
+        ds = self._saved(tmp_path, _seg_spec(height=16, width=16, train_count=2, test_count=1))
+        labels = read_tensor(ds / "train" / "0001.lbl.tsr1")
+        labels[2, 3] = 0.5
+        write_tensor(ds / "train" / "0001.lbl.tsr1", labels)
+        offset = 5 + 4 * 2 + 4 * (2 * 16 + 3)
+        with pytest.raises(FormatError, match=f"0001\\.lbl\\.tsr1: byte {offset}: target 0.5"):
+            load_dataset(ds)
+
+    @pytest.mark.parametrize("make_spec, shape", [(_seg_spec, (16, 15)), (_seg_spec, ()), (_cls_spec, (16, 16))])
+    def test_target_of_wrong_shape_raises(self, tmp_path, make_spec, shape):
+        ds = self._saved(tmp_path, make_spec(height=16, width=16, train_count=2, test_count=1))
+        write_tensor(ds / "test" / "0000.lbl.tsr1", np.zeros(shape, np.float32))
+        with pytest.raises(FormatError, match=r"0000\.lbl\.tsr1: byte 5: shape"):
+            load_dataset(ds)
+
+    @pytest.mark.parametrize("shape", [(1, 16, 15), (16, 16), (2, 16, 16)])
+    def test_image_of_wrong_extent_raises(self, tmp_path, shape):
+        ds = self._saved(tmp_path, _seg_spec(height=16, width=16, train_count=2, test_count=1))
+        write_tensor(ds / "train" / "0001.img.tsr1", np.zeros(shape, np.float32))
+        with pytest.raises(FormatError, match=r"0001\.img\.tsr1: byte 5: shape"):
+            load_dataset(ds)

@@ -175,7 +175,7 @@ class TestSensitivitySpecificity:
 
 def _classification_report(predictions, truths):
     """Report of scoring one-hot logits of the predictions against the truths."""
-    samples = [Sample(image=Tensor(np.zeros((1, 2, 2))), class_index=t) for t in truths]
+    samples = [Sample(Tensor(np.zeros((1, 2, 2))), np.asarray(t, np.int32)) for t in truths]
     logits = [Tensor(np.eye(3)[p]) for p in predictions]
     return evaluate_scheme(LogitsStub(3), None, samples, logits)
 

@@ -26,6 +26,13 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             NoiseSpec(kind="salt").validate()
 
+    @pytest.mark.parametrize("kind", ["gaussian", "poisson"])
+    @pytest.mark.parametrize("field", ["mu", "sigma", "poisson_scale"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, kind, field, value):
+        with pytest.raises(InvalidSpecError, match=field):
+            NoiseSpec(kind=kind, **{field: value}).validate()
+
 
 class TestGaussian:
     def test_sigma_zero_is_identity(self):

@@ -36,6 +36,23 @@ class TestDeriveSeed:
     def test_seed_sensitivity(self):
         assert derive_seed(1, "x") != derive_seed(2, "x")
 
+    @pytest.mark.parametrize(
+        "seed, label, expected",
+        [
+            (0, "", 12591593934349417548),
+            (0, "train/0", 1212775507306655996),
+            (42, "noise/train/17", 12120126025573102611),
+            (7, "shuffle", 8771885833247189568),
+            # seeds outside [0, 2**64) wrap modulo 2**64
+            (2**64 - 1, "x", 12262943197959972338),
+            (-1, "x", 12262943197959972338),
+            (2**70 + 3, "test/3", 13827947175833814597),
+        ],
+    )
+    def test_pinned_values(self, seed, label, expected):
+        # every dataset sample, noise draw and shuffle order hangs off these
+        assert derive_seed(seed, label) == expected
+
 
 class TestUniform:
     def test_range(self):

@@ -50,6 +50,11 @@ class TestSchemeValidation:
         with pytest.raises(InvalidSpecError):
             TrainSettings(epochs_application=0).validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, value):
+        with pytest.raises(InvalidSpecError, match="learning_rate"):
+            TrainSettings(learning_rate=value).validate()
+
 
 class TestTrainApplication:
     def test_one_epoch_decreases_loss_on_single_sample(self):
@@ -58,7 +63,7 @@ class TestTrainApplication:
         sample = train[0]
 
         def current_loss():
-            return ad.cross_entropy_loss(model.forward(sample.image), sample.label_map).item()
+            return ad.cross_entropy_loss(model.forward(sample.image), sample.target).item()
 
         before = current_loss()
         train_application(model, train, _settings(1), seed=1)
@@ -171,9 +176,9 @@ class TestTrainDenoiserNnv:
         app = build_network(_app_spec(seed=39))
         for sample in train:
             with Tape() as t1:
-                composed = composed_task_loss(None, app, sample.image, sample.label_map)
+                composed = composed_task_loss(None, app, sample.image, sample.target)
             with Tape() as t2:
-                direct = ad.cross_entropy_loss(app.forward(sample.image), sample.label_map)
+                direct = ad.cross_entropy_loss(app.forward(sample.image), sample.target)
             assert composed.data.tobytes() == direct.data.tobytes()
             assert len(t1) == len(t2)
 
@@ -184,14 +189,14 @@ class TestTrainDenoiserNnv:
         denoiser = build_network(_den_spec(seed=42))
         app.set_trainable(False)
         with Tape() as tape:
-            loss = composed_task_loss(denoiser, app, sample.image, sample.label_map, train_denoiser=True)
+            loss = composed_task_loss(denoiser, app, sample.image, sample.target, train_denoiser=True)
             grads = ad.backward(loss, tape)
         app.set_trainable(True)
         param = denoiser.conv1.weight
         analytic = grads[param].reshape(-1)
 
         def probe():
-            return composed_task_loss(denoiser, app, sample.image, sample.label_map).item()
+            return composed_task_loss(denoiser, app, sample.image, sample.target).item()
 
         indices = np.linspace(0, param.size - 1, 6, dtype=int).tolist()
         fd = fd_gradient(probe, param, indices=indices)
@@ -203,7 +208,7 @@ class TestTrainDenoiserNnv:
         app = build_network(NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=32, width=32, seed=43))
         denoiser = build_network(_den_spec(seed=44))
         with pytest.raises(InvalidCompositionError):
-            composed_task_loss(denoiser, app, train[0].image, np.asarray(train[0].class_index))
+            composed_task_loss(denoiser, app, train[0].image, train[0].target)
 
 
 class TestComposedLossInvariant:
@@ -212,9 +217,9 @@ class TestComposedLossInvariant:
         app = build_network(_app_spec(seed=51))
         denoiser = build_network(_den_spec(seed=52))
         for sample in train:
-            composed = composed_task_loss(denoiser, app, sample.image, sample.label_map)
+            composed = composed_task_loss(denoiser, app, sample.image, sample.target)
             denoised = denoiser.forward(sample.image)
-            staged = ad.cross_entropy_loss(app.forward(denoised), sample.label_map)
+            staged = ad.cross_entropy_loss(app.forward(denoised), sample.target)
             assert composed.data.tobytes() == staged.data.tobytes()
 
 
@@ -238,7 +243,7 @@ class TestEvaluateScheme:
         app = build_network(_app_spec(seed=66))
         report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
         preds = [predict(app, None, s.image) for s in test]
-        per_sample = [np.mean([dice(p, s.label_map, c) for c in (1, 2)]) for p, s in zip(preds, test)]
+        per_sample = [np.mean([dice(p, s.target, c) for c in (1, 2)]) for p, s in zip(preds, test)]
         assert report.aggregates["dice"] == aggregate(per_sample)
 
     def test_denoiser_routing_changes_predictions(self):

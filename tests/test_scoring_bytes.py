@@ -106,12 +106,12 @@ def _score(samples, images, num_classes, tmp_path) -> tuple:
 
 
 def _seg_inputs() -> tuple:
-    samples = [Sample(image=Tensor(np.zeros((1, 4, 4))), label_map=np.array(t, np.int32)) for t, _ in SEG]
+    samples = [Sample(Tensor(np.zeros((1, 4, 4))), np.array(t, np.int32)) for t, _ in SEG]
     return samples, [_one_hot(np.array(p), 3) for _, p in SEG]
 
 
 def _cls_inputs() -> tuple:
-    samples = [Sample(image=Tensor(np.zeros((1, 4, 4))), class_index=t) for t, _ in CLS]
+    samples = [Sample(Tensor(np.zeros((1, 4, 4))), np.asarray(t, np.int32)) for t, _ in CLS]
     return samples, [Tensor(np.array(logits)) for _, logits in CLS]
 
 
