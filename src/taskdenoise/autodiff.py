@@ -1,15 +1,16 @@
 """Reverse-mode automatic differentiation over float32 numpy arrays.
 
-The engine is deliberately small: a :class:`Tensor` is an immutable float32
-array, a :class:`Tape` records every differentiable operation executed while
-it is active, and :func:`backward` replays the records in reverse to produce
-exact gradients. The operation set is exactly what the four network recipes
-need, in the layouts they run: convolutions and transposed convolutions at
-stride 1 with any padding, or at a stride equal to their square kernel with
-padding 0, whose windows tile the grid (conv2d's input extents must then be
-divisible by the stride); max pooling over non-overlapping windows,
-``maxpool2d(x, window)``; batch norm, ReLU, and the two losses. Any other
-layout is an :class:`InvalidShapeError`.
+The engine is deliberately small: a :class:`Tensor` is a float32 array
+that ops never write into, a :class:`Tape` records every differentiable
+operation executed while it is active, and :func:`backward` replays the
+records in reverse to produce exact gradients. The operation set is exactly
+what the four network recipes need, in the layouts they run: convolutions
+and transposed convolutions at stride 1 with any padding, or at a stride
+equal to their square kernel with padding 0, whose windows tile the grid
+(conv2d's input extents must then be divisible by the stride); max pooling
+over non-overlapping windows, ``maxpool2d(x, window)``; batch norm, whose
+running statistics are tensors that take no gradient; ReLU, and the two
+losses. Any other layout is an :class:`InvalidShapeError`.
 
 Numeric policy: values are stored as float32; every reduction (convolution
 dot products, means, loss sums, normalization statistics) accumulates in
@@ -78,7 +79,10 @@ def set_debug_validate(flag: bool) -> None:
 
 
 class Tensor:
-    """Float32 n-d array value. Treat as immutable once created."""
+    """Float32 n-d array value. Ops never write into ``.data``; code that
+    changes a tensor gives it a new array. Four places do: the Adam step,
+    checkpoint loading, best-epoch restore and, for batchnorm's running
+    statistics, each train-mode :func:`batchnorm2d` call."""
 
     __slots__ = ("data", "requires_grad")
 
@@ -471,23 +475,12 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
-@dataclass
-class RunningStats:
-    """Exponential running mean/variance for batchnorm eval mode."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    @staticmethod
-    def create(channels: int) -> "RunningStats":
-        return RunningStats(np.zeros(channels, dtype=_F32), np.ones(channels, dtype=_F32))
-
-
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, train: bool) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor, running_var: Tensor, train: bool) -> Tensor:
     """Per-channel normalization over spatial positions.
 
-    Train mode normalizes with the batch statistics and updates ``stats``
-    in place with momentum 0.9; eval mode normalizes with ``stats``.
+    Train mode normalizes with the batch statistics and replaces the
+    ``.data`` of the running statistics with their momentum-0.9 update;
+    eval mode normalizes with the running statistics. They take no gradient.
     """
     if x.data.ndim != 3:
         raise InvalidShapeError(f"batchnorm2d expects 3-d input, got {x.shape}")
@@ -501,11 +494,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: RunningStats, tra
     if train:
         mu = xm.mean(axis=(1, 2))
         var = xm.var(axis=(1, 2))
-        stats.mean = (BN_MOMENTUM * stats.mean.astype(_F64) + (1 - BN_MOMENTUM) * mu).astype(_F32)
-        stats.var = (BN_MOMENTUM * stats.var.astype(_F64) + (1 - BN_MOMENTUM) * var).astype(_F32)
+        running_mean.data = (BN_MOMENTUM * running_mean.data.astype(_F64) + (1 - BN_MOMENTUM) * mu).astype(_F32)
+        running_var.data = (BN_MOMENTUM * running_var.data.astype(_F64) + (1 - BN_MOMENTUM) * var).astype(_F32)
     else:
-        mu = stats.mean.astype(_F64)
-        var = stats.var.astype(_F64)
+        mu = running_mean.data.astype(_F64)
+        var = running_var.data.astype(_F64)
     ivar = 1.0 / np.sqrt(var + BN_EPS)
     gamma64 = gamma.data.astype(_F64)[:, None]
     # xm becomes xhat, then the output, in place

@@ -9,7 +9,6 @@ to stderr with a per-error-class exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -26,14 +25,7 @@ def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if seed_override is not None:
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        raw["seed"] = seed_override
-        text = json.dumps(raw)
-    return parse_config(text)
+    return parse_config(text, seed_override)
 
 
 def _pick_test_noise(cfg: ExperimentConfig, sigma: float | None) -> NoiseSpec:

@@ -156,12 +156,15 @@ def _section(cls, obj, where: str, defaults: dict, fixed: dict | None = None):
     return cls(**values)
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfig:
+    """The config in ``text``; ``seed_override``, if given, replaces its seed."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_keys(raw, _TOP_KEYS, "config")
+    if seed_override is not None:
+        raw["seed"] = seed_override
     for key in ("seed", "output_dir", "dataset", "application"):
         if key not in raw:
             raise ConfigError(f"config is missing required key {key!r}")

@@ -12,14 +12,16 @@ in global intensity statistics.
 
 A saved dataset holds ``<split>/<i>.img.tsr1`` (the [1, H, W] image) and
 ``<split>/<i>.lbl.tsr1`` (the target: [H, W], or rank 0 for a class index)
-for both tasks, and ``manifest.json``, written last. Reading checks every
-sample against the manifest.
+for both tasks, and ``manifest.json``, written last. Saving replaces each
+split directory whole, so a regenerated dataset holds only its own samples.
+Reading checks every sample against the manifest.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import shutil
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -241,10 +243,13 @@ def save_dataset(spec: DatasetSpec, train: list[Sample], test: list[Sample], dir
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "manifest.json").unlink(missing_ok=True)
     for split, samples in zip(SPLITS, (train, test)):
-        (directory / split).mkdir(exist_ok=True)
+        split_dir = directory / split
+        if split_dir.exists():  # a regenerated split holds only its own samples
+            shutil.rmtree(split_dir)
+        split_dir.mkdir()
         for i, sample in enumerate(samples):
-            write_tensor(directory / split / f"{i:04d}.img.tsr1", sample.image.data)
-            write_tensor(directory / split / f"{i:04d}.lbl.tsr1", sample.target)
+            write_tensor(split_dir / f"{i:04d}.img.tsr1", sample.image.data)
+            write_tensor(split_dir / f"{i:04d}.lbl.tsr1", sample.target)
     # last: only a complete dataset has a manifest
     (directory / "manifest.json").write_text(json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n")
 

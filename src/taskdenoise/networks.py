@@ -4,6 +4,10 @@ Two denoisers (residual encoder-decoder, residual conv stack with batch
 norm), a U-Net style segmentation network, and a small classification CNN,
 all expressed over the autodiff op set. Convolutions are 3x3 with padding 1
 unless a layer is a 1x1 projection; widths default to desk scale.
+
+Every layer is one ``_Layer``: an autodiff op with its named tensors. A
+checkpoint holds one TSR1 file per tensor of ``Model.named_state()``: the
+parameters, then the batchnorm running statistics.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import RunningStats, Tensor
+from .autodiff import Tensor
 from .errors import CheckpointError, InvalidShapeError, InvalidSpecError
 from .optim import xavier_uniform_init
 from .rng import derive_seed
@@ -59,54 +63,54 @@ class NetworkSpec:
 
 
 class _Layer:
-    """A weight and a zero bias feeding the autodiff op named ``op``. The op
-    is looked up at call time and takes ``args`` after (x, weight, bias)."""
+    """The autodiff op named ``op`` with its tensors: trainable ``params``
+    and, for batchnorm, ``state`` (the running statistics). A call runs
+    ``op(x, *params, *state, *args, *call_args)``, looking the op up in
+    :mod:`autodiff` at call time."""
 
-    def __init__(self, name: str, op: str, weight_shape: tuple, outputs: int, seed: int, *args):
-        self.name, self.op, self.args = name, op, args
-        self.weight = xavier_uniform_init(weight_shape, derive_seed(seed, f"{name}.weight"))
-        self.weight.requires_grad = True
-        self.bias = Tensor(np.zeros(outputs, dtype=np.float32), requires_grad=True)
+    def __init__(self, name: str, op: str, params: dict, state: dict | None = None, args: tuple = ()):
+        self.name, self.op = name, op
+        self.params, self.state = params, state or {}
+        self._operands = (*params.values(), *self.state.values(), *args)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return getattr(ad, self.op)(x, self.weight, self.bias, *self.args)
+    def __call__(self, x: Tensor, *call_args) -> Tensor:
+        return getattr(ad, self.op)(x, *self._operands, *call_args)
 
-    def named_parameters(self):
-        return [(f"{self.name}.weight", self.weight), (f"{self.name}.bias", self.bias)]
+
+def _weighted(name: str, op: str, weight_shape: tuple, outputs: int, seed: int, *args) -> _Layer:
+    """A layer with a seeded Xavier weight and a zero bias."""
+    weight = xavier_uniform_init(weight_shape, derive_seed(seed, f"{name}.weight"))
+    weight.requires_grad = True
+    bias = Tensor(np.zeros(outputs, dtype=np.float32), requires_grad=True)
+    return _Layer(name, op, {"weight": weight, "bias": bias}, args=args)
 
 
 def _conv(name: str, cin: int, cout: int, seed: int, kernel: int = 3, padding: int = 1) -> _Layer:
-    return _Layer(name, "conv2d", (cout, cin, kernel, kernel), cout, seed, 1, padding)
+    return _weighted(name, "conv2d", (cout, cin, kernel, kernel), cout, seed, 1, padding)
 
 
 def _tconv(name: str, cin: int, cout: int, seed: int, kernel: int = 3, stride: int = 1, padding: int = 1) -> _Layer:
-    return _Layer(name, "transpose_conv2d", (cin, cout, kernel, kernel), cout, seed, stride, padding)
+    return _weighted(name, "transpose_conv2d", (cin, cout, kernel, kernel), cout, seed, stride, padding)
 
 
-class _BatchNorm:
-    def __init__(self, name: str, channels: int):
-        self.name = name
-        self.gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
-        self.stats = RunningStats.create(channels)
-
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return ad.batchnorm2d(x, self.gamma, self.beta, self.stats, train)
-
-    def named_parameters(self):
-        return [(f"{self.name}.gamma", self.gamma), (f"{self.name}.beta", self.beta)]
+def _batchnorm(name: str, channels: int) -> _Layer:
+    gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+    mean = Tensor(np.zeros(channels, dtype=np.float32))
+    var = Tensor(np.ones(channels, dtype=np.float32))
+    return _Layer(name, "batchnorm2d", {"gamma": gamma, "beta": beta}, {"running_mean": mean, "running_var": var})
 
 
 class Model:
-    """Base: an ordered list of parameterized layers plus a forward pass."""
+    """Base: an ordered list of layers plus a forward pass."""
 
     kind = ""
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        self._layers: list = []
+        self._layers: list[_Layer] = []
 
-    def _register(self, layer):
+    def _register(self, layer: _Layer) -> _Layer:
         self._layers.append(layer)
         return layer
 
@@ -117,16 +121,16 @@ class Model:
         return self.forward(x, train)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for layer in self._layers:
-            out.extend(layer.named_parameters())
-        return out
+        return [(f"{layer.name}.{key}", p) for layer in self._layers for key, p in layer.params.items()]
+
+    def named_state(self) -> list[tuple[str, Tensor]]:
+        """Every tensor a checkpoint holds: the parameters in registration
+        order, then the batchnorm running statistics."""
+        stats = [(f"{layer.name}.{key}", t) for layer in self._layers for key, t in layer.state.items()]
+        return self.named_parameters() + stats
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
-
-    def batchnorm_layers(self) -> list[_BatchNorm]:
-        return [layer for layer in self._layers if isinstance(layer, _BatchNorm)]
 
     def set_trainable(self, flag: bool) -> None:
         for p in self.parameters():
@@ -195,7 +199,7 @@ class McDnCnn(Model):
         self.blocks = []
         for i in range(7):
             conv = self._register(_conv(f"conv{i + 2}", c, c, s))
-            bn = self._register(_BatchNorm(f"bn{i + 2}", c))
+            bn = self._register(_batchnorm(f"bn{i + 2}", c))
             self.blocks.append((conv, bn))
         self.conv_out = self._register(_conv("conv9", c, 1, s))
 
@@ -283,7 +287,7 @@ class Ccnn(Model):
             self.convs.append(self._register(_conv(f"conv{i + 1}", cin, w, s)))
             cin = w
         feat = cin * (spec.height // 16) * (spec.width // 16)
-        self.fc = self._register(_Layer("fc", "linear", (spec.num_classes, feat), spec.num_classes, s))
+        self.fc = self._register(_weighted("fc", "linear", (spec.num_classes, feat), spec.num_classes, s))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -306,7 +310,7 @@ def build_network(spec: NetworkSpec) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: a manifest plus one TSR1 blob per parameter / stat array
+# Checkpoints: a manifest plus one TSR1 blob per named_state() tensor
 
 _MANIFEST = "manifest.json"
 
@@ -315,11 +319,8 @@ def save_checkpoint(model: Model, directory, epoch: int = 0) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / _MANIFEST).unlink(missing_ok=True)
-    for name, p in model.named_parameters():
-        write_tensor(directory / f"{name}.tsr1", p.data)
-    for bn in model.batchnorm_layers():
-        write_tensor(directory / f"{bn.name}.running_mean.tsr1", bn.stats.mean)
-        write_tensor(directory / f"{bn.name}.running_var.tsr1", bn.stats.var)
+    for name, t in model.named_state():
+        write_tensor(directory / f"{name}.tsr1", t.data)
     # last: only a complete checkpoint has a manifest
     manifest = {"format": "taskdenoise-checkpoint-v1", "epoch": epoch, "spec": asdict(model.spec)}
     (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -337,32 +338,27 @@ def load_checkpoint(directory) -> tuple[Model, int]:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest at {manifest_path}: {exc}") from exc
     model = build_network(spec)
-
-    def read(path: Path, shape: tuple, what: str) -> np.ndarray:
+    for name, t in model.named_state():
+        path = directory / f"{name}.tsr1"
         if not path.is_file():
-            raise CheckpointError(f"checkpoint is missing {what} file {path}")
+            raise CheckpointError(f"checkpoint is missing tensor file {path}")
         data = read_tensor(path)
-        if data.shape != shape:
-            raise CheckpointError(f"{path}: shape {data.shape} does not match expected {shape}")
-        return data
-
-    for name, p in model.named_parameters():
-        p.data = read(directory / f"{name}.tsr1", p.shape, "parameter")
-    for bn in model.batchnorm_layers():
-        bn.stats.mean = read(directory / f"{bn.name}.running_mean.tsr1", bn.stats.mean.shape, "state")
-        bn.stats.var = read(directory / f"{bn.name}.running_var.tsr1", bn.stats.var.shape, "state")
+        if data.shape != t.shape:
+            raise CheckpointError(f"{path}: shape {data.shape} does not match expected {t.shape}")
+        t.data = data
     return model, epoch
 
 
 def parameter_checksum(model: Model) -> bytes:
-    """Order-sensitive digest of all parameter bytes (freeze verification)."""
+    """Order-sensitive digest of every parameter's name and bytes, then of
+    the running statistics' bytes (freeze verification)."""
     import hashlib
 
     h = hashlib.sha256()
-    for name, p in model.named_parameters():
+    params = model.named_parameters()
+    for name, p in params:
         h.update(name.encode())
         h.update(p.data.tobytes())
-    for bn in model.batchnorm_layers():
-        h.update(bn.stats.mean.tobytes())
-        h.update(bn.stats.var.tobytes())
+    for _, stat in model.named_state()[len(params) :]:
+        h.update(stat.data.tobytes())
     return h.digest()

@@ -53,7 +53,6 @@ class TrainSettings:
 
 @dataclass
 class TrainResult:
-    model: Model
     trace: list = field(default_factory=list)  # (epoch, train_loss, val_loss)
     best_epoch: int = 0
     best_val_loss: float = math.inf
@@ -92,19 +91,13 @@ def composed_task_loss(denoiser: Model | None, application: Model, image: Tensor
 # Shared training loop
 
 
-def _snapshot(model: Model) -> tuple:
-    params = [p.data.copy() for p in model.parameters()]
-    stats = [(bn.stats.mean.copy(), bn.stats.var.copy()) for bn in model.batchnorm_layers()]
-    return params, stats
+def _snapshot(model: Model) -> list[np.ndarray]:
+    return [t.data.copy() for _, t in model.named_state()]
 
 
-def _restore(model: Model, snapshot: tuple) -> None:
-    params, stats = snapshot
-    for p, data in zip(model.parameters(), params):
-        p.data = data.copy()
-    for bn, (mean, var) in zip(model.batchnorm_layers(), stats):
-        bn.stats.mean = mean.copy()
-        bn.stats.var = var.copy()
+def _restore(model: Model, snapshot: list[np.ndarray]) -> None:
+    for (_, t), data in zip(model.named_state(), snapshot):
+        t.data = data
 
 
 def _run_training(model: Model, items: list, settings: TrainSettings, purpose: str, seed: int, loss_fn) -> TrainResult:
@@ -127,7 +120,7 @@ def _run_training(model: Model, items: list, settings: TrainSettings, purpose: s
     trainable = [p for p in model.parameters() if p.requires_grad]
     state = make_adam_state(trainable, lr=settings.learning_rate)
     shuffle_rng = Rng(derive_seed(derive_seed(seed, f"train/{purpose}"), "shuffle"))
-    result = TrainResult(model=model)
+    result = TrainResult()
     best = _snapshot(model)
 
     for epoch in range(1, epochs + 1):

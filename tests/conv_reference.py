@@ -136,18 +136,18 @@ def maxpool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
     return out
 
 
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats, train: bool) -> Tensor:
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor, running_var: Tensor, train: bool) -> Tensor:
     c, h, w = x.shape
     n = h * w
     xm = x.data.astype(_F64)
     if train:
         mu = xm.mean(axis=(1, 2))
         var = xm.var(axis=(1, 2))
-        stats.mean = (BN_MOMENTUM * stats.mean.astype(_F64) + (1 - BN_MOMENTUM) * mu).astype(_F32)
-        stats.var = (BN_MOMENTUM * stats.var.astype(_F64) + (1 - BN_MOMENTUM) * var).astype(_F32)
+        running_mean.data = (BN_MOMENTUM * running_mean.data.astype(_F64) + (1 - BN_MOMENTUM) * mu).astype(_F32)
+        running_var.data = (BN_MOMENTUM * running_var.data.astype(_F64) + (1 - BN_MOMENTUM) * var).astype(_F32)
     else:
-        mu = stats.mean.astype(_F64)
-        var = stats.var.astype(_F64)
+        mu = running_mean.data.astype(_F64)
+        var = running_var.data.astype(_F64)
     ivar = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (xm - mu[:, None, None]) * ivar[:, None, None]
     out = _wrap(gamma.data.astype(_F64)[:, None, None] * xhat + beta.data.astype(_F64)[:, None, None])

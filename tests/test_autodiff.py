@@ -5,7 +5,7 @@ import pytest
 
 from conftest import check_op_gradients, fd_gradient, rel_err
 from taskdenoise import autodiff as ad
-from taskdenoise.autodiff import RunningStats, Tape, Tensor
+from taskdenoise.autodiff import Tape, Tensor
 from taskdenoise.errors import InvalidInputError, InvalidLabelError, InvalidShapeError
 
 
@@ -260,7 +260,7 @@ class TestBatchNorm:
         x = _rand((3, 8, 8), 0, scale=5.0)
         gamma = _t(np.ones(3))
         beta = _t(np.zeros(3))
-        out = ad.batchnorm2d(x, gamma, beta, RunningStats.create(3), train=True)
+        out = ad.batchnorm2d(x, gamma, beta, _t(np.zeros(3)), _t(np.ones(3)), train=True)
         means = out.data.mean(axis=(1, 2))
         variances = out.data.var(axis=(1, 2))
         assert np.abs(means).max() < 1e-4
@@ -271,30 +271,41 @@ class TestBatchNorm:
         raw = rng.normal(size=(2, 16, 16))
         normalized = (raw - raw.mean(axis=(1, 2), keepdims=True)) / raw.std(axis=(1, 2), keepdims=True)
         x = _t(normalized)
-        out = ad.batchnorm2d(x, _t([2.0, 2.0]), _t([3.0, 3.0]), RunningStats.create(2), train=True)
+        out = ad.batchnorm2d(x, _t([2.0, 2.0]), _t([3.0, 3.0]), _t(np.zeros(2)), _t(np.ones(2)), train=True)
         assert np.abs(out.data.mean(axis=(1, 2)) - 3.0).max() < 1e-3
         assert np.abs(out.data.std(axis=(1, 2)) - 2.0).max() < 1e-3
 
     def test_running_stats_update(self):
         x = _t(np.full((1, 4, 4), 10.0))
-        stats = RunningStats.create(1)
-        ad.batchnorm2d(x, _t([1.0]), _t([0.0]), stats, train=True)
-        assert stats.mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 10.0)
-        assert stats.var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 0.0)
+        mean, var = _t([0.0]), _t([1.0])
+        ad.batchnorm2d(x, _t([1.0]), _t([0.0]), mean, var, train=True)
+        assert mean.data[0] == pytest.approx(0.9 * 0.0 + 0.1 * 10.0)
+        assert var.data[0] == pytest.approx(0.9 * 1.0 + 0.1 * 0.0)
+        assert mean.data.dtype == var.data.dtype == np.float32
 
     def test_eval_mode_uses_running_stats(self):
-        stats = RunningStats(mean=np.array([2.0], np.float32), var=np.array([4.0], np.float32))
+        mean, var = _t([2.0]), _t([4.0])
         x = _t(np.full((1, 2, 2), 6.0))
-        out = ad.batchnorm2d(x, _t([1.0]), _t([0.0]), stats, train=False)
+        out = ad.batchnorm2d(x, _t([1.0]), _t([0.0]), mean, var, train=False)
+        assert mean.data[0] == 2.0 and var.data[0] == 4.0
         assert out.data[0, 0, 0] == pytest.approx((6.0 - 2.0) / np.sqrt(4.0 + 1e-5), rel=1e-5)
+
+    def test_running_stats_are_not_recorded(self):
+        x = _rand((2, 4, 4), 31, grad=True)
+        mean, var = _t([0.0, 0.0]), _t([1.0, 1.0])
+        with Tape() as tape:
+            loss = ad.tsum(ad.batchnorm2d(x, _t([1.5, 0.8], grad=True), _t([0.3, -0.2], grad=True), mean, var, train=True))
+        grads = ad.backward(loss, tape)
+        assert len(tape.records[0].inputs) == 3
+        assert mean not in grads and var not in grads and not mean.requires_grad
 
     @pytest.mark.parametrize("train", [True, False])
     def test_gradients(self, train):
         x = _rand((2, 4, 4), 30, scale=2.0, grad=True)
         gamma = Tensor(np.array([1.5, 0.8], np.float32), requires_grad=True)
         beta = Tensor(np.array([0.3, -0.2], np.float32), requires_grad=True)
-        stats = RunningStats(mean=np.array([0.1, -0.2], np.float32), var=np.array([1.2, 0.7], np.float32))
-        check_op_gradients(lambda: ad.batchnorm2d(x, gamma, beta, stats, train=train), [x, gamma, beta])
+        mean, var = _t([0.1, -0.2]), _t([1.2, 0.7])
+        check_op_gradients(lambda: ad.batchnorm2d(x, gamma, beta, mean, var, train=train), [x, gamma, beta])
 
 
 class TestActivations:

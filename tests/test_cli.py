@@ -52,6 +52,13 @@ class TestExitCodes:
         assert main(["generate", "--config", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("config-error:")
 
+    @pytest.mark.parametrize("text,kind", [("[1, 2]", "list"), ('"seed"', "str")])
+    def test_seed_flag_on_non_object_config_is_config_error(self, tmp_path, capsys, text, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["generate", "--config", str(cfg), "--seed", "3"]) == 2
+        assert capsys.readouterr().err == f"config-error: config must be an object, got {kind}\n"
+
     @pytest.mark.parametrize(
         "section,key,value",
         [

@@ -23,7 +23,7 @@ import pytest
 
 import conv_reference as ref
 from taskdenoise import autodiff as ad
-from taskdenoise.autodiff import RunningStats, Tape, Tensor, backward
+from taskdenoise.autodiff import Tape, Tensor, backward
 from taskdenoise.networks import ALL_KINDS, NetworkSpec, build_network
 
 OPS = ("conv2d", "transpose_conv2d", "maxpool2d")
@@ -114,7 +114,8 @@ def test_every_layer_of_the_networks(kind):
 
 def _training_step(kind: str) -> list:
     """Bytes of one recorded train-mode step of ``kind`` at 64x64, width 8:
-    the loss, every parameter gradient and the batchnorm running stats."""
+    the loss, every parameter gradient and every ``named_state()`` tensor,
+    which holds the batchnorm running stats."""
     model = _network(kind)
     image = _image()
     rng = np.random.default_rng(2)
@@ -126,7 +127,7 @@ def _training_step(kind: str) -> list:
             loss = ad.cross_entropy_loss(out, rng.integers(0, 4, size=out.shape[1:]))
         grads = backward(loss, tape)
     results = [loss.data] + [grads[p] for p in model.parameters()]
-    return results + [a for bn in model.batchnorm_layers() for a in (bn.stats.mean, bn.stats.var)]
+    return results + [t.data for _, t in model.named_state()]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -171,9 +172,10 @@ def test_maxpool2d_ties():
     assert_exact("maxpool2d", [x], (2,))
 
 
-def _stats(c: int, seed: int) -> RunningStats:
+def _stats(c: int, seed: int) -> tuple[Tensor, Tensor]:
+    """A running mean and a running variance."""
     rng = np.random.default_rng(seed)
-    return RunningStats(rng.normal(size=c).astype(np.float32), rng.uniform(0.5, 2.0, size=c).astype(np.float32))
+    return Tensor(rng.normal(size=c)), Tensor(rng.uniform(0.5, 2.0, size=c))
 
 
 @pytest.mark.parametrize("shape", [(8, 64, 64), (3, 5, 7)])
@@ -183,13 +185,13 @@ def test_batchnorm2d(shape, train):
     arrays = [_rand(shape, 9) * 3 + 1, 1 + 0.5 * _rand((c,), 10), _rand((c,), 11)]
     results = []
     for op in (ad.batchnorm2d, ref.batchnorm2d):
-        stats = _stats(c, 12)
-        out, backward = _run(op, arrays, (stats, train))
-        results.append((out.data, stats, backward(_output_grad(shape, 13))))
-    (out, stats, grads), (out_ref, stats_ref, grads_ref) = results
+        mean, var = _stats(c, 12)
+        out, backward = _run(op, arrays, (mean, var, train))
+        results.append((out.data, mean.data, var.data, backward(_output_grad(shape, 13))))
+    (out, mean, var, grads), (out_ref, mean_ref, var_ref, grads_ref) = results
     _same_bits(out, out_ref, f"batchnorm2d train={train} forward")
-    _same_bits(stats.mean, stats_ref.mean, "running mean")
-    _same_bits(stats.var, stats_ref.var, "running var")
+    _same_bits(mean, mean_ref, "running mean")
+    _same_bits(var, var_ref, "running var")
     assert len(grads) == len(grads_ref) == 3
     for i, (d, d_ref) in enumerate(zip(grads, grads_ref)):
         _same_bits(d, d_ref, f"batchnorm2d train={train} gradient of input {i}")
@@ -200,7 +202,7 @@ def _forward_calls():
     c = 8
     return [
         (ad.relu, [_rand((c, 9, 7), 14)], ()),
-        (ad.batchnorm2d, [_rand((c, 9, 7), 15), 1 + _rand((c,), 16), _rand((c,), 17)], (_stats(c, 18), False)),
+        (ad.batchnorm2d, [_rand((c, 9, 7), 15), 1 + _rand((c,), 16), _rand((c,), 17)], (*_stats(c, 18), False)),
         (ad.maxpool2d, [np.round(_rand((c, 9, 7), 19))], (2,)),
         (ad.transpose_conv2d, [_rand((3, 5, 4), 20), _rand((3, c, 3, 3), 21), _rand((c,), 22)], (1, 1)),
         (ad.transpose_conv2d, [_rand((3, 5, 4), 23), _rand((3, c, 2, 2), 24), _rand((c,), 25)], (2, 0)),

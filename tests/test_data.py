@@ -178,6 +178,16 @@ class TestSampleIO:
         # a class index is a rank-0 tensor
         assert read_tensor(tmp_path / "ds" / "train" / "0001.lbl.tsr1").shape == ()
 
+    def test_smaller_regeneration_leaves_only_its_own_files(self, tmp_path):
+        for train_count, test_count in ((6, 4), (3, 2)):
+            spec = _seg_spec(train_count=train_count, test_count=test_count)
+            save_dataset(spec, *generate_dataset(spec), tmp_path / "ds")
+        names = sorted(p.relative_to(tmp_path / "ds").as_posix() for p in (tmp_path / "ds").rglob("*") if p.is_file())
+        samples = [
+            f"{split}/{i:04d}.{kind}.tsr1" for split, n in (("test", 2), ("train", 3)) for i in range(n) for kind in ("img", "lbl")
+        ]
+        assert names == ["manifest.json", *samples]
+
     def test_missing_sample_raises(self, tmp_path):
         spec = _seg_spec(train_count=2, test_count=1)
         save_dataset(spec, *generate_dataset(spec), tmp_path / "ds")

@@ -38,7 +38,7 @@ class TestRedCnn:
 
     def test_zero_final_layer_gives_constant_map(self):
         model = build_network(NetworkSpec(kind="redcnn", base_channels=4, seed=2))
-        model.deconv5.weight.data = np.zeros_like(model.deconv5.weight.data)
+        model.deconv5.params["weight"].data = np.zeros_like(model.deconv5.params["weight"].data)
         out = model.forward(_image((1, 12, 12), seed=3))
         np.testing.assert_array_equal(out.data, np.zeros((1, 12, 12), np.float32))
 
@@ -64,7 +64,7 @@ class TestMcDnCnn:
 
     def test_zero_final_layer_is_identity(self):
         model = build_network(NetworkSpec(kind="mcdncnn", base_channels=4, seed=2))
-        model.conv_out.weight.data = np.zeros_like(model.conv_out.weight.data)
+        model.conv_out.params["weight"].data = np.zeros_like(model.conv_out.params["weight"].data)
         x = _image((1, 10, 10), seed=3)
         out = model.forward(x)
         np.testing.assert_array_equal(out.data, x.data)
@@ -119,8 +119,8 @@ class TestNoNewNet2d:
         model = build_network(spec)
         for i, up, a, b in model.dec:
             w = 4 * 2**i
-            assert up.weight.shape[1] == w
-            assert a.weight.shape == (w, 2 * w, 3, 3)
+            assert up.params["weight"].shape[1] == w
+            assert a.params["weight"].shape == (w, 2 * w, 3, 3)
 
     def test_gradient_reaches_every_parameter(self):
         spec = NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=3, seed=4, depth=3)
@@ -158,8 +158,8 @@ class TestCcnn:
     def test_equal_fc_weights_give_equal_logits(self):
         spec = NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=16, width=16, seed=2)
         model = build_network(spec)
-        model.fc.weight.data = np.ones_like(model.fc.weight.data)
-        model.fc.bias.data = np.zeros_like(model.fc.bias.data)
+        model.fc.params["weight"].data = np.ones_like(model.fc.params["weight"].data)
+        model.fc.params["bias"].data = np.zeros_like(model.fc.params["bias"].data)
         out = model.forward(_image((1, 16, 16), seed=3))
         assert np.ptp(out.data) == 0.0
 
@@ -280,6 +280,24 @@ class TestCheckpoints:
         (tmp_path / "ckpt" / "conv1.weight.tsr1").unlink()
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "ckpt")
+
+    def test_missing_running_stat_file_names_it(self, tmp_path):
+        model = build_network(NetworkSpec(kind="mcdncnn", base_channels=4, seed=1))
+        save_checkpoint(model, tmp_path / "ckpt")
+        (tmp_path / "ckpt" / "bn8.running_var.tsr1").unlink()
+        with pytest.raises(CheckpointError, match="bn8.running_var.tsr1"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    def test_named_state_is_parameters_then_running_stats(self):
+        model = build_network(NetworkSpec(kind="mcdncnn", base_channels=2, seed=5))
+        state, params = model.named_state(), model.named_parameters()
+        assert state[: len(params)] == params
+        assert [name for name, _ in state[len(params) :]] == [
+            f"bn{i}.{stat}" for i in range(2, 9) for stat in ("running_mean", "running_var")
+        ]
+        # each tensor owns its array: gamma and running_var both start at ones
+        arrays = [t.data for _, t in state]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :])
 
     @pytest.mark.parametrize("stat", ["running_mean", "running_var"])
     @pytest.mark.parametrize("length", [1, 3])

@@ -9,7 +9,7 @@ from taskdenoise.autodiff import Tape
 from taskdenoise.data import DatasetSpec, generate_dataset
 from taskdenoise.errors import InvalidCompositionError, InvalidInputError, InvalidSpecError, TrainingDivergedError
 from taskdenoise.metrics import aggregate, dice
-from taskdenoise.networks import NetworkSpec, build_network, parameter_checksum
+from taskdenoise.networks import NetworkSpec, build_network, parameter_checksum, save_checkpoint
 from taskdenoise.noise import NoiseSpec
 from taskdenoise.schemes import (
     TrainSettings,
@@ -122,7 +122,7 @@ class TestTrainDenoiserHv:
     def test_zero_noise_residual_denoiser_starts_at_zero_loss(self):
         train, _ = _seg_samples(count=2)
         model = build_network(NetworkSpec(kind="mcdncnn", base_channels=2, seed=20))
-        model.conv_out.weight.data = np.zeros_like(model.conv_out.weight.data)
+        model.conv_out.params["weight"].data = np.zeros_like(model.conv_out.params["weight"].data)
         clean = train[0].image
         assert ad.mse_loss(model.forward(clean), clean).item() == 0.0
 
@@ -149,6 +149,30 @@ class TestTrainDenoiserHv:
             return parameter_checksum(model)
 
         assert run() == run()
+
+    def test_best_epoch_restores_running_statistics_too(self, tmp_path):
+        # E epochs whose best validation epoch b < E must leave every
+        # checkpoint tensor as b epochs of the same run do. Batchnorm's
+        # running statistics move on every train-mode step, so restoring
+        # only the parameters would keep epoch E's statistics.
+        train, _ = _seg_samples(count=6, seed=2)
+        noise = NoiseSpec(kind="gaussian", sigma=30.0, seed=5)
+
+        def tensor_files(epochs, name):
+            model = build_network(NetworkSpec(kind="mcdncnn", base_channels=2, seed=4))
+            settings = TrainSettings(epochs_denoiser=epochs, learning_rate=3e-2, validation_fraction=0.34)
+            result = train_denoiser_hv(model, train, settings, noise, seed=3)
+            save_checkpoint(model, tmp_path / name, result.best_epoch)
+            return result.best_epoch, {p.name: p.read_bytes() for p in sorted((tmp_path / name).glob("*.tsr1"))}
+
+        best, last = tensor_files(5, "five")
+        assert 1 <= best < 5
+        assert "bn2.running_var.tsr1" in last
+        best_again, at_best = tensor_files(best, "best")
+        assert best_again == best
+        assert last.keys() == at_best.keys()
+        for name in last:
+            assert last[name] == at_best[name], name
 
 
 class TestTrainDenoiserNnv:
@@ -192,7 +216,7 @@ class TestTrainDenoiserNnv:
             loss = composed_task_loss(denoiser, app, sample.image, sample.target, train_denoiser=True)
             grads = ad.backward(loss, tape)
         app.set_trainable(True)
-        param = denoiser.conv1.weight
+        param = denoiser.conv1.params["weight"]
         analytic = grads[param].reshape(-1)
 
         def probe():
