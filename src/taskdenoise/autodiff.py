@@ -44,21 +44,10 @@ log-probabilities. No op keeps a patch matrix: conv2d's backward rebuilds
 its input's patches right before the kernel-gradient GEMM, and
 transpose_conv2d's backward builds its gradient's patches once for both
 of its GEMMs.
-
-Scratch arena: the convolution family's float64 work arrays (the padded
-input, the im2col patches, the overlap-add operand and GEMM product) are
-views into one reused buffer per role, see :func:`_scratch`. Rule: no
-arena view outlives the op call or backward call that filled it, so
-nothing an op returns, records or keeps for backward may alias the arena.
-The results that leave an op are copies already: the float32 cast in
-:func:`_wrap`, the fresh grid that the adjoint map sums into, and the
-output of every gradient GEMM. The arena belongs to the process and
-is not thread-safe: to run ops concurrently, use processes, not threads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -205,28 +194,6 @@ def backward(loss: Tensor, tape: Tape) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Scratch arena
-#
-# One float64 buffer per role, reused by every convolution call in the
-# process: "pad" (the zero-padded input), "cols" (im2col patches),
-# "operand" and "blocks" (the overlap-add GEMM's operand and product). See
-# the module docstring for the rule that keeps arena views from escaping.
-
-_ARENA: dict[str, np.ndarray] = {}
-
-
-def _scratch(role: str, shape: tuple) -> np.ndarray:
-    """A C-contiguous float64 view of ``shape`` into ``role``'s buffer, which
-    grows to the largest size requested and never shrinks. Its contents are
-    garbage on entry and valid until the next ``_scratch(role, ...)``."""
-    n = math.prod(shape)
-    buf = _ARENA.get(role)
-    if buf is None or buf.size < n:
-        buf = _ARENA[role] = np.empty(n, dtype=_F64)
-    return buf[:n].reshape(shape)
-
-
-# ---------------------------------------------------------------------------
 # im2col and overlap-add
 #
 # These helpers only move data to and from the float64 GEMMs, in the two
@@ -246,14 +213,12 @@ def _scratch(role: str, shape: tuple) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
-    """Float64 patches [C*kh*kw, oh*ow] of ``x`` zero-padded by ``padding``,
-    in the arena's ``cols`` slot.
+    """Float64 patches [C*kh*kw, oh*ow] of ``x`` zero-padded by ``padding``.
 
-    The padded copy (the ``pad`` slot) is float64 and gets its zero border
-    written one strip per side, so the patches need no cast of their own.
+    The padded copy is float64, so the patches need no cast of their own.
     """
     c, h, w = x.shape
-    cols = _scratch("cols", (c, kh, kw, oh, ow))
+    cols = np.empty((c, kh, kw, oh, ow), dtype=_F64)
     if stride > 1:
         # windows that tile the input: the patches are a permutation of it
         cols[...] = x.reshape(c, oh, kh, ow, kw).transpose(0, 2, 4, 1, 3)
@@ -261,11 +226,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int,
     xp = x
     if padding:
         p = padding
-        xp = _scratch("pad", (c, h + 2 * p, w + 2 * p))
-        xp[:, :p] = 0.0
-        xp[:, p + h :] = 0.0
-        xp[:, p : p + h, :p] = 0.0
-        xp[:, p : p + h, p + w :] = 0.0
+        xp = np.zeros((c, h + 2 * p, w + 2 * p), dtype=_F64)
         xp[:, p : p + h, p : p + w] = x
     for a in range(kh):
         for b in range(kw):
@@ -285,11 +246,9 @@ def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int) -> np.ndarr
     """
     k, h, w = v.shape
     hp, wp = h + kh - 1, w + kw - 1
-    operand = _scratch("operand", (k, h, wp))
+    operand = np.zeros((k, h, wp), dtype=_F64)
     operand[:, :, :w] = v
-    operand[:, :, w:] = 0.0
-    blocks = np.matmul(kcols, operand.reshape(k, h * wp), out=_scratch("blocks", (len(kcols), h * wp)))
-    blocks = blocks.reshape(-1, kh * kw, h * wp)
+    blocks = (kcols @ operand.reshape(k, h * wp)).reshape(-1, kh * kw, h * wp)
     flat = np.zeros((blocks.shape[0], hp * wp + kw - 1), dtype=_F64)
     for a in range(kh):
         for b in range(kw):
@@ -325,7 +284,7 @@ def _correlate_t(
     else:
         # windows that tile the grid (padding 0): each cell receives exactly one term
         operand = v.reshape(k, oh * ow).astype(_F64, copy=False)
-        patches = np.matmul(kcols, operand, out=_scratch("blocks", (len(kcols), oh * ow)))
+        patches = kcols @ operand
         c = len(kcols) // (kh * kw)
         tiles = np.zeros((c, oh, kh, ow, kw), dtype=_F64)
         tiles += patches.reshape(c, kh, kw, oh, ow).transpose(0, 3, 1, 4, 2)

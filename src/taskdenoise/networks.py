@@ -136,9 +136,6 @@ class Model:
         for p in self.parameters():
             p.requires_grad = flag
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def _check_input(self, x: Tensor) -> None:
         if x.data.ndim != 3 or x.shape[0] != 1:
             raise InvalidShapeError(f"{self.kind} expects input [1, m, n], got {x.shape}")
@@ -319,6 +316,8 @@ def save_checkpoint(model: Model, directory, epoch: int = 0) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / _MANIFEST).unlink(missing_ok=True)
+    for stale in directory.glob("*.tsr1"):  # an earlier checkpoint's tensors
+        stale.unlink()
     for name, t in model.named_state():
         write_tensor(directory / f"{name}.tsr1", t.data)
     # last: only a complete checkpoint has a manifest

@@ -11,7 +11,7 @@ backward-only state when nothing is recorded must give the same output
 bytes either way. One training step of each network must give the same
 loss, gradient and running-stat bytes with the reference ops swapped in,
 which the per-op tests cannot show: that a result still in use is not
-overwritten when a later call reuses the convolution scratch buffers.
+overwritten by a later op or backward call.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ def _training_step(kind: str) -> list:
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_whole_network_step(kind):
-    # every op's results must stay intact while later ops and backward
-    # calls reuse the convolution scratch buffers: the reference ops use none
+    # every op's results must stay intact through later ops and backward
+    # calls, which the reference ops, one plain array per value, show
     step = _training_step(kind)
     with _ops_replaced({name: getattr(ref, name) for name in (*OPS, "batchnorm2d")}):
         step_ref = _training_step(kind)

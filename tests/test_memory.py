@@ -2,23 +2,33 @@
 
 A conv2d's float64 im2col patches hold 18 times the bytes of its float32
 input, and the kernels of an nnv step's frozen application network take no
-gradient at all. So the patches live in reused scratch buffers and are
-rebuilt in backward. This test warms those buffers with one full step, then
-measures with tracemalloc what a recorded forward (the loss and its tape)
-leaves alive. At 64x64, width 8, that measured 21.6-33.7 MiB with the
-patches kept and 4.0-6.9 MiB without them.
+gradient at all. So the patches are rebuilt in backward. This test runs
+one full step first, then measures with tracemalloc what a recorded forward
+(the loss and its tape) leaves alive. At 64x64, width 8, that measured
+21.6-33.7 MiB with the patches kept and 4.0-6.9 MiB without them.
+
+Once the tape, loss and gradients of a step are dropped, nothing the step
+allocated may stay alive: no op keeps a buffer between calls.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taskdenoise
 from taskdenoise.autodiff import Tape, Tensor, backward, cross_entropy_loss, mse_loss
 from taskdenoise.networks import NetworkSpec, build_network
 from taskdenoise.schemes import composed_task_loss
+
+_SRC = Path(taskdenoise.__file__).resolve().parent.parent
 
 # between the two sets of measurements above
 BOUND_MIB = 12
@@ -62,3 +72,33 @@ def test_recorded_forward_keeps_no_patches(case):
         tracemalloc.stop()
     assert len(tape) and loss.requires_grad
     assert kept < BOUND_MIB * 2**20, f"{case}: a recorded forward keeps {kept / 2**20:.1f} MiB"
+
+
+# what an nnv step may leave allocated once its tape, loss and gradients are gone
+RETAINED_BOUND_MIB = 1
+
+
+def retained_after_nnv_step() -> int:
+    """Bytes still allocated after one nnv step whose results are dropped."""
+    loss_fn = _loss_fn("nnv")
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = loss_fn()
+            grads = backward(loss, tape)
+        del tape, loss, grads
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_step_leaves_no_memory_behind():
+    # a fresh interpreter: a buffer that earlier tests had already grown
+    # would not grow again during the measured step
+    path = [str(Path(__file__).parent), str(_SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import test_memory; print(test_memory.retained_after_nnv_step())"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    retained = int(run.stdout)
+    assert retained < RETAINED_BOUND_MIB * 2**20, f"an nnv step leaves {retained / 2**20:.2f} MiB allocated"

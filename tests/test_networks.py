@@ -47,7 +47,7 @@ class TestRedCnn:
         # conv1 + conv2..5 + deconv1..4 + deconv5, each with bias
         expected = (9 * c + c) + 4 * (9 * c * c + c) + 4 * (9 * c * c + c) + (9 * c + 1)
         model = build_network(NetworkSpec(kind="redcnn", base_channels=c, seed=0))
-        assert model.param_count() == expected
+        assert sum(p.data.size for p in model.parameters()) == expected
 
     def test_gradient_reaches_every_parameter(self):
         model = build_network(NetworkSpec(kind="redcnn", base_channels=4, seed=4))
@@ -73,7 +73,7 @@ class TestMcDnCnn:
         c = 8
         expected = (9 * c + c) + 7 * (9 * c * c + c) + 7 * (2 * c) + (9 * c + 1)
         model = build_network(NetworkSpec(kind="mcdncnn", base_channels=c, seed=0))
-        assert model.param_count() == expected
+        assert sum(p.data.size for p in model.parameters()) == expected
 
     def test_gradient_reaches_every_parameter(self):
         model = build_network(NetworkSpec(kind="mcdncnn", base_channels=4, seed=4))
@@ -112,7 +112,7 @@ class TestNoNewNet2d:
             prev = w
         expected += b * k + k  # 1x1 head
         spec = NetworkSpec(kind="nonewnet2d", base_channels=b, num_classes=k, seed=0, depth=d)
-        assert build_network(spec).param_count() == expected
+        assert sum(p.data.size for p in build_network(spec).parameters()) == expected
 
     def test_skip_concatenation_channel_arithmetic(self):
         spec = NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=2, seed=0, depth=2)
@@ -153,7 +153,7 @@ class TestCcnn:
         expected = sum(9 * cin * cout + cout for cin, cout in zip(chans, chans[1:]))
         expected += (8 * b * (m // 16) * (m // 16)) * k + k
         spec = NetworkSpec(kind="ccnn", base_channels=b, num_classes=k, height=m, width=m, seed=0)
-        assert build_network(spec).param_count() == expected
+        assert sum(p.data.size for p in build_network(spec).parameters()) == expected
 
     def test_equal_fc_weights_give_equal_logits(self):
         spec = NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=16, width=16, seed=2)
@@ -269,6 +269,16 @@ class TestCheckpoints:
         assert [f.name for f in files_a] == [f.name for f in files_b]
         for fa, fb in zip(files_a, files_b):
             assert fa.read_bytes() == fb.read_bytes()
+
+    def test_saving_another_kind_over_a_checkpoint_leaves_only_its_files(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        save_checkpoint(build_network(NetworkSpec(kind="mcdncnn", base_channels=2, seed=1)), ckpt)
+        (ckpt / "loss.csv").write_text("epoch,train_loss,val_loss\n")  # written before the checkpoint
+        redcnn = build_network(NetworkSpec(kind="redcnn", base_channels=2, seed=1))
+        save_checkpoint(redcnn, ckpt)
+        expected = {f"{name}.tsr1" for name, _ in redcnn.named_state()} | {"manifest.json", "loss.csv"}
+        assert {f.name for f in ckpt.iterdir()} == expected
+        assert load_checkpoint(ckpt)[0].kind == "redcnn"
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(CheckpointError):
