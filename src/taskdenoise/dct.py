@@ -39,29 +39,6 @@ def _basis_matrix() -> np.ndarray:
 _DCT = _basis_matrix()
 
 
-def dct8_forward(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-d DCT-II of one 8x8 block."""
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape != (BLOCK, BLOCK):
-        raise InvalidShapeError(f"expected an 8x8 block, got shape {block.shape}")
-    return _DCT @ block @ _DCT.T
-
-
-def dct8_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse (type-III) transform; exact inverse of dct8_forward."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (BLOCK, BLOCK):
-        raise InvalidShapeError(f"expected an 8x8 coefficient block, got shape {coeffs.shape}")
-    return _DCT.T @ coeffs @ _DCT
-
-
-def basis_block(i: int, j: int) -> np.ndarray:
-    """The (i, j) spatial basis function as an 8x8 image."""
-    impulse = np.zeros((BLOCK, BLOCK))
-    impulse[i, j] = 1.0
-    return dct8_inverse(impulse)
-
-
 @dataclass
 class DctSpectrum:
     """Per-component standard deviation across all blocks of an image."""

@@ -24,24 +24,9 @@ import numpy as np
 from .errors import InvalidShapeError
 
 
-def _class_mask(labels: np.ndarray, class_id: int) -> np.ndarray:
-    return np.asarray(labels) == class_id
-
-
 def _check_extents(pred: np.ndarray, truth: np.ndarray) -> None:
     if np.asarray(pred).shape != np.asarray(truth).shape:
         raise InvalidShapeError(f"label map extents differ: {np.shape(pred)} vs {np.shape(truth)}")
-
-
-def dice(pred: np.ndarray, truth: np.ndarray, class_id: int) -> float:
-    """2|A^B| / (|A|+|B|) over the class-id pixel sets."""
-    _check_extents(pred, truth)
-    a = _class_mask(pred, class_id)
-    b = _class_mask(truth, class_id)
-    total = int(a.sum()) + int(b.sum())
-    if total == 0:
-        return 1.0
-    return 2.0 * int(np.logical_and(a, b).sum()) / total
 
 
 def boundary_pixels(mask: np.ndarray) -> np.ndarray:
@@ -56,44 +41,33 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     return np.argwhere(mask & ~inner)
 
 
-def hausdorff(pred: np.ndarray, truth: np.ndarray, class_id: int) -> float | None:
-    """Max directed sup-inf Euclidean distance between boundary pixel sets.
+# bytes of one block of squared boundary distances in hausdorff
+_HAUSDORFF_BLOCK_BYTES = 1 << 20
 
-    Returns None (undefined) when either class set is empty.
+
+def hausdorff(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Max directed sup-inf Euclidean distance between the boundary pixel
+    sets of two masks.
+
+    Returns None (undefined) when either mask is empty. The squared
+    distances are taken over blocks of A's boundary points, so memory stays
+    bounded; they are integers, so the result does not depend on the block
+    size.
     """
-    _check_extents(pred, truth)
-    a = _class_mask(pred, class_id)
-    b = _class_mask(truth, class_id)
-    if not a.any() or not b.any():
+    _check_extents(a, b)
+    if not np.any(a) or not np.any(b):
         return None
-    pa = boundary_pixels(a).astype(np.float64)
-    pb = boundary_pixels(b).astype(np.float64)
-    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-    forward = np.sqrt(d2.min(axis=1)).max()
-    backward_ = np.sqrt(d2.min(axis=0)).max()
-    return float(max(forward, backward_))
-
-
-def sensitivity(pred: np.ndarray, truth: np.ndarray, class_id: int) -> float | None:
-    """TP / (TP + FN) over pixels, one-vs-rest; None when the class is absent."""
-    _check_extents(pred, truth)
-    a = _class_mask(pred, class_id)
-    b = _class_mask(truth, class_id)
-    positives = int(b.sum())
-    if positives == 0:
-        return None
-    return int(np.logical_and(a, b).sum()) / positives
-
-
-def specificity(pred: np.ndarray, truth: np.ndarray, class_id: int) -> float | None:
-    """TN / (TN + FP) over pixels, one-vs-rest; None when everything is the class."""
-    _check_extents(pred, truth)
-    a = _class_mask(pred, class_id)
-    b = _class_mask(truth, class_id)
-    negatives = int((~b).sum())
-    if negatives == 0:
-        return None
-    return int(np.logical_and(~a, ~b).sum()) / negatives
+    pa = boundary_pixels(a)
+    pb = boundary_pixels(b)
+    rows = max(1, _HAUSDORFF_BLOCK_BYTES // (8 * len(pb)))
+    forward = 0
+    column_min = np.full(len(pb), np.iinfo(np.int64).max)
+    for lo in range(0, len(pa), rows):
+        block = pa[lo : lo + rows]
+        d2 = (block[:, None, 0] - pb[:, 0]) ** 2 + (block[:, None, 1] - pb[:, 1]) ** 2
+        forward = max(forward, d2.min(axis=1).max())
+        np.minimum(column_min, d2.min(axis=0), out=column_min)
+    return float(np.sqrt(max(forward, column_min.max())))
 
 
 def aggregate(values) -> tuple[float, float]:
@@ -112,14 +86,26 @@ def aggregate(values) -> tuple[float, float]:
 
 def evaluate_segmentation_sample(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> list[tuple]:
     """(class, metric, value) rows of one sample, foreground classes 1..k-1
-    only; an undefined value is None."""
+    only; an undefined value is None.
+
+    Per class, with A the predicted and B the true pixel set over N pixels:
+    dice 2|A^B| / (|A|+|B|) (1.0 when both are empty), sensitivity
+    |A^B| / |B| (None when B is empty), specificity, one-vs-rest,
+    (N-|A|-|B|+|A^B|) / (N-|B|) (None when B is every pixel), and the
+    boundary :func:`hausdorff` distance.
+    """
+    _check_extents(pred, truth)
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    n = pred.size
     rows = []
     for c in range(1, num_classes):
+        a, b = pred == c, truth == c
+        na, nb, both = int(a.sum()), int(b.sum()), int(np.logical_and(a, b).sum())
         rows += [
-            (c, "dice", dice(pred, truth, c)),
-            (c, "hausdorff", hausdorff(pred, truth, c)),
-            (c, "sensitivity", sensitivity(pred, truth, c)),
-            (c, "specificity", specificity(pred, truth, c)),
+            (c, "dice", 2.0 * both / (na + nb) if na + nb else 1.0),
+            (c, "hausdorff", hausdorff(a, b)),
+            (c, "sensitivity", both / nb if nb else None),
+            (c, "specificity", (n - na - nb + both) / (n - nb) if nb < n else None),
         ]
     return rows
 

@@ -334,9 +334,9 @@ def load_checkpoint(directory) -> tuple[Model, int]:
         manifest = json.loads(manifest_path.read_text())
         spec = NetworkSpec(**manifest["spec"])
         epoch = int(manifest["epoch"])
-    except (KeyError, TypeError, ValueError) as exc:
+        model = build_network(spec)
+    except (KeyError, TypeError, ValueError, InvalidSpecError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest at {manifest_path}: {exc}") from exc
-    model = build_network(spec)
     for name, t in model.named_state():
         path = directory / f"{name}.tsr1"
         if not path.is_file():

@@ -118,6 +118,20 @@ class TestExitCodes:
         assert code == 5
         assert capsys.readouterr().err.startswith("missing-checkpoint:")
 
+    def test_invalid_spec_in_checkpoint_manifest_names_the_checkpoint(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--scheme", "tc"]) == 0
+        manifest = tmp_path / "run" / "checkpoints" / "tc" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["spec"]["base_channels"] = 0
+        manifest.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--scheme", "tc"]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("missing-checkpoint: malformed checkpoint manifest at")
+        assert str(manifest) in err and "base_channels must be >= 1" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("sigma", ["inf", "nan"])
     def test_non_finite_test_sigma_is_spec_error(self, tmp_path, capsys, sigma):
         cfg = _write_config(tmp_path)

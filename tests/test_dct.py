@@ -8,11 +8,9 @@ import pytest
 from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tensor
 from taskdenoise.dct import (
+    _DCT,
     DctSpectrum,
-    basis_block,
     block_coefficients,
-    dct8_forward,
-    dct8_inverse,
     export_heatmap,
     frequency_gradient,
     high_frequency_mean,
@@ -41,42 +39,55 @@ def brute_force_dct(block):
     return out
 
 
+def blocks_of(image):
+    """The 8x8 blocks of an image whose extents are multiples of 8, row-major."""
+    m, n = image.shape
+    return [image[i : i + 8, j : j + 8] for i in range(0, m, 8) for j in range(0, n, 8)]
+
+
 class TestDct8:
     def test_constant_block_dc_only(self):
-        coeffs = dct8_forward(np.full((8, 8), 3.0))
-        assert coeffs[0, 0] == pytest.approx(24.0, abs=1e-9)  # 8 * v
+        coeffs = block_coefficients(np.full((8, 16), 3.0))
+        assert coeffs.shape == (2, 8, 8)
+        np.testing.assert_allclose(coeffs[:, 0, 0], 24.0, atol=1e-9)  # 8 * v
         rest = coeffs.copy()
-        rest[0, 0] = 0.0
+        rest[:, 0, 0] = 0.0
         assert np.abs(rest).max() < 1e-6
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            block = rng.normal(size=(8, 8)) * 100
-            back = dct8_inverse(dct8_forward(block))
-            assert np.abs(back - block).max() < 1e-4
+            image = rng.normal(size=(16, 24)) * 100
+            for block, coeffs in zip(blocks_of(image), block_coefficients(image)):
+                assert np.abs(_DCT.T @ coeffs @ _DCT - block).max() < 1e-4
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
-        block = rng.normal(size=(8, 8)) * 50
-        np.testing.assert_allclose(dct8_forward(block), brute_force_dct(block), atol=1e-5)
+        for shape in [(8, 8), (16, 24)]:
+            image = rng.normal(size=shape) * 50
+            expected = np.stack([brute_force_dct(block) for block in blocks_of(image)])
+            np.testing.assert_allclose(block_coefficients(image), expected, atol=1e-5)
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
-        block = rng.normal(size=(8, 8)) * 10
-        coeffs = dct8_forward(block)
-        assert abs((coeffs**2).sum() - (block**2).sum()) / (block**2).sum() < 1e-5
+        for shape in [(8, 8), (24, 16)]:
+            image = rng.normal(size=shape) * 10
+            coeffs = block_coefficients(image)
+            assert abs((coeffs**2).sum() - (image**2).sum()) / (image**2).sum() < 1e-5
 
     def test_orthonormal_basis_gram_identity(self):
-        basis = np.stack([basis_block(i, j).ravel() for i in range(8) for j in range(8)])
+        basis = np.einsum("ix,jy->ijxy", _DCT, _DCT).reshape(64, 64)
         gram = basis @ basis.T
         assert np.abs(gram - np.eye(64)).max() < 1e-6
+        # the (i, j) basis image has the single coefficient (i, j)
+        coeffs = np.concatenate([block_coefficients(b.reshape(8, 8)) for b in basis]).reshape(64, 64)
+        assert np.abs(coeffs - np.eye(64)).max() < 1e-6
 
     def test_wrong_shape_raises(self):
         with pytest.raises(InvalidShapeError):
-            dct8_forward(np.zeros((4, 4)))
+            block_coefficients(np.zeros((2, 8, 8)))
         with pytest.raises(InvalidShapeError):
-            dct8_inverse(np.zeros((8, 4)))
+            block_coefficients(np.zeros(8))
 
 
 class TestSpectrum:

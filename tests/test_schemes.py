@@ -8,7 +8,7 @@ from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tape
 from taskdenoise.data import DatasetSpec, generate_dataset
 from taskdenoise.errors import InvalidCompositionError, InvalidInputError, InvalidSpecError, TrainingDivergedError
-from taskdenoise.metrics import aggregate, dice
+from taskdenoise.metrics import aggregate, evaluate_segmentation_sample
 from taskdenoise.networks import NetworkSpec, build_network, parameter_checksum, save_checkpoint
 from taskdenoise.noise import NoiseSpec
 from taskdenoise.schemes import (
@@ -267,7 +267,10 @@ class TestEvaluateScheme:
         app = build_network(_app_spec(seed=66))
         report = evaluate_scheme(app, None, test, corrupt_samples(test, None, "test"))
         preds = [predict(app, None, s.image) for s in test]
-        per_sample = [np.mean([dice(p, s.target, c) for c in (1, 2)]) for p, s in zip(preds, test)]
+        per_sample = [
+            np.mean([v for _, m, v in evaluate_segmentation_sample(p, s.target, 3) if m == "dice"])
+            for p, s in zip(preds, test)
+        ]
         assert report.aggregates["dice"] == aggregate(per_sample)
 
     def test_denoiser_routing_changes_predictions(self):
