@@ -8,9 +8,9 @@ no-denoising baselines, on deterministic synthetic phantom data, with an
 """
 
 from .autodiff import Tape, Tensor, backward
-from .config import ExperimentConfig, parse_config, serialize_config
+from .config import ExperimentConfig, parse_config
 from .data import DatasetSpec, Sample, generate_dataset
-from .dct import DctSpectrum, block_coefficients, frequency_gradient, spectrum_sd
+from .dct import block_coefficients, frequency_gradient, spectrum_sd
 from .metrics import MetricsReport, aggregate, evaluate_segmentation_sample, hausdorff
 from .networks import Model, NetworkSpec, build_network, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, apply_noise

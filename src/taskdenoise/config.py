@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .data import CLASSIFICATION, SEGMENTATION, DatasetSpec
 from .errors import ConfigError, InvalidSpecError
@@ -211,28 +211,3 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
         return cfg.validate()
     except InvalidSpecError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical form: all fields explicit, sorted keys. A fixed point of
-    parse -> serialize."""
-
-    def net(spec: NetworkSpec | None):
-        if spec is None:
-            return None
-        return {k: v for k, v in asdict(spec).items() if k not in _FROM_DATASET}
-
-    payload = {
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "dataset": asdict(cfg.dataset),
-        "application": net(cfg.application),
-        "denoiser": net(cfg.denoiser),
-        "schemes": cfg.schemes,
-        "train_noise": asdict(cfg.train_noise),
-        "test_noises": [asdict(n) for n in cfg.test_noises],
-        "train": asdict(cfg.train),
-        "checkpoint_overrides": cfg.checkpoint_overrides,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-

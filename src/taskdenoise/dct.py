@@ -10,9 +10,7 @@ each frequency component contributes to the model's output.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -21,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import InvalidShapeError
-from .tensorio import write_pgm
+from .tensorio import write_csv, write_pgm
 
 BLOCK = 8
 
@@ -37,14 +35,6 @@ def _basis_matrix() -> np.ndarray:
 
 
 _DCT = _basis_matrix()
-
-
-@dataclass
-class DctSpectrum:
-    """Per-component standard deviation across all blocks of an image."""
-
-    sd: np.ndarray  # [8, 8], component (i, j)
-    block_count: int
 
 
 def _to_2d(image) -> np.ndarray:
@@ -74,22 +64,11 @@ def block_coefficients(image) -> np.ndarray:
     return np.einsum("ux,bxy,vy->buv", _DCT, blocks, _DCT, optimize=True)
 
 
-def spectrum_sd(image) -> DctSpectrum:
-    """Standard deviation of each frequency component across blocks."""
+def spectrum_sd(image) -> np.ndarray:
+    """Standard deviation of each frequency component across blocks: [8, 8]."""
     coeffs = block_coefficients(image)
     mean = coeffs.mean(axis=0)
-    sd = np.sqrt(((coeffs - mean) ** 2).mean(axis=0))
-    return DctSpectrum(sd=sd, block_count=coeffs.shape[0])
-
-
-def high_frequency_mean(spectrum: DctSpectrum, count: int = 32) -> float:
-    """Mean SD over the `count` highest-frequency components (by i^2+j^2, descending)."""
-    order = sorted(
-        ((i, j) for i in range(BLOCK) for j in range(BLOCK)),
-        key=lambda ij: (-(ij[0] ** 2 + ij[1] ** 2), ij),
-    )
-    values = [spectrum.sd[i, j] for i, j in order[:count]]
-    return float(np.mean(values))
+    return np.sqrt(((coeffs - mean) ** 2).mean(axis=0))
 
 
 def frequency_gradient(loss_head: Callable[[Tensor], Tensor], image) -> np.ndarray:
@@ -127,20 +106,15 @@ def sum_head(model, train: bool = False) -> Callable[[Tensor], Tensor]:
     return head
 
 
-def export_heatmap(spectrum_or_grid, path_base) -> tuple[Path, Path]:
-    """Write a 64-value CSV (row-major (i, j)) and a normalized 8x8 PGM."""
-    grid = spectrum_or_grid.sd if isinstance(spectrum_or_grid, DctSpectrum) else np.asarray(spectrum_or_grid)
+def export_heatmap(grid: np.ndarray, path_base) -> tuple[Path, Path]:
+    """Write an 8x8 grid as a 64-value CSV (row-major (i, j)) and a PGM
+    scaled so its peak is white."""
+    grid = np.asarray(grid, dtype=np.float64)
     if grid.shape != (BLOCK, BLOCK):
         raise InvalidShapeError(f"expected an 8x8 grid, got {grid.shape}")
     base = Path(path_base)
-    base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = base.parent / (base.name + ".csv")
     pgm_path = base.parent / (base.name + ".pgm")
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "value"])
-        for i in range(BLOCK):
-            for j in range(BLOCK):
-                writer.writerow([i, j, f"{grid[i, j]:.6g}"])
-    write_pgm(pgm_path, grid, normalize=True)
+    write_csv(csv_path, ["i", "j", "value"], ((i, j, grid[i, j]) for i in range(BLOCK) for j in range(BLOCK)))
+    write_pgm(pgm_path, grid)
     return csv_path, pgm_path

@@ -23,7 +23,6 @@ pure functions of the config.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .errors import CheckpointError, ConfigError
 from .networks import Model, build_network, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, noise_tag
 from .schemes import HV, NNV, TC, TD, TrainResult
-from .tensorio import read_tensor
+from .tensorio import read_tensor, write_csv
 
 
 def resolve_out_dir(cfg: ExperimentConfig, out_dir=None) -> Path:
@@ -77,12 +76,7 @@ def cmd_generate(cfg: ExperimentConfig, out_dir=None) -> Path:
 
 def _save_trained(model: Model, result: TrainResult, ckpt: Path) -> None:
     """loss.csv first, then the checkpoint, whose manifest comes last of all."""
-    ckpt.mkdir(parents=True, exist_ok=True)
-    with open(ckpt / "loss.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, train_loss, val_loss in result.trace:
-            writer.writerow([epoch, f"{train_loss:.6g}", "" if val_loss != val_loss else f"{val_loss:.6g}"])
+    write_csv(ckpt / "loss.csv", ["epoch", "train_loss", "val_loss"], result.trace)
     save_checkpoint(model, ckpt, epoch=result.best_epoch)
 
 
@@ -248,8 +242,7 @@ def cmd_dct(cfg: ExperimentConfig, image_path, checkpoint=None, out_dir=None) ->
     image = read_tensor(image_path)
     stem = image_path.name.split(".")[0]
     produced: list[Path] = []
-    spectrum = dct_mod.spectrum_sd(image)
-    produced += dct_mod.export_heatmap(spectrum, out / "dct" / f"{stem}.spectrum")
+    produced += dct_mod.export_heatmap(dct_mod.spectrum_sd(image), out / "dct" / f"{stem}.spectrum")
     if checkpoint is not None:
         model, _ = load_checkpoint(Path(checkpoint))
         grid = dct_mod.frequency_gradient(dct_mod.sum_head(model), image)

@@ -9,19 +9,18 @@ A scored test set is a list of (sample, class, metric, value) rows, one per
 line of its per-sample CSV: per foreground class, dice, hausdorff,
 sensitivity and specificity of a segmentation sample; with an empty class,
 the predicted class and top1 (0 or 1) of a classification sample.
-:func:`report` aggregates the rows, and the CSV writers of both the
-per-sample and the comparison files live here.
+:func:`report` aggregates the rows; the per-sample and the comparison
+files are written through :func:`tensorio.write_csv`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidShapeError
+from .tensorio import write_csv
 
 
 def _check_extents(pred: np.ndarray, truth: np.ndarray) -> None:
@@ -151,27 +150,12 @@ def report(rows: list[tuple]) -> MetricsReport:
 
 
 # ---------------------------------------------------------------------------
-# CSV export (UTF-8, comma separated, header row, 6 significant digits)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.6g}"
-
-
-def _open_csv(path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", newline="", encoding="utf-8")
+# CSV export
 
 
 def write_per_sample_csv(report: MetricsReport, path) -> None:
     """One line per report row; an undefined value is left empty."""
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "class", "metric", "value"])
-        writer.writerows((i, c, metric, _fmt(value)) for i, c, metric, value in report.rows)
+    write_csv(path, ["sample", "class", "metric", "value"], report.rows)
 
 
 def write_compare_csv(rows: list, path) -> None:
@@ -179,10 +163,9 @@ def write_compare_csv(rows: list, path) -> None:
     metric any report aggregates (empty where a report lacks it), then the
     count of undefined Hausdorff values."""
     names = sorted({name for _, _, r in rows for name in r.aggregates})
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh)
-        stats = [f"{name}_{stat}" for name in names for stat in ("mean", "sd")]
-        writer.writerow(["scheme", "test_noise", *stats, "hausdorff_undefined"])
-        for scheme, tag, r in rows:
-            values = [_fmt(v) for n in names for v in r.aggregates.get(n, (None, None))]
-            writer.writerow([scheme, tag, *values, r.hausdorff_undefined])
+    stats = [f"{name}_{stat}" for name in names for stat in ("mean", "sd")]
+    lines = [
+        [scheme, tag, *(v for n in names for v in r.aggregates.get(n, (None, None))), r.hausdorff_undefined]
+        for scheme, tag, r in rows
+    ]
+    write_csv(path, ["scheme", "test_noise", *stats, "hausdorff_undefined"], lines)

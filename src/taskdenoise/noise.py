@@ -42,9 +42,6 @@ class NoiseSpec:
             raise InvalidSpecError(f"poisson_scale must be > 0, got {self.poisson_scale}")
         return self
 
-    def with_seed(self, seed: int) -> "NoiseSpec":
-        return NoiseSpec(self.kind, self.mu, self.sigma, self.poisson_scale, seed)
-
 
 def noise_tag(spec: NoiseSpec) -> str:
     """Label of a test noise in metrics file names and compare.csv rows.

@@ -14,15 +14,17 @@ from .rng import Rng
 _F32 = np.float32
 _F64 = np.float64
 
+# moment decay rates and the denominator's floor of every Adam update
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """Per-parameter moment accumulators plus the shared step counter."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
@@ -44,17 +46,16 @@ def adam_step(params: list[Tensor], grads: dict, state: AdamState) -> None:
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for i, p in enumerate(params):
         g = grads.get(p)
         g64 = np.zeros(p.shape, dtype=_F64) if g is None else g.astype(_F64)
-        m64 = b1 * state.m[i].astype(_F64) + (1.0 - b1) * g64
-        v64 = b2 * state.v[i].astype(_F64) + (1.0 - b2) * g64 * g64
+        m64 = BETA1 * state.m[i].astype(_F64) + (1.0 - BETA1) * g64
+        v64 = BETA2 * state.v[i].astype(_F64) + (1.0 - BETA2) * g64 * g64
         state.m[i] = m64.astype(_F32)
         state.v[i] = v64.astype(_F32)
-        update = state.lr * (m64 / bc1) / (np.sqrt(v64 / bc2) + state.eps)
+        update = state.lr * (m64 / bc1) / (np.sqrt(v64 / bc2) + EPS)
         p.data = (p.data.astype(_F64) - update).astype(_F32)
 
 

@@ -11,7 +11,7 @@ scores each prediction into the per-sample rows of :mod:`metrics`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def corrupt_samples(samples: list[Sample], noise_spec: NoiseSpec | None, split_l
         return [s.image for s in samples]
     out = []
     for i, s in enumerate(samples):
-        per_sample = noise_spec.with_seed(derive_seed(noise_spec.seed, f"{split_label}/{i}"))
+        per_sample = replace(noise_spec, seed=derive_seed(noise_spec.seed, f"{split_label}/{i}"))
         out.append(apply_noise(s.image, per_sample))
     return out
 
@@ -100,16 +100,23 @@ def _restore(model: Model, snapshot: list[np.ndarray]) -> None:
         t.data = data
 
 
-def _run_training(model: Model, items: list, settings: TrainSettings, purpose: str, seed: int, loss_fn) -> TrainResult:
-    """Adam training over items with best-validation checkpoint selection.
+def _run_training(
+    model: Model, samples: list[Sample], noise_spec: NoiseSpec | None, settings: TrainSettings,
+    purpose: str, seed: int, loss_fn,
+) -> TrainResult:
+    """Adam training over the samples with best-validation checkpoint selection.
 
-    ``purpose`` ("application" or "denoiser") picks the epoch count, and the
-    shuffle order derives from the global ``seed`` and the purpose.
-    ``loss_fn(item, train)`` is the loss of one item: recorded for the step
-    with ``train=True``, computed for selection with ``train=False``. A
-    held-out tail of the items (validation_fraction) drives checkpoint
-    selection; with no holdout the training loss is used instead.
+    Each sample's training image is drawn once, by ``corrupt_samples`` with
+    ``noise_spec`` (the clean image without one). ``purpose``
+    ("application" or "denoiser") picks the epoch count, and the shuffle
+    order derives from the global ``seed`` and the purpose.
+    ``loss_fn(image, sample, train)`` is the loss of one sample: recorded
+    for the step with ``train=True``, computed for selection with
+    ``train=False``. A held-out tail of the samples (validation_fraction)
+    drives checkpoint selection; with no holdout the training loss is used
+    instead.
     """
+    items = list(zip(corrupt_samples(samples, noise_spec, "train"), samples))
     settings.validate()
     epochs = settings.epochs_application if purpose == "application" else settings.epochs_denoiser
     n_val = int(round(settings.validation_fraction * len(items)))
@@ -128,7 +135,7 @@ def _run_training(model: Model, items: list, settings: TrainSettings, purpose: s
         total = 0.0
         for step, idx in enumerate(order):
             with Tape() as tape:
-                loss = loss_fn(train_items[int(idx)], True)
+                loss = loss_fn(*train_items[int(idx)], True)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainingDivergedError(epoch, step)
@@ -137,7 +144,7 @@ def _run_training(model: Model, items: list, settings: TrainSettings, purpose: s
             total += value
         train_loss = total / max(1, len(train_items))
         if val_items and (epoch % settings.checkpoint_cadence == 0 or epoch == epochs):
-            val_loss = float(np.mean([loss_fn(item, False).item() for item in val_items]))
+            val_loss = float(np.mean([loss_fn(*item, False).item() for item in val_items]))
         elif val_items:
             val_loss = math.nan
         else:
@@ -161,28 +168,22 @@ def train_application(
 ) -> TrainResult:
     """Train a segmentation/classification network on clean or dirty images."""
     _check_task_match(model, samples)
-    images = corrupt_samples(samples, noise_spec, "train")
-    items = [(image, s.target) for image, s in zip(images, samples)]
 
-    def loss_fn(item, train: bool):
-        image, target = item
-        return cross_entropy_loss(model.forward(image, train=train), target)
+    def loss_fn(image: Tensor, sample: Sample, train: bool):
+        return cross_entropy_loss(model.forward(image, train=train), sample.target)
 
-    return _run_training(model, items, settings, "application", seed, loss_fn)
+    return _run_training(model, samples, noise_spec, settings, "application", seed, loss_fn)
 
 
 def train_denoiser_hv(
     model: Model, samples: list[Sample], settings: TrainSettings, noise_spec: NoiseSpec, seed: int = 0
 ) -> TrainResult:
     """Train a denoiser on paired (dirty, clean) images with pixel MSE."""
-    dirty = corrupt_samples(samples, noise_spec, "train")
-    items = [(d, s.image) for d, s in zip(dirty, samples)]
 
-    def loss_fn(item, train: bool):
-        noisy, clean = item
-        return mse_loss(model.forward(noisy, train=train), clean)
+    def loss_fn(image: Tensor, sample: Sample, train: bool):
+        return mse_loss(model.forward(image, train=train), sample.image)
 
-    return _run_training(model, items, settings, "denoiser", seed, loss_fn)
+    return _run_training(model, samples, noise_spec, settings, "denoiser", seed, loss_fn)
 
 
 def train_denoiser_nnv(
@@ -194,16 +195,13 @@ def train_denoiser_nnv(
     are bit-identical before and after.
     """
     _check_task_match(application, samples)
-    dirty = corrupt_samples(samples, noise_spec, "train")
-    items = [(d, s.target) for d, s in zip(dirty, samples)]
     application.set_trainable(False)
 
-    def loss_fn(item, train: bool):
-        noisy, target = item
-        return composed_task_loss(model, application, noisy, target, train_denoiser=train)
+    def loss_fn(image: Tensor, sample: Sample, train: bool):
+        return composed_task_loss(model, application, image, sample.target, train_denoiser=train)
 
     try:
-        return _run_training(model, items, settings, "denoiser", seed, loss_fn)
+        return _run_training(model, samples, noise_spec, settings, "denoiser", seed, loss_fn)
     finally:
         application.set_trainable(True)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from taskdenoise.cli import main
-from taskdenoise.tensorio import write_tensor
+from taskdenoise.tensorio import read_tensor, write_tensor
 
 
 def _write_config(tmp_path, name="cfg.json", **overrides):
@@ -165,6 +165,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("format-error:") and f"test/{name}" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "relpath",
+        [("checkpoints", "tc", "conv1.weight.tsr1"), ("dataset", "test", "0000.img.tsr1")],
+        ids=["checkpoint", "dataset"],
+    )
+    def test_non_finite_value_in_a_tensor_file_is_format_error(self, tmp_path, capsys, relpath):
+        overrides = {
+            "dataset": {"task": "classification", "height": 16, "width": 16, "num_classes": 3,
+                        "train_count": 3, "test_count": 2},
+            "application": {"kind": "ccnn", "base_channels": 2},
+        }
+        cfg = _write_config(tmp_path, **overrides)
+        assert main(["train", "--config", str(cfg), "--scheme", "tc"]) == 0
+        path = tmp_path.joinpath("run", *relpath)
+        data = read_tensor(path)
+        data.flat[3] = np.nan
+        write_tensor(path, data)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--scheme", "tc"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"format-error: {path}: byte {5 + 4 * data.ndim + 4 * 3}: non-finite value")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run" / "metrics").exists()
 
     def test_dct_on_missing_image_is_format_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

@@ -9,11 +9,9 @@ from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tensor
 from taskdenoise.dct import (
     _DCT,
-    DctSpectrum,
     block_coefficients,
     export_heatmap,
     frequency_gradient,
-    high_frequency_mean,
     spectrum_sd,
     sum_head,
 )
@@ -92,17 +90,17 @@ class TestDct8:
 
 class TestSpectrum:
     def test_constant_image_all_zero(self):
-        spec = spectrum_sd(np.full((64, 64), 9.0))
-        assert spec.block_count == 64
+        img = np.full((64, 64), 9.0)
+        assert len(block_coefficients(img)) == 64
         # identical blocks: residual is pure float rounding of the block mean
-        assert np.abs(spec.sd).max() < 1e-12
+        assert np.abs(spectrum_sd(img)).max() < 1e-12
 
     def test_iid_gaussian_preserves_sd(self):
         rng = np.random.default_rng(3)
         sigma = 2.5
         img = rng.normal(0, sigma, size=(512, 512))
-        spec = spectrum_sd(img)
-        assert np.abs(spec.sd - sigma).max() / sigma < 0.05
+        sd = spectrum_sd(img)
+        assert np.abs(sd - sigma).max() / sigma < 0.05
 
     def test_lowpass_reduces_high_frequencies(self):
         rng = np.random.default_rng(4)
@@ -113,37 +111,29 @@ class TestSpectrum:
         for i in range(3):
             for j in range(3):
                 smooth += kernel[i, j] * padded[i : i + 128, j : j + 128]
-        raw = spectrum_sd(img).sd
-        low = spectrum_sd(smooth).sd
+        raw = spectrum_sd(img)
+        low = spectrum_sd(smooth)
         outside_low_block = ~((np.arange(8)[:, None] < 2) & (np.arange(8)[None, :] < 2))
         assert np.all(low[outside_low_block] < raw[outside_low_block])
 
     def test_offset_invariance(self):
         rng = np.random.default_rng(5)
         img = rng.normal(50, 5, size=(64, 64))
-        a = spectrum_sd(img).sd
-        b = spectrum_sd(img + 37.0).sd
+        a = spectrum_sd(img)
+        b = spectrum_sd(img + 37.0)
         np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_linear_scaling(self):
         rng = np.random.default_rng(6)
         img = rng.normal(0, 5, size=(64, 64))
-        a = spectrum_sd(img).sd
-        b = spectrum_sd(3.0 * img).sd
+        a = spectrum_sd(img)
+        b = spectrum_sd(3.0 * img)
         np.testing.assert_allclose(b, 3.0 * a, rtol=1e-10)
 
     def test_edge_replication_padding(self):
         img = np.ones((10, 12))  # not multiples of 8
-        spec = spectrum_sd(img)
-        assert spec.block_count == 4
-        assert np.abs(spec.sd).max() == 0.0  # constant stays constant under edge padding
-
-    def test_high_frequency_mean_selects_top_half(self):
-        sd = np.zeros((8, 8))
-        sd[7, 7] = 64.0
-        spec = DctSpectrum(sd=sd, block_count=1)
-        assert high_frequency_mean(spec, count=32) == pytest.approx(2.0)
-        assert high_frequency_mean(spec, count=64) == pytest.approx(1.0)
+        assert len(block_coefficients(img)) == 4
+        assert np.abs(spectrum_sd(img)).max() == 0.0  # constant stays constant under edge padding
 
 
 class TestFrequencyGradient:
@@ -211,8 +201,8 @@ class TestFrequencyGradient:
 class TestExport:
     def test_csv_and_pgm(self, tmp_path):
         rng = np.random.default_rng(11)
-        spec = spectrum_sd(rng.normal(0, 3, size=(32, 32)))
-        csv_path, pgm_path = export_heatmap(spec, tmp_path / "spec")
+        sd = spectrum_sd(rng.normal(0, 3, size=(32, 32)))
+        csv_path, pgm_path = export_heatmap(sd, tmp_path / "spec")
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "i,j,value"
         assert len(lines) == 65

@@ -53,6 +53,18 @@ class TestErrors:
             read_tensor(path)
         assert err.value.offset == len(raw) - 8
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_reports_its_offset(self, tmp_path, value):
+        data = np.zeros((3, 4), np.float32)
+        data[1, 2] = value
+        data[2, 0] = value  # only the first is named
+        path = tmp_path / "nan.tsr1"
+        write_tensor(path, data)
+        with pytest.raises(FormatError, match="non-finite value") as err:
+            read_tensor(path)
+        assert err.value.offset == 5 + 4 * 2 + 4 * (1 * 4 + 2)
+        assert err.value.path == str(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "hdr.tsr1"
         path.write_bytes(b"TSR1\x03\x01\x00")
@@ -71,10 +83,10 @@ class TestPgm:
 
     def test_normalized(self, tmp_path):
         path = tmp_path / "n.pgm"
-        write_pgm(path, np.array([[1.0, 2.0]]), normalize=True)
+        write_pgm(path, np.array([[1.0, 2.0]]))
         assert list(path.read_bytes()[-2:]) == [128, 255]
 
     def test_all_zero_normalized(self, tmp_path):
         path = tmp_path / "z.pgm"
-        write_pgm(path, np.zeros((2, 2)), normalize=True)
+        write_pgm(path, np.zeros((2, 2)))
         assert list(path.read_bytes()[-4:]) == [0, 0, 0, 0]
