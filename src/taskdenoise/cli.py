@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Subcommands: generate, train, eval, compare, dct. Every command is a pure
-function of the config file (plus explicit flag overrides), exits 0 on
+function of the config file, after ``--seed`` and ``--out`` replace its
+seed and output directory, and of its own flags. It exits 0 on
 success, and on failure prints one machine-parsable ``code: message`` line
 to stderr with a per-error-class exit code.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import experiment
@@ -20,12 +22,13 @@ from .rng import derive_seed
 from .schemes import SCHEME_KINDS
 
 
-def _load_config(path: str, seed_override: int | None) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, seed_override)
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    cfg = parse_config(text, args.seed)
+    return cfg if args.out is None else replace(cfg, output_dir=args.out)
 
 
 def _pick_test_noise(cfg: ExperimentConfig, sigma: float | None) -> NoiseSpec:
@@ -74,26 +77,25 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.seed)
+        cfg = _load_config(args)
         if args.command == "generate":
-            path = experiment.cmd_generate(cfg, args.out)
-            print(path)
+            print(experiment.cmd_generate(cfg))
         elif args.command == "train":
-            paths = experiment.cmd_train(cfg, args.scheme, args.out)
+            paths = experiment.cmd_train(cfg, args.scheme)
             for key, value in paths.items():
                 if value is not None:
                     print(f"{key}: {value}")
         elif args.command == "eval":
             noise_spec = _pick_test_noise(cfg, args.test_sigma)
-            report, path = experiment.cmd_eval(cfg, args.scheme, noise_spec, args.out)
+            report, path = experiment.cmd_eval(cfg, args.scheme, noise_spec)
             for name, (mean, sd) in sorted(report.aggregates.items()):
                 print(f"{name}: {mean:.6g} +/- {sd:.6g}")
             print(path)
         elif args.command == "compare":
-            result = experiment.cmd_compare(cfg, args.out)
-            print(result.path)
+            _, path = experiment.cmd_compare(cfg)
+            print(path)
         elif args.command == "dct":
-            for path in experiment.cmd_dct(cfg, args.image, args.checkpoint, args.out):
+            for path in experiment.cmd_dct(cfg, args.image, args.checkpoint):
                 print(path)
     except TaskDenoiseError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 Every sub-seed (dataset, network init, noise, training) is derived from the
 global seed unless given explicitly, so a config is a complete recipe: two
-runs of the same config produce byte-identical artifacts.
+runs of the same config produce byte-identical artifacts. The config and
+each of its sections are frozen and check themselves when built, so a
+variant made with ``dataclasses.replace`` is checked too.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .data import CLASSIFICATION, SEGMENTATION, DatasetSpec
 from .errors import ConfigError, InvalidSpecError
-from .networks import APPLICATION_KINDS, CCNN, DENOISER_KINDS, NONEWNET2D, NetworkSpec
+from .networks import CCNN, DENOISER_KINDS, NONEWNET2D, NetworkSpec
 from .noise import NoiseSpec, noise_tag
 from .rng import derive_seed
 from .schemes import HV, NNV, SCHEME_KINDS, TC, TD, TrainSettings
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     output_dir: str
@@ -34,21 +36,15 @@ class ExperimentConfig:
     # the conventional layout: {scheme: {"application": path, "denoiser": path|None}}
     checkpoint_overrides: dict = field(default_factory=dict)
 
-    def validate(self) -> "ExperimentConfig":
-        self.dataset.validate()
-        self.application.validate()
-        if self.application.kind not in APPLICATION_KINDS:
-            raise ConfigError(f"application kind must be one of {APPLICATION_KINDS}")
+    def __post_init__(self) -> None:
         expected_app = NONEWNET2D if self.dataset.task == SEGMENTATION else CCNN
         if self.application.kind != expected_app:
             raise ConfigError(
                 f"dataset task {self.dataset.task!r} needs application kind {expected_app!r}, "
                 f"got {self.application.kind!r}"
             )
-        if self.denoiser is not None:
-            self.denoiser.validate()
-            if self.denoiser.kind not in DENOISER_KINDS:
-                raise ConfigError(f"denoiser kind must be one of {DENOISER_KINDS}")
+        if self.denoiser is not None and self.denoiser.kind not in DENOISER_KINDS:
+            raise ConfigError(f"denoiser kind must be one of {DENOISER_KINDS}")
         if not self.schemes:
             raise ConfigError("schemes list is empty")
         for s in self.schemes:
@@ -58,12 +54,10 @@ class ExperimentConfig:
             raise ConfigError("duplicate scheme in schemes list")
         if any(s in (HV, NNV) for s in self.schemes) and self.denoiser is None:
             raise ConfigError("schemes hv/nnv require a denoiser spec")
-        self.train_noise.validate()
         if not self.test_noises:
             raise ConfigError("test_noises list is empty")
         tags: dict[str, int] = {}
         for i, n in enumerate(self.test_noises):
-            n.validate()
             tag = noise_tag(n)
             first = tags.setdefault(tag, i)
             if first != i:
@@ -71,7 +65,6 @@ class ExperimentConfig:
                     f"test_noises[{first}] and test_noises[{i}] share the label {tag!r}; "
                     "their metrics files and compare.csv rows would collide"
                 )
-        self.train.validate()
         for scheme, paths in self.checkpoint_overrides.items():
             where = f"checkpoint_overrides.{scheme}"
             if scheme not in SCHEME_KINDS:
@@ -81,7 +74,6 @@ class ExperimentConfig:
                 raise ConfigError(f"checkpoint override keys must be application/denoiser, got {sorted(unknown)}")
             if not isinstance(paths.get("application"), str) or not isinstance(paths.get("denoiser"), str | None):
                 raise ConfigError(f"{where} needs an 'application' path and a 'denoiser' path or null")
-        return self
 
 
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -153,7 +145,10 @@ def _section(cls, obj, where: str, defaults: dict, fixed: dict | None = None):
             values[f.name] = defaults[f.name]
         elif f.default is MISSING:
             raise ConfigError(f"{where} needs a {f.name!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except InvalidSpecError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfig:
@@ -195,7 +190,7 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
     train = _section(TrainSettings, raw.get("train", {}), "train", {})
 
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         seed=seed,
         output_dir=str(raw["output_dir"]),
         dataset=dataset,
@@ -207,7 +202,3 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
         train=train,
         checkpoint_overrides=_optional(raw, "checkpoint_overrides", dict, {}),
     )
-    try:
-        return cfg.validate()
-    except InvalidSpecError as exc:
-        raise ConfigError(str(exc)) from exc

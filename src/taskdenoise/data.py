@@ -50,7 +50,7 @@ class DatasetSpec:
     test_count: int = 50
     seed: int = 0
 
-    def validate(self) -> "DatasetSpec":
+    def __post_init__(self) -> None:
         if self.task not in (SEGMENTATION, CLASSIFICATION):
             raise InvalidSpecError(f"unknown task {self.task!r}")
         if self.num_classes < 2:
@@ -61,7 +61,6 @@ class DatasetSpec:
             raise InvalidSpecError("extents must be >= 16")
         if self.train_count < 1 or self.test_count < 1:
             raise InvalidSpecError("train_count and test_count must be >= 1")
-        return self
 
 
 @dataclass
@@ -230,7 +229,6 @@ def _generate_split(spec: DatasetSpec, split: str, count: int) -> list[Sample]:
 
 
 def generate_dataset(spec: DatasetSpec) -> tuple[list[Sample], list[Sample]]:
-    spec.validate()
     return _generate_split(spec, "train", spec.train_count), _generate_split(spec, "test", spec.test_count)
 
 
@@ -260,8 +258,8 @@ def load_dataset_spec(directory) -> DatasetSpec:
     if not manifest.is_file():
         raise FormatError(manifest, 0, "missing dataset manifest")
     try:
-        return DatasetSpec(**json.loads(manifest.read_text())).validate()
-    except (TypeError, ValueError) as exc:
+        return DatasetSpec(**json.loads(manifest.read_text()))
+    except (TypeError, ValueError, InvalidSpecError) as exc:
         raise FormatError(manifest, 0, f"malformed manifest: {exc}") from exc
 
 

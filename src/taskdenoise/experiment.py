@@ -1,6 +1,7 @@
 """End-to-end experiment pipeline: generate, train, evaluate, compare, analyze.
 
-Artifact layout under the output directory:
+Each command takes one config, which is checked when built, and writes
+under its ``output_dir`` only:
 
     dataset/                      generated phantom dataset
     checkpoints/<scheme>/         trained weights + loss.csv
@@ -17,13 +18,13 @@ only if some scheme has a checkpoint to train), one load per checkpoint
 directory (tc's application network serves tc, hv and nnv, and nnv's
 training if it runs), and one corrupted test set per test noise, since
 the dirty images depend only on the noise spec and the sample index.
-``eval`` and ``compare`` score through one function. All artifacts are
-pure functions of the config.
+``eval`` and ``compare`` score through one function and return their
+results with the path they wrote. All artifacts are pure functions of the
+config.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import dct as dct_mod
@@ -38,24 +39,20 @@ from .schemes import HV, NNV, TC, TD, TrainResult
 from .tensorio import read_tensor, write_csv
 
 
-def resolve_out_dir(cfg: ExperimentConfig, out_dir=None) -> Path:
-    return Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
+def _dataset_dir(cfg: ExperimentConfig) -> Path:
+    return Path(cfg.output_dir) / "dataset"
 
 
-def _dataset_dir(out: Path) -> Path:
-    return out / "dataset"
+def _checkpoint_dir(cfg: ExperimentConfig, scheme: str) -> Path:
+    return Path(cfg.output_dir) / "checkpoints" / scheme
 
 
-def _checkpoint_dir(out: Path, scheme: str) -> Path:
-    return out / "checkpoints" / scheme
-
-
-def ensure_dataset(cfg: ExperimentConfig, out: Path, regenerate: bool = False, splits: tuple = SPLITS):
+def ensure_dataset(cfg: ExperimentConfig, regenerate: bool = False, splits: tuple = SPLITS):
     """(train, test) samples: the ``splits`` named are read if the dataset
     was already generated for this spec (a split not named is None), else
     the dataset is generated and both are returned. The manifest alone
     decides, so a stale dataset's samples are never read."""
-    ddir = _dataset_dir(out)
+    ddir = _dataset_dir(cfg)
     if not regenerate and (ddir / "manifest.json").is_file() and load_dataset_spec(ddir) == cfg.dataset:
         _, train, test = load_dataset(ddir, splits)
         return train, test
@@ -64,10 +61,9 @@ def ensure_dataset(cfg: ExperimentConfig, out: Path, regenerate: bool = False, s
     return train, test
 
 
-def cmd_generate(cfg: ExperimentConfig, out_dir=None) -> Path:
-    out = resolve_out_dir(cfg, out_dir)
-    ensure_dataset(cfg, out, regenerate=True)
-    return _dataset_dir(out)
+def cmd_generate(cfg: ExperimentConfig) -> Path:
+    ensure_dataset(cfg, regenerate=True)
+    return _dataset_dir(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +76,7 @@ def _save_trained(model: Model, result: TrainResult, ckpt: Path) -> None:
     save_checkpoint(model, ckpt, epoch=result.best_epoch)
 
 
-def _scheme_dirs(cfg: ExperimentConfig, scheme: str, out: Path) -> tuple[Path, Path | None]:
+def _scheme_dirs(cfg: ExperimentConfig, scheme: str) -> tuple[Path, Path | None]:
     """(application, denoiser) checkpoint directories the scheme routes
     through: the config's override, else the conventional layout, where hv
     and nnv route through the clean-trained (tc) application network."""
@@ -88,22 +84,22 @@ def _scheme_dirs(cfg: ExperimentConfig, scheme: str, out: Path) -> tuple[Path, P
     if override is not None:
         den = override.get("denoiser")
         return Path(override["application"]), Path(den) if den else None
-    app_dir = _checkpoint_dir(out, TD if scheme == TD else TC)
-    return app_dir, _checkpoint_dir(out, scheme) if scheme in (HV, NNV) else None
+    app_dir = _checkpoint_dir(cfg, TD if scheme == TD else TC)
+    return app_dir, _checkpoint_dir(cfg, scheme) if scheme in (HV, NNV) else None
 
 
 def _complete(ckpt: Path) -> bool:
     return (ckpt / "manifest.json").is_file()
 
 
-def _needs_training(cfg: ExperimentConfig, scheme: str, out: Path) -> bool:
+def _needs_training(cfg: ExperimentConfig, scheme: str) -> bool:
     """Whether the scheme has a checkpoint to train (never under an override)."""
-    dirs = [d for d in _scheme_dirs(cfg, scheme, out) if d is not None]
+    dirs = [d for d in _scheme_dirs(cfg, scheme) if d is not None]
     return scheme not in cfg.checkpoint_overrides and not all(_complete(d) for d in dirs)
 
 
 def ensure_scheme_trained(
-    cfg: ExperimentConfig, scheme: str, out: Path, train_samples: list[Sample] | None = None, loaded: dict | None = None
+    cfg: ExperimentConfig, scheme: str, train_samples: list[Sample] | None = None, loaded: dict | None = None
 ) -> dict:
     """Train the scheme's missing checkpoints; returns their paths.
 
@@ -111,16 +107,16 @@ def ensure_scheme_trained(
     overrides short-circuit training entirely for that scheme. Without
     ``train_samples`` the train split is read from the dataset, and only if
     something must be trained. The application network nnv trains through
-    is loaded through ``loaded`` (see :func:`load_scheme_components`), so
-    evaluation can reuse it: training leaves it bit-identical, because it
-    is frozen and runs in eval mode.
+    is loaded through ``loaded`` (see :func:`_load`), so evaluation can
+    reuse it: training leaves it bit-identical, because it is frozen and
+    runs in eval mode.
     """
-    app_dir, den_dir = _scheme_dirs(cfg, scheme, out)
+    app_dir, den_dir = _scheme_dirs(cfg, scheme)
     paths = {"application": app_dir, "denoiser": den_dir}
-    if not _needs_training(cfg, scheme, out):
+    if not _needs_training(cfg, scheme):
         return paths
     if train_samples is None:
-        train_samples, _ = ensure_dataset(cfg, out, splits=("train",))
+        train_samples, _ = ensure_dataset(cfg, splits=("train",))
     if not _complete(app_dir):
         model = build_network(cfg.application)
         noise = cfg.train_noise if scheme == TD else None
@@ -131,7 +127,7 @@ def ensure_scheme_trained(
         if scheme == HV:
             result = schemes_mod.train_denoiser_hv(denoiser, train_samples, cfg.train, cfg.train_noise, cfg.seed)
         else:
-            app_model = _load_shared(app_dir, {} if loaded is None else loaded)
+            app_model = _load(app_dir, {} if loaded is None else loaded, "application", scheme)
             result = schemes_mod.train_denoiser_nnv(
                 denoiser, app_model, train_samples, cfg.train, cfg.train_noise, cfg.seed
             )
@@ -139,113 +135,97 @@ def ensure_scheme_trained(
     return paths
 
 
-def cmd_train(cfg: ExperimentConfig, scheme: str, out_dir=None) -> dict:
+def cmd_train(cfg: ExperimentConfig, scheme: str) -> dict:
     if scheme not in cfg.schemes:
         raise ConfigError(f"scheme {scheme!r} is not in the config's scheme list {cfg.schemes}")
-    out = resolve_out_dir(cfg, out_dir)
-    return ensure_scheme_trained(cfg, scheme, out)
+    return ensure_scheme_trained(cfg, scheme)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-def _load_shared(ckpt: Path, loaded: dict) -> Model:
-    """The model of ``ckpt``, loaded only if ``loaded`` does not hold it yet."""
-    key = ckpt.resolve()
-    if key not in loaded:
-        loaded[key], _ = load_checkpoint(ckpt)
-    return loaded[key]
-
-
-def load_scheme_components(
-    cfg: ExperimentConfig, scheme: str, out: Path, loaded: dict | None = None
-) -> tuple[Model, Model | None]:
-    """Load the trained models a scheme routes through; never trains.
+def _load(ckpt: Path, loaded: dict, role: str, scheme: str) -> Model:
+    """The ``role`` model of ``scheme`` at ``ckpt``; never trains.
 
     ``loaded`` maps a resolved checkpoint directory to its model. A
     directory already in it is not read again, so schemes that route through
     one checkpoint share one model: evaluation runs every model in eval
     mode, which changes neither weights nor batchnorm statistics.
     """
-    loaded = {} if loaded is None else loaded
-
-    def load(role: str, ckpt: Path | None) -> Model | None:
-        if ckpt is None:
-            return None
-        if ckpt.resolve() not in loaded and not _complete(ckpt):
+    key = ckpt.resolve()
+    if key not in loaded:
+        if not _complete(ckpt):
             raise CheckpointError(f"missing {role} checkpoint for scheme {scheme!r} at {ckpt}")
-        return _load_shared(ckpt, loaded)
+        loaded[key], _ = load_checkpoint(ckpt)
+    return loaded[key]
 
-    app_dir, den_dir = _scheme_dirs(cfg, scheme, out)
-    return load("application", app_dir), load("denoiser", den_dir)
+
+def load_scheme_components(cfg: ExperimentConfig, scheme: str, loaded: dict) -> tuple[Model, Model | None]:
+    """(application, denoiser) models the scheme routes through, shared
+    through ``loaded`` (see :func:`_load`)."""
+    app_dir, den_dir = _scheme_dirs(cfg, scheme)
+    application = _load(app_dir, loaded, "application", scheme)
+    return application, None if den_dir is None else _load(den_dir, loaded, "denoiser", scheme)
 
 
 def _score(
-    scheme: str, test_noise: NoiseSpec, components: tuple, test_samples: list[Sample], images: list, out: Path
+    cfg: ExperimentConfig, scheme: str, test_noise: NoiseSpec, components: tuple, test_samples: list[Sample], images: list
 ):
     """Score one scheme on one test noise's images and write the per-sample
     CSV; returns (report, csv path). ``eval`` and ``compare`` both end here."""
     application, denoiser = components
     report = schemes_mod.evaluate_scheme(application, denoiser, test_samples, images)
-    path = out / "metrics" / f"{scheme}_{noise_tag(test_noise)}.csv"
+    path = Path(cfg.output_dir) / "metrics" / f"{scheme}_{noise_tag(test_noise)}.csv"
     metrics_mod.write_per_sample_csv(report, path)
     return report, path
 
 
-def cmd_eval(cfg: ExperimentConfig, scheme: str, test_noise: NoiseSpec, out_dir=None):
+def cmd_eval(cfg: ExperimentConfig, scheme: str, test_noise: NoiseSpec):
     """Evaluate one scheme at one test noise; returns (report, csv path)."""
-    out = resolve_out_dir(cfg, out_dir)
-    _, test_samples = ensure_dataset(cfg, out, splits=("test",))
-    components = load_scheme_components(cfg, scheme, out)
+    _, test_samples = ensure_dataset(cfg, splits=("test",))
+    components = load_scheme_components(cfg, scheme, {})
     images = schemes_mod.corrupt_samples(test_samples, test_noise, "test")
-    return _score(scheme, test_noise, components, test_samples, images, out)
+    return _score(cfg, scheme, test_noise, components, test_samples, images)
 
 
-@dataclass
-class ComparisonResult:
-    path: Path
-    # (scheme, noise tag, report) per evaluated combination
-    rows: list[tuple[str, str, metrics_mod.MetricsReport]]
-
-
-def cmd_compare(cfg: ExperimentConfig, out_dir=None) -> ComparisonResult:
+def cmd_compare(cfg: ExperimentConfig):
     """Train whatever is missing, evaluate every scheme at every test noise,
-    and write the aggregate comparison CSV."""
-    out = resolve_out_dir(cfg, out_dir)
-    trains = any(_needs_training(cfg, scheme, out) for scheme in cfg.schemes)
-    train_samples, test_samples = ensure_dataset(cfg, out, splits=SPLITS if trains else ("test",))
+    and write the aggregate comparison CSV. Returns (rows, csv path): one
+    (scheme, noise tag, report) row per evaluated combination."""
+    trains = any(_needs_training(cfg, scheme) for scheme in cfg.schemes)
+    train_samples, test_samples = ensure_dataset(cfg, splits=SPLITS if trains else ("test",))
     loaded: dict = {}
     for scheme in cfg.schemes:
-        ensure_scheme_trained(cfg, scheme, out, train_samples, loaded)
-    components = {scheme: load_scheme_components(cfg, scheme, out, loaded) for scheme in cfg.schemes}
+        ensure_scheme_trained(cfg, scheme, train_samples, loaded)
+    components = {scheme: load_scheme_components(cfg, scheme, loaded) for scheme in cfg.schemes}
     dirty = [schemes_mod.corrupt_samples(test_samples, noise, "test") for noise in cfg.test_noises]
     rows: list[tuple[str, str, metrics_mod.MetricsReport]] = []
     for scheme in cfg.schemes:
         for test_noise, images in zip(cfg.test_noises, dirty):
-            report, _ = _score(scheme, test_noise, components[scheme], test_samples, images, out)
+            report, _ = _score(cfg, scheme, test_noise, components[scheme], test_samples, images)
             rows.append((scheme, noise_tag(test_noise), report))
-    path = out / "compare.csv"
+    path = Path(cfg.output_dir) / "compare.csv"
     metrics_mod.write_compare_csv(rows, path)
-    return ComparisonResult(path=path, rows=rows)
+    return rows, path
 
 
 # ---------------------------------------------------------------------------
 # DCT analysis
 
 
-def cmd_dct(cfg: ExperimentConfig, image_path, checkpoint=None, out_dir=None) -> list[Path]:
+def cmd_dct(cfg: ExperimentConfig, image_path, checkpoint=None) -> list[Path]:
     """Spectrum heatmap of an image; with a checkpoint, also the
     frequency-gradient heatmap of that model on the image."""
-    out = resolve_out_dir(cfg, out_dir)
+    out = Path(cfg.output_dir) / "dct"
     image_path = Path(image_path)
     image = read_tensor(image_path)
     stem = image_path.name.split(".")[0]
     produced: list[Path] = []
-    produced += dct_mod.export_heatmap(dct_mod.spectrum_sd(image), out / "dct" / f"{stem}.spectrum")
+    produced += dct_mod.export_heatmap(dct_mod.spectrum_sd(image), out / f"{stem}.spectrum")
     if checkpoint is not None:
         model, _ = load_checkpoint(Path(checkpoint))
         grid = dct_mod.frequency_gradient(dct_mod.sum_head(model), image)
-        produced += dct_mod.export_heatmap(grid, out / "dct" / f"{stem}.freqgrad")
+        produced += dct_mod.export_heatmap(grid, out / f"{stem}.freqgrad")
     return produced
 

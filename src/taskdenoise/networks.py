@@ -35,9 +35,11 @@ APPLICATION_KINDS = (NONEWNET2D, CCNN)
 ALL_KINDS = DENOISER_KINDS + APPLICATION_KINDS
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkSpec:
-    """Everything needed to rebuild a network bit-identically."""
+    """Everything needed to rebuild a network bit-identically. The input
+    extents must fit the kind's downsampling: ccnn pools four times and the
+    U-Net ``depth`` times."""
 
     kind: str
     base_channels: int = 8
@@ -48,7 +50,7 @@ class NetworkSpec:
     depth: int = 3  # encoder stages; used by the U-Net kind only
     input_residual: bool = False  # redcnn variant: add the input to the output
 
-    def validate(self) -> "NetworkSpec":
+    def __post_init__(self) -> None:
         if self.kind not in ALL_KINDS:
             raise InvalidSpecError(f"unknown network kind {self.kind!r}; expected one of {ALL_KINDS}")
         if self.base_channels < 1:
@@ -59,7 +61,11 @@ class NetworkSpec:
             raise InvalidSpecError("depth must be >= 1")
         if self.height < 1 or self.width < 1:
             raise InvalidSpecError("input extents must be positive")
-        return self
+        factor = 16 if self.kind == CCNN else 2**self.depth if self.kind == NONEWNET2D else 1
+        if self.height % factor or self.width % factor:
+            raise InvalidSpecError(
+                f"{self.kind} input extents {self.height}x{self.width} must be divisible by {factor}"
+            )
 
 
 class _Layer:
@@ -274,8 +280,6 @@ class Ccnn(Model):
 
     def __init__(self, spec: NetworkSpec):
         super().__init__(spec)
-        if spec.height % 16 or spec.width % 16:
-            raise InvalidSpecError(f"ccnn input extents {spec.height}x{spec.width} must be divisible by 16")
         base, s = spec.base_channels, spec.seed
         self.convs = []
         cin = 1
@@ -302,7 +306,6 @@ _BUILDERS = {REDCNN: RedCnn, MCDNCNN: McDnCnn, NONEWNET2D: NoNewNet2d, CCNN: Ccn
 
 
 def build_network(spec: NetworkSpec) -> Model:
-    spec.validate()
     return _BUILDERS[spec.kind](spec)
 
 

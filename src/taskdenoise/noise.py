@@ -30,7 +30,7 @@ class NoiseSpec:
     poisson_scale: float = 0.1  # counts per intensity unit
     seed: int = 0
 
-    def validate(self) -> "NoiseSpec":
+    def __post_init__(self) -> None:
         if self.kind not in (GAUSSIAN, POISSON):
             raise InvalidSpecError(f"unknown noise kind {self.kind!r}")
         for name in ("mu", "sigma", "poisson_scale"):
@@ -40,14 +40,13 @@ class NoiseSpec:
             raise InvalidSpecError(f"gaussian sigma must be >= 0, got {self.sigma}")
         if self.kind == POISSON and self.poisson_scale <= 0:
             raise InvalidSpecError(f"poisson_scale must be > 0, got {self.poisson_scale}")
-        return self
 
 
 def noise_tag(spec: NoiseSpec) -> str:
     """Label of a test noise in metrics file names and compare.csv rows.
 
     It leaves out ``mu`` and the seed, so a config whose test noises share a
-    tag is rejected (``ExperimentConfig.validate``).
+    tag is rejected when an :class:`ExperimentConfig` is built.
     """
     if spec.kind == GAUSSIAN:
         return f"gaussian_sigma{spec.sigma:g}"
@@ -58,7 +57,6 @@ def apply_noise(image: Tensor, spec: NoiseSpec) -> Tensor:
     """The image with ``spec``'s noise drawn from ``Rng(spec.seed)``, clamped
     into [0, 255]: Gaussian adds N(mu, sigma^2) i.i.d. per pixel; Poisson
     draws Poisson(scale * pixel) / scale, and rejects negative pixels."""
-    spec.validate()
     rng = Rng(spec.seed)
     pixels = image.data.astype(np.float64)
     if spec.kind == GAUSSIAN:

@@ -39,7 +39,7 @@ class TrainSettings:
     checkpoint_cadence: int = 1
     validation_fraction: float = 0.1
 
-    def validate(self) -> "TrainSettings":
+    def __post_init__(self) -> None:
         if self.epochs_application < 1 or self.epochs_denoiser < 1:
             raise InvalidSpecError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -48,7 +48,6 @@ class TrainSettings:
             raise InvalidSpecError("checkpoint_cadence must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise InvalidSpecError("validation_fraction must be in [0, 1)")
-        return self
 
 
 @dataclass
@@ -117,7 +116,6 @@ def _run_training(
     instead.
     """
     items = list(zip(corrupt_samples(samples, noise_spec, "train"), samples))
-    settings.validate()
     epochs = settings.epochs_application if purpose == "application" else settings.epochs_denoiser
     n_val = int(round(settings.validation_fraction * len(items)))
     n_val = min(n_val, len(items) - 1)

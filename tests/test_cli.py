@@ -111,6 +111,36 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "task,size,application,factor",
+        [
+            ("segmentation", 20, {"kind": "nonewnet2d", "base_channels": 2, "depth": 3}, 8),
+            ("classification", 40, {"kind": "ccnn", "base_channels": 2}, 16),
+        ],
+        ids=["segmentation", "classification"],
+    )
+    def test_network_that_cannot_run_on_the_images_is_config_error(
+        self, tmp_path, capsys, task, size, application, factor
+    ):
+        dataset = {"task": task, "height": size, "width": size, "num_classes": 3, "train_count": 3, "test_count": 2}
+        cfg = _write_config(tmp_path, dataset=dataset, application=application)
+        assert main(["compare", "--config", str(cfg)]) == 2
+        kind = application["kind"]
+        assert capsys.readouterr().err == f"config-error: {kind} input extents {size}x{size} must be divisible by {factor}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_invalid_value_in_dataset_manifest_names_the_manifest(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        manifest = tmp_path / "run" / "dataset" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["num_classes"] = 1
+        manifest.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--scheme", "tc"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"format-error: {manifest}: byte 0: malformed manifest: num_classes must be >= 2\n"
+
     def test_eval_before_train_is_checkpoint_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         main(["generate", "--config", str(cfg)])
@@ -228,6 +258,7 @@ class TestPipelineSmoke:
         cfg = _write_config(tmp_path)
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "elsewhere")]) == 0
         assert (tmp_path / "elsewhere" / "dataset" / "manifest.json").is_file()
+        assert not (tmp_path / "run").exists()
 
     def test_seed_flag_changes_artifacts(self, tmp_path):
         cfg = _write_config(tmp_path)

@@ -1,12 +1,12 @@
 """Config parsing, validation, and the pinned defaults and derived seeds."""
 
 import json
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
 
 from taskdenoise.config import parse_config
-from taskdenoise.errors import ConfigError
+from taskdenoise.errors import ConfigError, InvalidSpecError
 from taskdenoise.noise import noise_tag
 
 MINIMAL = """
@@ -146,6 +146,57 @@ class TestParsing:
         cfg = parse_config(json.dumps(raw))
         assert cfg.dataset.num_classes == 3
         assert cfg.application.num_classes == 3
+
+
+class TestCheckedWhenBuilt:
+    """The config and each section check themselves when built, so a
+    variant made with ``dataclasses.replace`` is checked too."""
+
+    @pytest.mark.parametrize(
+        "section,change,message",
+        [
+            ("dataset", {"num_classes": 1}, "num_classes must be >= 2"),
+            ("application", {"base_channels": 0}, "base_channels must be >= 1"),
+            ("application", {"height": 20}, "nonewnet2d input extents 20x64 must be divisible by 8"),
+            ("denoiser", {"kind": "unet"}, "unknown network kind 'unet'"),
+            ("train_noise", {"sigma": -1.0}, "gaussian sigma must be >= 0"),
+            ("train", {"learning_rate": 0.0}, "learning_rate must be finite and > 0"),
+        ],
+        ids=["dataset", "application", "application_extents", "denoiser", "train_noise", "train"],
+    )
+    def test_replacing_a_section_value_is_checked(self, section, change, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            replace(getattr(parse_config(MINIMAL), section), **change)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"schemes": []}, "schemes list is empty"),
+            ({"schemes": ["tc", "tc"]}, "duplicate scheme"),
+            ({"denoiser": None}, "require a denoiser"),
+            ({"test_noises": []}, "test_noises list is empty"),
+        ],
+        ids=["no_schemes", "duplicate_scheme", "no_denoiser", "no_test_noise"],
+    )
+    def test_replacing_a_config_value_is_checked(self, change, message):
+        with pytest.raises(ConfigError, match=message):
+            replace(parse_config(MINIMAL), **change)
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            (None, "output_dir"),
+            ("dataset", "height"),
+            ("application", "depth"),
+            ("denoiser", "base_channels"),
+            ("train_noise", "sigma"),
+            ("train", "epochs_application"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, section, key):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg if section is None else getattr(cfg, section), key, 1)
 
 
 _NOISE = {"kind": "gaussian", "mu": 0.0, "poisson_scale": 0.1}

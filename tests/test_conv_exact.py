@@ -75,7 +75,7 @@ def _ops_replaced(replacements: dict):
 
 
 def _network(kind: str):
-    spec = NetworkSpec(kind=kind, base_channels=8, num_classes=4, height=64, width=64, seed=5).validate()
+    spec = NetworkSpec(kind=kind, base_channels=8, num_classes=4, height=64, width=64, seed=5)
     return build_network(spec)
 
 

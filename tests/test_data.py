@@ -131,7 +131,7 @@ class TestClassificationGenerator:
 
     def test_more_than_three_classes_rejected(self):
         with pytest.raises(InvalidSpecError):
-            _cls_spec(num_classes=5).validate()
+            _cls_spec(num_classes=5)
 
 
 def _assert_round_trip_exact(tmp_path, spec):

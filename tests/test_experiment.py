@@ -3,6 +3,7 @@
 import json
 import shutil
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -154,9 +155,8 @@ class TestEval:
 
 class TestCompare:
     def test_end_to_end_emits_all_artifacts(self, cfg):
-        result = cmd_compare(cfg)
-        path = result.path
-        assert len(result.rows) == len(cfg.schemes) * len(cfg.test_noises)
+        rows, path = cmd_compare(cfg)
+        assert len(rows) == len(cfg.schemes) * len(cfg.test_noises)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("scheme,test_noise,")
         assert len(lines) == 1 + len(cfg.schemes) * len(cfg.test_noises)
@@ -172,8 +172,8 @@ class TestCompare:
         raw["checkpoint_overrides"] = {
             s: {"application": tc_path, "denoiser": None} for s in ["tc", "td", "hv", "nnv"]
         }
-        degenerate = parse_config(json.dumps(raw))
-        path = cmd_compare(degenerate, tmp_path / "degenerate").path
+        degenerate = replace(parse_config(json.dumps(raw)), output_dir=str(tmp_path / "degenerate"))
+        _, path = cmd_compare(degenerate)
         lines = path.read_text().strip().splitlines()
         values = {line.split(",", 2)[2] for line in lines[1:]}
         assert len(lines) == 5
@@ -215,9 +215,10 @@ class TestSharedEvaluationInputs:
         assert {"hv", "nnv"} <= set(cfg.schemes)
         cmd_compare(cfg)
         shutil.copytree(tmp_path / "compare" / "checkpoints", tmp_path / "eval" / "checkpoints")
+        eval_cfg = replace(cfg, output_dir=str(tmp_path / "eval"))
         for scheme in cfg.schemes:
             for noise in cfg.test_noises:
-                _, path = cmd_eval(cfg, scheme, noise, tmp_path / "eval")
+                _, path = cmd_eval(eval_cfg, scheme, noise)
                 name = f"{scheme}_{noise_tag(noise)}.csv"
                 assert path.name == name
                 assert path.read_bytes() == (tmp_path / "compare" / "metrics" / name).read_bytes()
@@ -277,8 +278,7 @@ class TestSharedEvaluationInputs:
         cmd_eval(cfg, "tc", cfg.test_noises[0])
         assert Counter(reads) == {"test": 10}
         reads.clear()
-        cfg.schemes = ["tc"]
-        cmd_compare(cfg)  # tc's checkpoint is complete, so nothing reads the train split
+        cmd_compare(replace(cfg, schemes=["tc"]))  # tc's checkpoint is complete, so nothing reads the train split
         assert Counter(reads) == {"test": 10}
 
     def test_a_stale_dataset_is_regenerated_unread(self, tmp_path, monkeypatch):
@@ -288,7 +288,7 @@ class TestSharedEvaluationInputs:
         real = data.read_tensor
         monkeypatch.setattr(data, "read_tensor", lambda path: reads.append(path) or real(path))
         cfg = parse_config(_config_text(out, train_count=20, test_count=6))
-        _, test = experiment.ensure_dataset(cfg, out, splits=("test",))
+        _, test = experiment.ensure_dataset(cfg, splits=("test",))
         assert not reads
         assert len(test) == 6 and data.load_dataset_spec(out / "dataset") == cfg.dataset
 
@@ -301,7 +301,7 @@ class TestSharedEvaluationInputs:
             s: {"application": str(spellings[i % 2]), "denoiser": None} for i, s in enumerate(["tc", "td", "hv", "nnv"])
         }
         calls["load_checkpoint"].clear()
-        cmd_compare(parse_config(json.dumps(raw)), tmp_path / "shared")
+        cmd_compare(replace(parse_config(json.dumps(raw)), output_dir=str(tmp_path / "shared")))
         assert calls["load_checkpoint"] == [spellings[0]]
 
 

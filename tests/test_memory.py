@@ -35,7 +35,7 @@ BOUND_MIB = 12
 
 
 def _network(kind: str, trainable: bool = True):
-    spec = NetworkSpec(kind=kind, base_channels=8, num_classes=4, height=64, width=64, seed=3).validate()
+    spec = NetworkSpec(kind=kind, base_channels=8, num_classes=4, height=64, width=64, seed=3)
     model = build_network(spec)
     model.set_trainable(trainable)
     return model

@@ -89,6 +89,10 @@ class TestNoNewNet2d:
         out = model.forward(_image((1, 64, 64)))
         assert out.shape == (3, 64, 64)
 
+    def test_indivisible_spec_extents_raise(self):
+        with pytest.raises(InvalidSpecError, match="20x20 must be divisible by 8"):
+            NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=2, height=20, width=20, depth=3)
+
     def test_indivisible_extents_raise(self):
         spec = NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=2, seed=1, depth=3)
         model = build_network(spec)

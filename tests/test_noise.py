@@ -16,22 +16,22 @@ def _gray(value, shape=(1, 64, 64)):
 class TestSpecValidation:
     def test_negative_sigma_rejected(self):
         with pytest.raises(InvalidSpecError):
-            NoiseSpec(kind="gaussian", sigma=-1.0).validate()
+            NoiseSpec(kind="gaussian", sigma=-1.0)
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(InvalidSpecError):
-            NoiseSpec(kind="poisson", poisson_scale=0.0).validate()
+            NoiseSpec(kind="poisson", poisson_scale=0.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidSpecError):
-            NoiseSpec(kind="salt").validate()
+            NoiseSpec(kind="salt")
 
     @pytest.mark.parametrize("kind", ["gaussian", "poisson"])
     @pytest.mark.parametrize("field", ["mu", "sigma", "poisson_scale"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_rejected(self, kind, field, value):
         with pytest.raises(InvalidSpecError, match=field):
-            NoiseSpec(kind=kind, **{field: value}).validate()
+            NoiseSpec(kind=kind, **{field: value})
 
 
 class TestGaussian:

@@ -48,12 +48,12 @@ def _settings(epochs, learning_rate=1e-3):
 class TestSchemeValidation:
     def test_epochs_must_be_positive(self):
         with pytest.raises(InvalidSpecError):
-            TrainSettings(epochs_application=0).validate()
+            TrainSettings(epochs_application=0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0])
     def test_learning_rate_must_be_finite_and_positive(self, value):
         with pytest.raises(InvalidSpecError, match="learning_rate"):
-            TrainSettings(learning_rate=value).validate()
+            TrainSettings(learning_rate=value)
 
 
 class TestTrainApplication:
