@@ -58,15 +58,6 @@ from .errors import InvalidInputError, InvalidLabelError, InvalidShapeError
 _F32 = np.float32
 _F64 = np.float64
 
-# When enabled (tests), every op output is checked for NaN/Inf.
-_DEBUG_VALIDATE = False
-
-
-def set_debug_validate(flag: bool) -> None:
-    global _DEBUG_VALIDATE
-    _DEBUG_VALIDATE = bool(flag)
-
-
 class Tensor:
     """Float32 n-d array value. Ops never write into ``.data``; code that
     changes a tensor gives it a new array. Four places do: the Adam step,
@@ -99,8 +90,6 @@ class Tensor:
 
 def _wrap(arr: np.ndarray) -> Tensor:
     """Wrap an op result without re-validating (hot path)."""
-    if _DEBUG_VALIDATE and not np.all(np.isfinite(arr)):
-        raise InvalidInputError("operation produced non-finite values")
     t = Tensor.__new__(Tensor)
     t.data = np.asarray(arr, dtype=_F32, order="C")
     t.requires_grad = False

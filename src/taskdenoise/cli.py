@@ -2,7 +2,9 @@
 
 Subcommands: generate, train, eval, compare, dct. Every command is a pure
 function of the config file, after ``--seed`` and ``--out`` replace its
-seed and output directory, and of its own flags. It exits 0 on
+seed and output directory, and of its own flags: ``train`` and ``eval``
+take a scheme of the config, ``dct`` an image and a checkpoint. ``eval``
+prints each test noise's aggregates, then its metrics path. It exits 0 on
 success, and on failure prints one machine-parsable ``code: message`` line
 to stderr with a per-error-class exit code.
 """
@@ -17,8 +19,6 @@ from pathlib import Path
 from . import experiment
 from .config import ExperimentConfig, parse_config
 from .errors import ConfigError, TaskDenoiseError
-from .noise import GAUSSIAN, NoiseSpec
-from .rng import derive_seed
 from .schemes import SCHEME_KINDS
 
 
@@ -29,15 +29,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     cfg = parse_config(text, args.seed)
     return cfg if args.out is None else replace(cfg, output_dir=args.out)
-
-
-def _pick_test_noise(cfg: ExperimentConfig, sigma: float | None) -> NoiseSpec:
-    if sigma is None:
-        return cfg.test_noises[0]
-    for spec in cfg.test_noises:
-        if spec.kind == GAUSSIAN and spec.sigma == sigma:
-            return spec
-    return NoiseSpec(kind=GAUSSIAN, mu=0.0, sigma=sigma, seed=derive_seed(cfg.seed, f"noise/test/sigma{sigma:g}"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,10 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
 
-    p = sub.add_parser("eval", help="evaluate one trained scheme on the test set")
+    p = sub.add_parser("eval", help="evaluate one trained scheme at every test noise of the config")
     common(p)
     p.add_argument("--scheme", required=True, choices=SCHEME_KINDS)
-    p.add_argument("--test-sigma", type=float, default=None, help="gaussian test noise sigma")
 
     p = sub.add_parser("compare", help="train and evaluate every scheme, write compare.csv")
     common(p)
@@ -86,11 +76,10 @@ def main(argv=None) -> int:
                 if value is not None:
                     print(f"{key}: {value}")
         elif args.command == "eval":
-            noise_spec = _pick_test_noise(cfg, args.test_sigma)
-            report, path = experiment.cmd_eval(cfg, args.scheme, noise_spec)
-            for name, (mean, sd) in sorted(report.aggregates.items()):
-                print(f"{name}: {mean:.6g} +/- {sd:.6g}")
-            print(path)
+            for report, path in experiment.cmd_eval(cfg, args.scheme):
+                for name, (mean, sd) in sorted(report.aggregates.items()):
+                    print(f"{name}: {mean:.6g} +/- {sd:.6g}")
+                print(path)
         elif args.command == "compare":
             _, path = experiment.cmd_compare(cfg)
             print(path)

@@ -28,15 +28,18 @@ class ExperimentConfig:
     dataset: DatasetSpec
     application: NetworkSpec
     denoiser: NetworkSpec | None
-    schemes: list[str]
+    schemes: tuple[str, ...]
     train_noise: NoiseSpec
-    test_noises: list[NoiseSpec]
+    test_noises: tuple[NoiseSpec, ...]
     train: TrainSettings
     # optional per-scheme checkpoint paths used by eval/compare instead of
     # the conventional layout: {scheme: {"application": path, "denoiser": path|None}}
     checkpoint_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # stored as tuples, so the lists cannot change after these checks
+        object.__setattr__(self, "schemes", tuple(self.schemes))
+        object.__setattr__(self, "test_noises", tuple(self.test_noises))
         expected_app = NONEWNET2D if self.dataset.task == SEGMENTATION else CCNN
         if self.application.kind != expected_app:
             raise ConfigError(
@@ -192,7 +195,7 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
     return ExperimentConfig(
         seed=seed,
-        output_dir=str(raw["output_dir"]),
+        output_dir=_value(raw, "output_dir", str, "config"),
         dataset=dataset,
         application=application,
         denoiser=denoiser,

@@ -18,9 +18,10 @@ only if some scheme has a checkpoint to train), one load per checkpoint
 directory (tc's application network serves tc, hv and nnv, and nnv's
 training if it runs), and one corrupted test set per test noise, since
 the dirty images depend only on the noise spec and the sample index.
-``eval`` and ``compare`` score through one function and return their
-results with the path they wrote. All artifacts are pure functions of the
-config.
+``eval`` scores one scheme, ``compare`` every scheme, at every test noise
+of the config, through one function, so each metrics file is the same
+bytes whichever command wrote it; another test noise is one more entry of
+``test_noises``. All artifacts are pure functions of the config.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .config import ExperimentConfig
 from .data import SPLITS, Sample, generate_dataset, load_dataset, load_dataset_spec, save_dataset
 from .errors import CheckpointError, ConfigError
 from .networks import Model, build_network, load_checkpoint, save_checkpoint
-from .noise import NoiseSpec, noise_tag
+from .noise import noise_tag
 from .schemes import HV, NNV, TC, TD, TrainResult
 from .tensorio import read_tensor, write_csv
 
@@ -135,9 +136,14 @@ def ensure_scheme_trained(
     return paths
 
 
-def cmd_train(cfg: ExperimentConfig, scheme: str) -> dict:
+def _check_scheme(cfg: ExperimentConfig, scheme: str) -> None:
+    """``train`` and ``eval`` act only on a scheme the config names."""
     if scheme not in cfg.schemes:
-        raise ConfigError(f"scheme {scheme!r} is not in the config's scheme list {cfg.schemes}")
+        raise ConfigError(f"scheme {scheme!r} is not in the config's scheme list {list(cfg.schemes)}")
+
+
+def cmd_train(cfg: ExperimentConfig, scheme: str) -> dict:
+    _check_scheme(cfg, scheme)
     return ensure_scheme_trained(cfg, scheme)
 
 
@@ -161,32 +167,39 @@ def _load(ckpt: Path, loaded: dict, role: str, scheme: str) -> Model:
     return loaded[key]
 
 
-def load_scheme_components(cfg: ExperimentConfig, scheme: str, loaded: dict) -> tuple[Model, Model | None]:
-    """(application, denoiser) models the scheme routes through, shared
-    through ``loaded`` (see :func:`_load`)."""
-    app_dir, den_dir = _scheme_dirs(cfg, scheme)
-    application = _load(app_dir, loaded, "application", scheme)
-    return application, None if den_dir is None else _load(den_dir, loaded, "denoiser", scheme)
+def _metrics_path(cfg: ExperimentConfig, scheme: str, tag: str) -> Path:
+    return Path(cfg.output_dir) / "metrics" / f"{scheme}_{tag}.csv"
 
 
-def _score(
-    cfg: ExperimentConfig, scheme: str, test_noise: NoiseSpec, components: tuple, test_samples: list[Sample], images: list
-):
-    """Score one scheme on one test noise's images and write the per-sample
-    CSV; returns (report, csv path). ``eval`` and ``compare`` both end here."""
-    application, denoiser = components
-    report = schemes_mod.evaluate_scheme(application, denoiser, test_samples, images)
-    path = Path(cfg.output_dir) / "metrics" / f"{scheme}_{noise_tag(test_noise)}.csv"
-    metrics_mod.write_per_sample_csv(report, path)
-    return report, path
+def _evaluate(cfg: ExperimentConfig, schemes: tuple[str, ...], test_samples: list[Sample], loaded: dict) -> list:
+    """Score each scheme at every test noise of the config and write its
+    per-sample CSV; returns one (scheme, noise tag, report) row per pair.
+    Every model is loaded through ``loaded`` (see :func:`_load`) before
+    anything is written, and each noise's dirty images are made once.
+    ``eval`` and ``compare`` both score here."""
+    models = {}
+    for scheme in schemes:
+        app_dir, den_dir = _scheme_dirs(cfg, scheme)
+        application = _load(app_dir, loaded, "application", scheme)
+        models[scheme] = application, None if den_dir is None else _load(den_dir, loaded, "denoiser", scheme)
+    dirty = [schemes_mod.corrupt_samples(test_samples, noise, "test") for noise in cfg.test_noises]
+    rows: list[tuple[str, str, metrics_mod.MetricsReport]] = []
+    for scheme in schemes:
+        for test_noise, images in zip(cfg.test_noises, dirty):
+            report = schemes_mod.evaluate_scheme(*models[scheme], test_samples, images)
+            tag = noise_tag(test_noise)
+            metrics_mod.write_per_sample_csv(report, _metrics_path(cfg, scheme, tag))
+            rows.append((scheme, tag, report))
+    return rows
 
 
-def cmd_eval(cfg: ExperimentConfig, scheme: str, test_noise: NoiseSpec):
-    """Evaluate one scheme at one test noise; returns (report, csv path)."""
+def cmd_eval(cfg: ExperimentConfig, scheme: str) -> list:
+    """Evaluate one trained scheme at every test noise of the config;
+    returns one (report, csv path) pair per test noise, in config order."""
+    _check_scheme(cfg, scheme)
     _, test_samples = ensure_dataset(cfg, splits=("test",))
-    components = load_scheme_components(cfg, scheme, {})
-    images = schemes_mod.corrupt_samples(test_samples, test_noise, "test")
-    return _score(cfg, scheme, test_noise, components, test_samples, images)
+    rows = _evaluate(cfg, (scheme,), test_samples, {})
+    return [(report, _metrics_path(cfg, scheme, tag)) for _, tag, report in rows]
 
 
 def cmd_compare(cfg: ExperimentConfig):
@@ -198,13 +211,7 @@ def cmd_compare(cfg: ExperimentConfig):
     loaded: dict = {}
     for scheme in cfg.schemes:
         ensure_scheme_trained(cfg, scheme, train_samples, loaded)
-    components = {scheme: load_scheme_components(cfg, scheme, loaded) for scheme in cfg.schemes}
-    dirty = [schemes_mod.corrupt_samples(test_samples, noise, "test") for noise in cfg.test_noises]
-    rows: list[tuple[str, str, metrics_mod.MetricsReport]] = []
-    for scheme in cfg.schemes:
-        for test_noise, images in zip(cfg.test_noises, dirty):
-            report, _ = _score(cfg, scheme, test_noise, components[scheme], test_samples, images)
-            rows.append((scheme, noise_tag(test_noise), report))
+    rows = _evaluate(cfg, cfg.schemes, test_samples, loaded)
     path = Path(cfg.output_dir) / "compare.csv"
     metrics_mod.write_compare_csv(rows, path)
     return rows, path

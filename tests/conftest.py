@@ -18,7 +18,6 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
 from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tape, Tensor
@@ -26,13 +25,6 @@ from taskdenoise.autodiff import Tape, Tensor
 FD_H = 1e-3
 FD_TOL = 1e-3
 FD_FLOOR = 1.0
-
-
-@pytest.fixture(autouse=True)
-def _validate_op_outputs():
-    ad.set_debug_validate(True)
-    yield
-    ad.set_debug_validate(False)
 
 
 def rel_err(a: np.ndarray, b: np.ndarray, floor: float = FD_FLOOR) -> np.ndarray:

@@ -1,11 +1,14 @@
 """CLI surface: subcommands, exit codes, single-line errors, determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from taskdenoise import experiment
 from taskdenoise.cli import main
+from taskdenoise.config import parse_config
 from taskdenoise.tensorio import read_tensor, write_tensor
 
 
@@ -64,6 +67,8 @@ class TestExitCodes:
         [
             ("dataset", "train_count", "ten"),
             (None, "seed", "x"),
+            (None, "output_dir", None),
+            (None, "output_dir", 5),
             ("train", "epochs_application", None),
             ("train_noise", "poisson_scale", "nan"),
             ("train", "learning_rate", float("inf")),
@@ -94,6 +99,8 @@ class TestExitCodes:
             ("train", {"epochs_application": True}, "train.epochs_application must be int, got True"),
             ("train", {"epochs_application": 1.5}, "train.epochs_application must be int, got 1.5"),
             ("dataset", {"task": "segmentation", "train_count": 3.7}, "dataset.train_count must be int, got 3.7"),
+            ("test_noises", [{"sigma": float("inf")}], "test_noises[0].sigma must be float, got inf"),
+            ("test_noises", [{"sigma": "nan"}], "test_noises[0].sigma must be float, got 'nan'"),
         ],
     )
     def test_malformed_shape_is_config_error(self, tmp_path, capsys, key, value, message):
@@ -101,6 +108,7 @@ class TestExitCodes:
         assert main(["generate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config-error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
 
     def test_colliding_test_noise_tags_are_a_config_error(self, tmp_path, capsys):
         noises = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "gaussian", "sigma": 40.0, "mu": 60.0}]
@@ -162,15 +170,15 @@ class TestExitCodes:
         assert str(manifest) in err and "base_channels must be >= 1" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("sigma", ["inf", "nan"])
-    def test_non_finite_test_sigma_is_spec_error(self, tmp_path, capsys, sigma):
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_scheme_outside_the_config_is_config_error(self, tmp_path, capsys, command):
         cfg = _write_config(tmp_path)
-        assert main(["train", "--config", str(cfg), "--scheme", "tc"]) == 0
+        assert main(["train", "--config", str(cfg), "--scheme", "nnv"]) == 0
+        narrowed = _write_config(tmp_path, name="narrowed.json", schemes=["tc", "td"])
         capsys.readouterr()
-        assert main(["eval", "--config", str(cfg), "--scheme", "tc", "--test-sigma", sigma]) == 2
+        assert main([command, "--config", str(narrowed), "--scheme", "nnv"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("invalid-spec:") and "sigma" in err
-        assert err.count("\n") == 1
+        assert err == "config-error: scheme 'nnv' is not in the config's scheme list ['tc', 'td']\n"
         assert not (tmp_path / "run" / "metrics").exists()
 
     @pytest.mark.parametrize(
@@ -241,18 +249,28 @@ class TestPipelineSmoke:
         cfg = _write_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0
         assert main(["train", "--config", str(cfg), "--scheme", "tc"]) == 0
+        capsys.readouterr()
         assert main(["eval", "--config", str(cfg), "--scheme", "tc"]) == 0
-        out = capsys.readouterr().out
-        assert "dice" in out
         run = tmp_path / "run"
         assert (run / "checkpoints" / "tc" / "loss.csv").is_file()
-        assert (run / "metrics" / "tc_gaussian_sigma40.csv").is_file()
+        path = run / "metrics" / "tc_gaussian_sigma40.csv"
+        # the aggregates of the one test noise, then its metrics path
+        [(report, _)] = experiment.cmd_eval(parse_config(cfg.read_text()), "tc")
+        assert sorted(report.aggregates) == ["dice", "hausdorff", "sensitivity", "specificity"]
+        lines = [f"{name}: {mean:.6g} +/- {sd:.6g}" for name, (mean, sd) in sorted(report.aggregates.items())]
+        assert capsys.readouterr().out == "\n".join([*lines, str(path)]) + "\n"
 
-    def test_test_sigma_flag_selects_noise(self, tmp_path):
-        cfg = _write_config(tmp_path)
-        main(["train", "--config", str(cfg), "--scheme", "tc"])
-        assert main(["eval", "--config", str(cfg), "--scheme", "tc", "--test-sigma", "15"]) == 0
-        assert (tmp_path / "run" / "metrics" / "tc_gaussian_sigma15.csv").is_file()
+    def test_eval_scores_every_test_noise_as_compare_does(self, tmp_path):
+        noises = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "poisson", "poisson_scale": 0.1}]
+        cfg = _write_config(tmp_path, test_noises=noises)
+        assert main(["compare", "--config", str(cfg)]) == 0
+        metrics = tmp_path / "run" / "metrics"
+        compared = {p.name: p.read_bytes() for p in metrics.iterdir()}
+        assert len(compared) == 8
+        shutil.rmtree(metrics)
+        for scheme in ("tc", "td", "hv", "nnv"):
+            assert main(["eval", "--config", str(cfg), "--scheme", scheme]) == 0
+        assert {p.name: p.read_bytes() for p in metrics.iterdir()} == compared
 
     def test_out_flag_overrides_directory(self, tmp_path):
         cfg = _write_config(tmp_path)

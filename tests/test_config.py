@@ -30,7 +30,7 @@ class TestParsing:
         assert cfg.dataset.num_classes == 4
         assert cfg.application.num_classes == 4  # inherited from the dataset
         assert cfg.application.height == 64
-        assert cfg.schemes == ["tc", "td", "hv", "nnv"]
+        assert cfg.schemes == ("tc", "td", "hv", "nnv")
         assert cfg.train.epochs_application == 30
 
     def test_derived_seeds_are_deterministic_and_distinct(self):
@@ -181,6 +181,15 @@ class TestCheckedWhenBuilt:
     def test_replacing_a_config_value_is_checked(self, change, message):
         with pytest.raises(ConfigError, match=message):
             replace(parse_config(MINIMAL), **change)
+
+    def test_lists_cannot_change_after_the_checks(self):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(AttributeError):
+            cfg.schemes.append("tc")
+        with pytest.raises(AttributeError):
+            cfg.test_noises.append(cfg.train_noise)
+        variant = replace(cfg, schemes=["tc", "td"], test_noises=[cfg.train_noise])
+        assert variant.schemes == ("tc", "td") and variant.test_noises == (cfg.train_noise,)
 
     @pytest.mark.parametrize(
         "section,key",

@@ -131,25 +131,25 @@ class TestInterruptedSave:
 class TestEval:
     def test_eval_without_training_raises(self, cfg):
         with pytest.raises(CheckpointError):
-            cmd_eval(cfg, "tc", cfg.test_noises[0])
+            cmd_eval(cfg, "tc")
 
     def test_eval_writes_per_sample_csv(self, cfg):
         cmd_train(cfg, "tc")
-        report, path = cmd_eval(cfg, "tc", cfg.test_noises[0])
+        [(report, path)] = cmd_eval(cfg, "tc")
         assert path.is_file()
         assert report.sample_count == cfg.dataset.test_count
         assert path.name == f"tc_{noise_tag(cfg.test_noises[0])}.csv"
 
     def test_eval_twice_is_byte_identical(self, cfg):
         cmd_train(cfg, "tc")
-        _, path1 = cmd_eval(cfg, "tc", cfg.test_noises[0])
+        [(_, path1)] = cmd_eval(cfg, "tc")
         first = path1.read_bytes()
-        _, path2 = cmd_eval(cfg, "tc", cfg.test_noises[0])
+        [(_, path2)] = cmd_eval(cfg, "tc")
         assert path2.read_bytes() == first
 
     def test_hv_eval_routes_denoiser(self, cfg):
         cmd_train(cfg, "hv")
-        report, _ = cmd_eval(cfg, "hv", cfg.test_noises[0])
+        [(report, _)] = cmd_eval(cfg, "hv")
         assert report.sample_count == cfg.dataset.test_count
 
 
@@ -217,8 +217,9 @@ class TestSharedEvaluationInputs:
         shutil.copytree(tmp_path / "compare" / "checkpoints", tmp_path / "eval" / "checkpoints")
         eval_cfg = replace(cfg, output_dir=str(tmp_path / "eval"))
         for scheme in cfg.schemes:
-            for noise in cfg.test_noises:
-                _, path = cmd_eval(eval_cfg, scheme, noise)
+            written = cmd_eval(eval_cfg, scheme)
+            assert len(written) == len(cfg.test_noises)
+            for (_, path), noise in zip(written, cfg.test_noises):
                 name = f"{scheme}_{noise_tag(noise)}.csv"
                 assert path.name == name
                 assert path.read_bytes() == (tmp_path / "compare" / "metrics" / name).read_bytes()
@@ -275,7 +276,7 @@ class TestSharedEvaluationInputs:
         cmd_train(cfg, "tc")
         assert Counter(reads) == {"train": 40}  # image and label map per sample
         reads.clear()
-        cmd_eval(cfg, "tc", cfg.test_noises[0])
+        cmd_eval(cfg, "tc")
         assert Counter(reads) == {"test": 10}
         reads.clear()
         cmd_compare(replace(cfg, schemes=["tc"]))  # tc's checkpoint is complete, so nothing reads the train split

@@ -103,7 +103,6 @@ class TestTrainApplication:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_epoch(self):
-        ad.set_debug_validate(False)
         train, _ = _seg_samples(count=2)
         model = build_network(_app_spec(seed=14))
         with pytest.raises(TrainingDivergedError) as err:
