@@ -4,10 +4,11 @@ The engine is deliberately small: a :class:`Tensor` is a float32 array
 that ops never write into, a :class:`Tape` records every differentiable
 operation executed while it is active, and :func:`backward` replays the
 records in reverse to produce exact gradients. The operation set is exactly
-what the four network recipes need, in the layouts they run: convolutions
-and transposed convolutions at stride 1 with any padding, or at a stride
-equal to their square kernel with padding 0, whose windows tile the grid
-(conv2d's input extents must then be divisible by the stride); max pooling
+what the four network recipes need, in the layouts they run: one
+convolution op, whose two directions are ``conv2d`` and
+``transpose_conv2d``, at stride 1 with any padding, or at a stride equal to
+its square kernel with padding 0, whose windows tile the grid (conv2d's
+input extents must then be divisible by the stride); max pooling
 over non-overlapping windows, ``maxpool2d(x, window)``; batch norm, whose
 running statistics are tensors that take no gradient; ReLU, and the two
 losses. Any other layout is an :class:`InvalidShapeError`.
@@ -20,8 +21,7 @@ in float64 and are returned as float32.
 Invariant: a change to how an op lays out its data may not reorder any
 float64 sum. Each sum adds the same terms in the same order (extra terms
 only if they are exact zeros), so every value and every checkpoint stays
-byte-identical across such changes; see the im2col section for the
-convolutions.
+byte-identical across such changes; see the convolution section.
 
 Forward ops do only the work their result needs:
 
@@ -36,8 +36,8 @@ Forward ops do only the work their result needs:
   channel over the flat view.
 
 What a recorded op keeps for its backward: every op keeps its inputs (the
-record holds them). Beyond those, conv2d and transpose_conv2d keep the
-float64 kernel matrix, max pooling the index of each window's maximum,
+record holds them). Beyond those, the convolution keeps its float64
+kernel matrix, max pooling the index of each window's maximum,
 batchnorm the float32 normalized input and the per-channel scale, relu its
 mask, mse_loss the float64 difference and cross_entropy_loss the float64
 log-probabilities. No op keeps a patch matrix: conv2d's backward rebuilds
@@ -183,35 +183,38 @@ def backward(loss: Tensor, tape: Tape) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# im2col and overlap-add
+# Convolution
 #
-# These helpers only move data to and from the float64 GEMMs, in the two
-# layouts of the module docstring: stride 1 (one unit-step slice per kernel
-# offset) and windows that tile the grid (a permutation). A change of
-# layout may not reorder any float64 sum: each output element receives the
-# same terms, in the same kernel-offset (a, b) order, starting from +0.0, as
-# one strided slice per offset would give it; extra terms are allowed only
-# if they are exact zeros. That is why checkpoints stay byte-identical when
-# this section is rewritten. The input gradient and the transposed conv are
-# therefore not computed as a conv with a flipped, C_in/C_out-swapped
-# kernel: that adds the same terms in another order, and the float32
-# one-ulp flips it causes grow under Adam. Measured on the classification
-# benchmark workload, seed 1: 66 checkpoint tensors changed, the most the
-# biases of the denoiser convs that feed batchnorm (by up to 8e-4), whose
-# true gradient is zero, so Adam steps them on rounding noise alone.
+# One op serves conv2d and transpose_conv2d. Its kernel matrix maps the
+# patches of the large grid (conv2d's input, transpose_conv2d's output) to
+# the small grid: _im2col builds the patches and _correlate_t is the map's
+# adjoint. conv2d runs the map forward and the adjoint for its input
+# gradient, transpose_conv2d the reverse; for both, the kernel gradient is
+# the small grid's values times the large grid's patches. Each public op
+# only calls _conv, so a layer call enters one of them and appends one
+# tape record.
+#
+# A change of layout may not reorder any float64 sum: each output element
+# receives the same terms, in the same kernel-offset (a, b) order, starting
+# from +0.0, as one strided slice per offset would give it; extra terms are
+# allowed only if they are exact zeros. That is why checkpoints stay
+# byte-identical when this section is rewritten. The adjoint is therefore
+# not computed as a conv with a flipped, C_in/C_out-swapped kernel: that
+# adds the same terms in another order, and the float32 one-ulp flips it
+# causes grow under Adam. Measured on the classification benchmark
+# workload, seed 1: 66 checkpoint tensors changed, the most the biases of
+# the denoiser convs that feed batchnorm (by up to 8e-4), whose true
+# gradient is zero, so Adam steps them on rounding noise alone.
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
-    """Float64 patches [C*kh*kw, oh*ow] of ``x`` zero-padded by ``padding``.
+    """Float64 patches [C*kh*kw, oh*ow] of ``x`` zero-padded by ``padding``:
+    one step-``stride`` slice per kernel offset.
 
     The padded copy is float64, so the patches need no cast of their own.
     """
     c, h, w = x.shape
     cols = np.empty((c, kh, kw, oh, ow), dtype=_F64)
-    if stride > 1:
-        # windows that tile the input: the patches are a permutation of it
-        cols[...] = x.reshape(c, oh, kh, ow, kw).transpose(0, 2, 4, 1, 3)
-        return cols.reshape(-1, oh * ow)
     xp = x
     if padding:
         p = padding
@@ -219,42 +222,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int,
         xp[:, p : p + h, p : p + w] = x
     for a in range(kh):
         for b in range(kw):
-            cols[:, a, b] = xp[:, a : a + oh, b : b + ow]
+            cols[:, a, b] = xp[:, a : a + stride * oh : stride, b : b + stride * ow : stride]
     return cols.reshape(-1, oh * ow)
-
-
-def _overlap_add(kcols: np.ndarray, v: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Stride-1 col2im of the patches ``kcols @ v``, [C*kh*kw, K] by [K, H, W],
-    onto the [C, H+kh-1, W+kw-1] grid, returned as a [C, (H+kh-1)*(W+kw-1)]
-    view with contiguous rows.
-
-    In the GEMM operand each row of ``v`` is followed by kw - 1 zeros, so a
-    patch row spans the output's full width wp, and on the flat output
-    kernel offset (a, b) adds one contiguous block starting at a*wp + b.
-    The zero tails land on the head of the next row or past the end.
-    """
-    k, h, w = v.shape
-    hp, wp = h + kh - 1, w + kw - 1
-    operand = np.zeros((k, h, wp), dtype=_F64)
-    operand[:, :, :w] = v
-    blocks = (kcols @ operand.reshape(k, h * wp)).reshape(-1, kh * kw, h * wp)
-    flat = np.zeros((blocks.shape[0], hp * wp + kw - 1), dtype=_F64)
-    for a in range(kh):
-        for b in range(kw):
-            start = a * wp + b
-            flat[:, start : start + h * wp] += blocks[:, a * kw + b]
-    return flat[:, : hp * wp]
-
-
-# ---------------------------------------------------------------------------
-# Convolution family
-#
-# One map and its adjoint serve both ops. The map multiplies a kernel
-# matrix by _im2col's patches; _correlate_t is its adjoint. conv2d runs the
-# map forward and the adjoint for its input gradient, transpose_conv2d the
-# reverse (its backward builds the patches once, because its kernel
-# gradient needs them too). Neither public op calls the other, so each is
-# entered once per layer call.
 
 
 def _correlate_t(
@@ -269,7 +238,20 @@ def _correlate_t(
     k, oh, ow = v.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     if stride == 1:
-        flat = _overlap_add(kcols, v, kh, kw)
+        # In the GEMM operand each row of v is followed by kw - 1 zeros, so a
+        # patch row spans the padded grid's full width wp, and on the flat
+        # grid kernel offset (a, b) adds one contiguous block starting at
+        # a*wp + b. The zero tails land on the head of the next row or past
+        # the end.
+        operand = np.zeros((k, oh, wp), dtype=_F64)
+        operand[:, :, :ow] = v
+        blocks = (kcols @ operand.reshape(k, oh * wp)).reshape(-1, kh * kw, oh * wp)
+        flat = np.zeros((blocks.shape[0], hp * wp + kw - 1), dtype=_F64)
+        for a in range(kh):
+            for b in range(kw):
+                start = a * wp + b
+                flat[:, start : start + oh * wp] += blocks[:, a * kw + b]
+        flat = flat[:, : hp * wp]
     else:
         # windows that tile the grid (padding 0): each cell receives exactly one term
         operand = v.reshape(k, oh * ow).astype(_F64, copy=False)
@@ -284,9 +266,11 @@ def _correlate_t(
     return full[:, padding : padding + h, padding : padding + w] if padding else full
 
 
-def _conv_extents(op: str, x: Tensor, kernels: Tensor, bias: Tensor, stride: int, padding: int, transposed: bool):
-    """C_out and output extents of conv2d (kernels [C_out, C_in, kh, kw]) or,
-    if ``transposed``, of transpose_conv2d (kernels [C_in, C_out, kh, kw])."""
+def _conv(
+    op: str, x: Tensor, kernels: Tensor, bias: Tensor, stride: int, padding: int, transposed: bool
+) -> Tensor:
+    """conv2d (kernels [C_out, C_in, kh, kw]) or, if ``transposed``,
+    transpose_conv2d (kernels [C_in, C_out, kh, kw]) of ``x`` [C_in, H, W]."""
     if x.data.ndim != 3 or kernels.data.ndim != 4:
         raise InvalidShapeError(f"{op} expects 3-d input and 4-d kernels, got {x.shape} and {kernels.shape}")
     cin, h, w = x.shape
@@ -311,34 +295,42 @@ def _conv_extents(op: str, x: Tensor, kernels: Tensor, bias: Tensor, stride: int
         oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise InvalidShapeError(f"{op} of a {h}x{w} input by a {kh}x{kw} kernel has no output ({oh}x{ow})")
-    return cout, oh, ow
-
-
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [C_in,H,W] with kernels [C_out,C_in,kh,kw]."""
-    cout, oh, ow = _conv_extents("conv2d", x, kernels, bias, stride, padding, transposed=False)
-    cin, h, w = x.shape
-    kh, kw = kernels.shape[2:]
-    kmat = kernels.data.reshape(cout, cin * kh * kw).astype(_F64)
-    out64 = kmat @ _im2col(x.data, kh, kw, stride, padding, oh, ow)
-    out64 += bias.data.astype(_F64)[:, None]
-    out = _wrap(out64.reshape(cout, oh, ow))
+    small, large = ((h, w), (oh, ow)) if transposed else ((oh, ow), (h, w))
+    kmat = kernels.data.reshape(len(kernels.data), -1).astype(_F64)  # [C_small, C_large*kh*kw]
+    bias64 = bias.data.astype(_F64)
+    if transposed:
+        out = _wrap(_correlate_t(kmat.T, x.data, kh, kw, stride, padding, *large, bias64))
+    else:
+        out64 = kmat @ _im2col(x.data, kh, kw, stride, padding, *small)
+        out64 += bias64[:, None]
+        out = _wrap(out64.reshape(cout, oh, ow))
 
     def backward_fn(g: np.ndarray):
-        dx = dk = db = None
-        if _needs(x):
-            dx = _correlate_t(kmat.T, g, kh, kw, stride, padding, h, w)
+        small_values, large_values = (x.data, g) if transposed else (g, x.data)
+        dx = dk = db = cols = None
+        if transposed and (_needs(x) or _needs(kernels)):
+            cols = _im2col(large_values, kh, kw, stride, padding, *small)  # built once for both GEMMs
+        if _needs(x) and transposed:
+            dx = (kmat @ cols).reshape(x.shape)
+        elif _needs(x):
+            dx = _correlate_t(kmat.T, g, kh, kw, stride, padding, *large)
         if _needs(kernels):
-            # rebuilt from x: kept from the forward, the float64 patches would
-            # hold about 18x the bytes of x until this call
-            cols = _im2col(x.data, kh, kw, stride, padding, oh, ow)
-            dk = (g.reshape(cout, oh * ow) @ cols.T).reshape(cout, cin, kh, kw)
+            if cols is None:
+                # conv2d rebuilds x's patches after dx: kept from the forward,
+                # the float64 patches would hold about 18x the bytes of x
+                cols = _im2col(large_values, kh, kw, stride, padding, *small)
+            dk = (small_values.reshape(len(kmat), -1).astype(_F64, copy=False) @ cols.T).reshape(kernels.shape)
         if _needs(bias):
             db = g.sum(axis=(1, 2))
         return dx, dk, db
 
     _record(out, (x, kernels, bias), backward_fn)
     return out
+
+
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation of [C_in,H,W] with kernels [C_out,C_in,kh,kw]."""
+    return _conv("conv2d", x, kernels, bias, stride, padding, transposed=False)
 
 
 def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -347,26 +339,7 @@ def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, 
     Input [C_in,H,W], kernels [C_in,C_out,kh,kw], output extent
     (H-1)*stride - 2*padding + kh.
     """
-    cout, oh, ow = _conv_extents("transpose_conv2d", x, kernels, bias, stride, padding, transposed=True)
-    cin, h, w = x.shape
-    kh, kw = kernels.shape[2:]
-    kmat = kernels.data.reshape(cin, cout * kh * kw).astype(_F64)
-    out = _wrap(_correlate_t(kmat.T, x.data, kh, kw, stride, padding, oh, ow, bias.data.astype(_F64)))
-
-    def backward_fn(g: np.ndarray):
-        dx = dk = db = None
-        if _needs(x) or _needs(kernels):
-            gcols = _im2col(g, kh, kw, stride, padding, h, w)  # built once for both GEMMs
-            if _needs(x):
-                dx = (kmat @ gcols).reshape(cin, h, w)
-            if _needs(kernels):
-                dk = (x.data.reshape(cin, h * w).astype(_F64) @ gcols.T).reshape(cin, cout, kh, kw)
-        if _needs(bias):
-            db = g.sum(axis=(1, 2))
-        return dx, dk, db
-
-    _record(out, (x, kernels, bias), backward_fn)
-    return out
+    return _conv("transpose_conv2d", x, kernels, bias, stride, padding, transposed=True)
 
 
 def maxpool2d(x: Tensor, window: int) -> Tensor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .data import CLASSIFICATION, SEGMENTATION, DatasetSpec
 from .errors import ConfigError, InvalidSpecError
@@ -19,6 +19,24 @@ from .networks import CCNN, DENOISER_KINDS, NONEWNET2D, NetworkSpec
 from .noise import NoiseSpec, noise_tag
 from .rng import derive_seed
 from .schemes import HV, NNV, SCHEME_KINDS, TC, TD, TrainSettings
+
+
+@dataclass(frozen=True)
+class CheckpointOverride:
+    """The checkpoint directories ``scheme`` is evaluated through instead of
+    the conventional layout; a scheme under an override is never trained."""
+
+    scheme: str
+    application: str
+    denoiser: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.scheme not in SCHEME_KINDS:
+            raise ConfigError(f"checkpoint override for unknown scheme {self.scheme!r}")
+        if not isinstance(self.application, str) or not isinstance(self.denoiser, str | None):
+            raise ConfigError(
+                f"checkpoint_overrides.{self.scheme} needs an 'application' path and a 'denoiser' path or null"
+            )
 
 
 @dataclass(frozen=True)
@@ -32,14 +50,12 @@ class ExperimentConfig:
     train_noise: NoiseSpec
     test_noises: tuple[NoiseSpec, ...]
     train: TrainSettings
-    # optional per-scheme checkpoint paths used by eval/compare instead of
-    # the conventional layout: {scheme: {"application": path, "denoiser": path|None}}
-    checkpoint_overrides: dict = field(default_factory=dict)
+    checkpoint_overrides: tuple[CheckpointOverride, ...] = ()
 
     def __post_init__(self) -> None:
         # stored as tuples, so the lists cannot change after these checks
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "test_noises", tuple(self.test_noises))
+        for name in ("schemes", "test_noises", "checkpoint_overrides"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         expected_app = NONEWNET2D if self.dataset.task == SEGMENTATION else CCNN
         if self.application.kind != expected_app:
             raise ConfigError(
@@ -68,15 +84,12 @@ class ExperimentConfig:
                     f"test_noises[{first}] and test_noises[{i}] share the label {tag!r}; "
                     "their metrics files and compare.csv rows would collide"
                 )
-        for scheme, paths in self.checkpoint_overrides.items():
-            where = f"checkpoint_overrides.{scheme}"
-            if scheme not in SCHEME_KINDS:
-                raise ConfigError(f"checkpoint override for unknown scheme {scheme!r}")
-            unknown = set(_expect(paths, dict, where)) - {"application", "denoiser"}
-            if unknown:
-                raise ConfigError(f"checkpoint override keys must be application/denoiser, got {sorted(unknown)}")
-            if not isinstance(paths.get("application"), str) or not isinstance(paths.get("denoiser"), str | None):
-                raise ConfigError(f"{where} needs an 'application' path and a 'denoiser' path or null")
+        for o in self.checkpoint_overrides:
+            if not isinstance(o, CheckpointOverride):
+                raise ConfigError(f"checkpoint_overrides holds a {type(o).__name__}, not a CheckpointOverride")
+        overridden = [o.scheme for o in self.checkpoint_overrides]
+        if len(set(overridden)) != len(overridden):
+            raise ConfigError("duplicate scheme in checkpoint_overrides")
 
 
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -193,6 +206,11 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
 
     train = _section(TrainSettings, raw.get("train", {}), "train", {})
 
+    overrides = []
+    for scheme, paths in _optional(raw, "checkpoint_overrides", dict, {}).items():
+        _check_keys(paths, {"application", "denoiser"}, f"checkpoint_overrides.{scheme}")
+        overrides.append(CheckpointOverride(scheme, paths.get("application"), paths.get("denoiser")))
+
     return ExperimentConfig(
         seed=seed,
         output_dir=_value(raw, "output_dir", str, "config"),
@@ -203,5 +221,5 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
         train_noise=train_noise,
         test_noises=test_noises,
         train=train,
-        checkpoint_overrides=_optional(raw, "checkpoint_overrides", dict, {}),
+        checkpoint_overrides=overrides,
     )

@@ -11,13 +11,15 @@ under its ``output_dir`` only:
 
 Training a scheme trains its missing dependencies (nnv needs the tc-trained
 application network) and reads the dataset's train split only if something
-is missing; evaluation reads only the test split, never trains and fails
-on missing checkpoints. ``compare`` prepares each evaluation input once
-and shares it across schemes: one dataset read (of the train split too
-only if some scheme has a checkpoint to train), one load per checkpoint
-directory (tc's application network serves tc, hv and nnv, and nnv's
-training if it runs), and one corrupted test set per test noise, since
-the dirty images depend only on the noise spec and the sample index.
+is missing; evaluation never trains, reads only the test split, and
+fails on a checkpoint that is missing or does not fit its role (``eval``
+loads its checkpoints before it reads or writes the dataset). ``compare``
+prepares each evaluation input once and shares it across schemes: one
+dataset read (of the train split too only if some scheme has a checkpoint
+to train), one load per checkpoint directory (tc's application network
+serves tc, hv and nnv, and nnv's training if it runs), and one corrupted
+test set per test noise, since the dirty images depend only on the noise
+spec and the sample index.
 ``eval`` scores one scheme, ``compare`` every scheme, at every test noise
 of the config, through one function, so each metrics file is the same
 bytes whichever command wrote it; another test noise is one more entry of
@@ -34,7 +36,7 @@ from . import schemes as schemes_mod
 from .config import ExperimentConfig
 from .data import SPLITS, Sample, generate_dataset, load_dataset, load_dataset_spec, save_dataset
 from .errors import CheckpointError, ConfigError
-from .networks import Model, build_network, load_checkpoint, save_checkpoint
+from .networks import DENOISER_KINDS, Model, build_network, load_checkpoint, save_checkpoint
 from .noise import noise_tag
 from .schemes import HV, NNV, TC, TD, TrainResult
 from .tensorio import read_tensor, write_csv
@@ -81,10 +83,9 @@ def _scheme_dirs(cfg: ExperimentConfig, scheme: str) -> tuple[Path, Path | None]
     """(application, denoiser) checkpoint directories the scheme routes
     through: the config's override, else the conventional layout, where hv
     and nnv route through the clean-trained (tc) application network."""
-    override = cfg.checkpoint_overrides.get(scheme)
-    if override is not None:
-        den = override.get("denoiser")
-        return Path(override["application"]), Path(den) if den else None
+    for o in cfg.checkpoint_overrides:
+        if o.scheme == scheme:
+            return Path(o.application), Path(o.denoiser) if o.denoiser else None
     app_dir = _checkpoint_dir(cfg, TD if scheme == TD else TC)
     return app_dir, _checkpoint_dir(cfg, scheme) if scheme in (HV, NNV) else None
 
@@ -96,7 +97,8 @@ def _complete(ckpt: Path) -> bool:
 def _needs_training(cfg: ExperimentConfig, scheme: str) -> bool:
     """Whether the scheme has a checkpoint to train (never under an override)."""
     dirs = [d for d in _scheme_dirs(cfg, scheme) if d is not None]
-    return scheme not in cfg.checkpoint_overrides and not all(_complete(d) for d in dirs)
+    overridden = any(o.scheme == scheme for o in cfg.checkpoint_overrides)
+    return not overridden and not all(_complete(d) for d in dirs)
 
 
 def ensure_scheme_trained(
@@ -128,7 +130,7 @@ def ensure_scheme_trained(
         if scheme == HV:
             result = schemes_mod.train_denoiser_hv(denoiser, train_samples, cfg.train, cfg.train_noise, cfg.seed)
         else:
-            app_model = _load(app_dir, {} if loaded is None else loaded, "application", scheme)
+            app_model = _load(cfg, app_dir, {} if loaded is None else loaded, "application", scheme)
             result = schemes_mod.train_denoiser_nnv(
                 denoiser, app_model, train_samples, cfg.train, cfg.train_noise, cfg.seed
             )
@@ -151,19 +153,29 @@ def cmd_train(cfg: ExperimentConfig, scheme: str) -> dict:
 # Evaluation
 
 
-def _load(ckpt: Path, loaded: dict, role: str, scheme: str) -> Model:
+def _load(cfg: ExperimentConfig, ckpt: Path, loaded: dict, role: str, scheme: str) -> Model:
     """The ``role`` model of ``scheme`` at ``ckpt``; never trains.
 
     ``loaded`` maps a resolved checkpoint directory to its model. A
     directory already in it is not read again, so schemes that route through
     one checkpoint share one model: evaluation runs every model in eval
-    mode, which changes neither weights nor batchnorm statistics.
+    mode, which changes neither weights nor batchnorm statistics. The model
+    must fit its role: an application network of the config's kind and
+    class count, or a denoiser.
     """
     key = ckpt.resolve()
     if key not in loaded:
         if not _complete(ckpt):
             raise CheckpointError(f"missing {role} checkpoint for scheme {scheme!r} at {ckpt}")
         loaded[key], _ = load_checkpoint(ckpt)
+    spec = loaded[key].spec
+    if role == "application" and (spec.kind, spec.num_classes) != (cfg.application.kind, cfg.dataset.num_classes):
+        raise ConfigError(
+            f"application checkpoint for scheme {scheme!r} at {ckpt} is a {spec.kind} with {spec.num_classes} "
+            f"classes; the config needs a {cfg.application.kind} with {cfg.dataset.num_classes}"
+        )
+    if role == "denoiser" and spec.kind not in DENOISER_KINDS:
+        raise ConfigError(f"denoiser checkpoint for scheme {scheme!r} at {ckpt} is a {spec.kind}, not a denoiser")
     return loaded[key]
 
 
@@ -171,22 +183,27 @@ def _metrics_path(cfg: ExperimentConfig, scheme: str, tag: str) -> Path:
     return Path(cfg.output_dir) / "metrics" / f"{scheme}_{tag}.csv"
 
 
-def _evaluate(cfg: ExperimentConfig, schemes: tuple[str, ...], test_samples: list[Sample], loaded: dict) -> list:
-    """Score each scheme at every test noise of the config and write its
-    per-sample CSV; returns one (scheme, noise tag, report) row per pair.
-    Every model is loaded through ``loaded`` (see :func:`_load`) before
-    anything is written, and each noise's dirty images are made once.
-    ``eval`` and ``compare`` both score here."""
+def _models(cfg: ExperimentConfig, schemes: tuple[str, ...], loaded: dict) -> dict:
+    """scheme -> (application, denoiser or None), each loaded through
+    ``loaded`` (see :func:`_load`)."""
     models = {}
     for scheme in schemes:
         app_dir, den_dir = _scheme_dirs(cfg, scheme)
-        application = _load(app_dir, loaded, "application", scheme)
-        models[scheme] = application, None if den_dir is None else _load(den_dir, loaded, "denoiser", scheme)
+        application = _load(cfg, app_dir, loaded, "application", scheme)
+        models[scheme] = application, None if den_dir is None else _load(cfg, den_dir, loaded, "denoiser", scheme)
+    return models
+
+
+def _evaluate(cfg: ExperimentConfig, models: dict, test_samples: list[Sample]) -> list:
+    """Score each scheme's :func:`_models` pair at every test noise of the
+    config and write its per-sample CSV; returns one (scheme, noise tag,
+    report) row per pair. Each noise's dirty images are made once. ``eval``
+    and ``compare`` both score here."""
     dirty = [schemes_mod.corrupt_samples(test_samples, noise, "test") for noise in cfg.test_noises]
     rows: list[tuple[str, str, metrics_mod.MetricsReport]] = []
-    for scheme in schemes:
+    for scheme, pair in models.items():
         for test_noise, images in zip(cfg.test_noises, dirty):
-            report = schemes_mod.evaluate_scheme(*models[scheme], test_samples, images)
+            report = schemes_mod.evaluate_scheme(*pair, test_samples, images)
             tag = noise_tag(test_noise)
             metrics_mod.write_per_sample_csv(report, _metrics_path(cfg, scheme, tag))
             rows.append((scheme, tag, report))
@@ -197,8 +214,9 @@ def cmd_eval(cfg: ExperimentConfig, scheme: str) -> list:
     """Evaluate one trained scheme at every test noise of the config;
     returns one (report, csv path) pair per test noise, in config order."""
     _check_scheme(cfg, scheme)
+    models = _models(cfg, (scheme,), {})  # first: a missing or unfit checkpoint writes no dataset
     _, test_samples = ensure_dataset(cfg, splits=("test",))
-    rows = _evaluate(cfg, (scheme,), test_samples, {})
+    rows = _evaluate(cfg, models, test_samples)
     return [(report, _metrics_path(cfg, scheme, tag)) for _, tag, report in rows]
 
 
@@ -211,7 +229,7 @@ def cmd_compare(cfg: ExperimentConfig):
     loaded: dict = {}
     for scheme in cfg.schemes:
         ensure_scheme_trained(cfg, scheme, train_samples, loaded)
-    rows = _evaluate(cfg, cfg.schemes, test_samples, loaded)
+    rows = _evaluate(cfg, _models(cfg, cfg.schemes, loaded), test_samples)
     path = Path(cfg.output_dir) / "compare.csv"
     metrics_mod.write_compare_csv(rows, path)
     return rows, path

@@ -350,17 +350,3 @@ def load_checkpoint(directory) -> tuple[Model, int]:
         t.data = data
     return model, epoch
 
-
-def parameter_checksum(model: Model) -> bytes:
-    """Order-sensitive digest of every parameter's name and bytes, then of
-    the running statistics' bytes (freeze verification)."""
-    import hashlib
-
-    h = hashlib.sha256()
-    params = model.named_parameters()
-    for name, p in params:
-        h.update(name.encode())
-        h.update(p.data.tobytes())
-    for _, stat in model.named_state()[len(params) :]:
-        h.update(stat.data.tobytes())
-    return h.digest()

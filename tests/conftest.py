@@ -1,5 +1,6 @@
-"""Shared test helpers: finite-difference gradient checking, and an
-application-network stub that scores fixed logits without any BLAS.
+"""Shared test helpers: finite-difference gradient checking, an
+application-network stub that scores fixed logits without any BLAS, and a
+digest of a model's parameters and running statistics.
 
 Forward values are float32, so central differences carry rounding noise of
 roughly eps32 * |output| / (2h), about 1e-4 absolute at h = 1e-3 for
@@ -15,6 +16,7 @@ noise-free brute-force float64 oracles in the op tests.
 
 from __future__ import annotations
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,3 +87,16 @@ class LogitsStub:
 
     def forward(self, image: Tensor, train: bool = False) -> Tensor:
         return image
+
+
+def parameter_checksum(model) -> bytes:
+    """Order-sensitive digest of every parameter's name and bytes, then of
+    the running statistics' bytes (freeze verification)."""
+    h = hashlib.sha256()
+    params = model.named_parameters()
+    for name, p in params:
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    for _, stat in model.named_state()[len(params) :]:
+        h.update(stat.data.tobytes())
+    return h.digest()

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from taskdenoise import experiment
 from taskdenoise.cli import main
 from taskdenoise.config import parse_config
+from taskdenoise.networks import build_network, save_checkpoint
 from taskdenoise.tensorio import read_tensor, write_tensor
 
 
@@ -156,6 +158,37 @@ class TestExitCodes:
         assert code == 5
         assert capsys.readouterr().err.startswith("missing-checkpoint:")
 
+    def test_eval_with_a_missing_checkpoint_writes_nothing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["eval", "--config", str(cfg), "--scheme", "tc"]) == 5
+        ckpt = tmp_path / "run" / "checkpoints" / "tc"
+        err = capsys.readouterr().err
+        assert err == f"missing-checkpoint: missing application checkpoint for scheme 'tc' at {ckpt}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "scheme,paths,role,found",
+        [
+            ("tc", {"application": "redcnn"}, "application", "a redcnn with 3 classes"),
+            ("tc", {"application": "unet4"}, "application", "a nonewnet2d with 4 classes"),
+            ("hv", {"application": "unet", "denoiser": "unet"}, "denoiser", "a nonewnet2d, not a denoiser"),
+        ],
+        ids=["denoiser_as_application", "other_class_count", "application_as_denoiser"],
+    )
+    def test_checkpoint_that_does_not_fit_its_role_is_config_error(self, tmp_path, capsys, scheme, paths, role, found):
+        cfg = parse_config(_write_config(tmp_path).read_text())
+        specs = {"unet": cfg.application, "unet4": replace(cfg.application, num_classes=4), "redcnn": cfg.denoiser}
+        for name, spec in specs.items():
+            save_checkpoint(build_network(spec), tmp_path / name)
+        overrides = {scheme: {key: str(tmp_path / name) for key, name in paths.items()}}
+        routed = _write_config(tmp_path, name="routed.json", schemes=[scheme], checkpoint_overrides=overrides)
+        assert main(["compare", "--config", str(routed)]) == 2
+        err = capsys.readouterr().err
+        where = f"{role} checkpoint for scheme {scheme!r} at {tmp_path / paths[role]}"
+        assert err.startswith(f"config-error: {where} is {found}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run" / "metrics").exists()
+
     def test_invalid_spec_in_checkpoint_manifest_names_the_checkpoint(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--scheme", "tc"]) == 0
@@ -196,7 +229,8 @@ class TestExitCodes:
             dataset = {"task": task, "height": 16, "width": 16, "num_classes": 3, "train_count": 3, "test_count": 2}
             overrides = {"dataset": dataset, "application": {"kind": "ccnn", "base_channels": 2}}
         cfg = _write_config(tmp_path, **overrides)
-        assert main(["generate", "--config", str(cfg)]) == 0
+        # eval loads the checkpoint before it reads the dataset
+        assert main(["train", "--config", str(cfg), "--scheme", "tc"]) == 0
         write_tensor(tmp_path / "run" / "dataset" / "test" / name, data)
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg), "--scheme", "tc"]) == 3

@@ -191,6 +191,27 @@ class TestCheckedWhenBuilt:
         variant = replace(cfg, schemes=["tc", "td"], test_noises=[cfg.train_noise])
         assert variant.schemes == ("tc", "td") and variant.test_noises == (cfg.train_noise,)
 
+    def test_checkpoint_overrides_cannot_change_after_the_checks(self):
+        raw = json.loads(MINIMAL)
+        raw["checkpoint_overrides"] = {"tc": {"application": "a", "denoiser": None}}
+        cfg = parse_config(json.dumps(raw))
+        with pytest.raises(TypeError):
+            cfg.checkpoint_overrides["bogus"] = {"application": "b", "denoiser": None}
+        [override] = cfg.checkpoint_overrides
+        assert (override.scheme, override.application, override.denoiser) == ("tc", "a", None)
+        with pytest.raises(FrozenInstanceError):
+            override.application = "b"
+        with pytest.raises(ConfigError, match="needs an 'application' path"):
+            replace(override, application=5)
+        with pytest.raises(ConfigError, match="unknown scheme 'bogus'"):
+            replace(override, scheme="bogus")
+        with pytest.raises(ConfigError, match="duplicate scheme in checkpoint_overrides"):
+            replace(cfg, checkpoint_overrides=[override, override])
+        with pytest.raises(ConfigError, match="holds a str, not a CheckpointOverride"):
+            replace(cfg, checkpoint_overrides={"tc": {"application": "a"}})
+        variant = replace(cfg, checkpoint_overrides=[replace(override, scheme="hv", denoiser="d")])
+        assert [(o.scheme, o.denoiser) for o in variant.checkpoint_overrides] == [("hv", "d")]
+
     @pytest.mark.parametrize(
         "section,key",
         [
@@ -225,7 +246,7 @@ PINNED = [
         MINIMAL,
         {
             "application": {**_NET, "kind": "nonewnet2d", "seed": 18164861813927922619},
-            "checkpoint_overrides": {},
+            "checkpoint_overrides": [],
             "dataset": {"height": 64, "num_classes": 4, "seed": 10592022248623063394, "task": "segmentation",
                         "test_count": 5, "train_count": 20, "width": 64},
             "denoiser": {**_NET, "kind": "redcnn", "seed": 10064887618164953490},
@@ -244,7 +265,7 @@ PINNED = [
         '{"seed": 3, "output_dir": "runs/cls", "dataset": {"task": "classification"}, "application": {"kind": "ccnn"}}',
         {
             "application": {**_NET, "kind": "ccnn", "seed": 3600905376767202805},
-            "checkpoint_overrides": {},
+            "checkpoint_overrides": [],
             "dataset": {"height": 64, "num_classes": 3, "seed": 9897383344551738464, "task": "classification",
                         "test_count": 50, "train_count": 200, "width": 64},
             "denoiser": None,

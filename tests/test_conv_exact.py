@@ -41,23 +41,27 @@ def _output_grad(shape, seed: int) -> np.ndarray:
     return np.where(rng.random(shape) < 0.3, g * 0.0, g)
 
 
-def _run(op, arrays, args):
-    """Forward value and the float64 gradients of every input."""
-    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+def _run(op, arrays, args, needs=None):
+    """Forward value and the op's backward, which returns a float64 gradient
+    of input i if ``needs[i]`` (default: of every input), else None."""
+    inputs = [Tensor(a, requires_grad=n) for a, n in zip(arrays, needs or [True] * len(arrays))]
     with Tape() as tape:
         out = op(*inputs, *args)
     return out, tape.records[-1].backward_fn
 
 
-def assert_exact(name: str, arrays, args, seed: int = 0) -> None:
-    out, backward = _run(getattr(ad, name), arrays, args)
-    out_ref, backward_ref = _run(getattr(ref, name), arrays, args)
+def assert_exact(name: str, arrays, args, seed: int = 0, needs=None) -> None:
+    out, backward = _run(getattr(ad, name), arrays, args, needs)
+    out_ref, backward_ref = _run(getattr(ref, name), arrays, args, needs)
     _same_bits(out.data, out_ref.data, f"{name}{args} forward")
     g = _output_grad(out.shape, seed)
     grads, grads_ref = backward(g), backward_ref(g)
     assert len(grads) == len(grads_ref) == len(arrays)
     for i, (d, d_ref) in enumerate(zip(grads, grads_ref)):
-        _same_bits(d, d_ref, f"{name}{args} gradient of input {i}")
+        what = f"{name}{args} gradient of input {i} (inputs needing one: {needs or 'all'})"
+        assert (d is None) == (d_ref is None), f"{what}: {d} vs {d_ref}"
+        if d is not None:
+            _same_bits(d, d_ref, what)
 
 
 @contextmanager
@@ -146,18 +150,26 @@ def _rand(shape, seed):
     return np.random.default_rng(seed).normal(size=shape).astype(np.float32)
 
 
+# which of (input, kernels, bias) require a gradient: all of them, the
+# kernels and bias only, as in a network's first conv on the raw image, or
+# one alone; each set takes another branch of the op's backward
+NEEDS = [(True, True, True), (False, True, True), (False, True, False), (True, False, False), (False, False, True)]
+
+
 @pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (3, 0, 3), (2, 0, 2)])
 def test_conv2d_strides(stride, padding, kernel):
     # a strided conv's windows tile its input, so its extents are multiples of the stride
     h = 7 if stride == 1 else 4 * stride
     arrays = [_rand((2, h, 6), 1), _rand((3, 2, kernel, kernel), 2), _rand((3,), 3)]
-    assert_exact("conv2d", arrays, (stride, padding))
+    for needs in NEEDS:
+        assert_exact("conv2d", arrays, (stride, padding), needs=needs)
 
 
 @pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (3, 0, 3), (2, 0, 2), (1, 0, 1)])
 def test_transpose_conv2d_strides(stride, padding, kernel):
     arrays = [_rand((2, 5, 4), 4), _rand((2, 3, kernel, kernel), 5), _rand((3,), 6)]
-    assert_exact("transpose_conv2d", arrays, (stride, padding))
+    for needs in NEEDS:
+        assert_exact("transpose_conv2d", arrays, (stride, padding), needs=needs)
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 5, 5), (3, 7, 6), (1, 6, 7)])

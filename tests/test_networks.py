@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import parameter_checksum
 from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tape, Tensor
 from taskdenoise.errors import CheckpointError, InvalidShapeError, InvalidSpecError
@@ -10,7 +11,6 @@ from taskdenoise.networks import (
     NetworkSpec,
     build_network,
     load_checkpoint,
-    parameter_checksum,
     save_checkpoint,
 )
 from taskdenoise.tensorio import write_tensor

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, rel_err
+from conftest import fd_gradient, parameter_checksum, rel_err
 from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tape
 from taskdenoise.data import DatasetSpec, generate_dataset
 from taskdenoise.errors import InvalidCompositionError, InvalidInputError, InvalidSpecError, TrainingDivergedError
 from taskdenoise.metrics import aggregate, evaluate_segmentation_sample
-from taskdenoise.networks import NetworkSpec, build_network, parameter_checksum, save_checkpoint
+from taskdenoise.networks import NetworkSpec, build_network, save_checkpoint
 from taskdenoise.noise import NoiseSpec
 from taskdenoise.schemes import (
     TrainSettings,
