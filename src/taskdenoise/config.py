@@ -4,7 +4,9 @@ Every sub-seed (dataset, network init, noise, training) is derived from the
 global seed unless given explicitly, so a config is a complete recipe: two
 runs of the same config produce byte-identical artifacts. The config and
 each of its sections are frozen and check themselves when built, so a
-variant made with ``dataclasses.replace`` is checked too.
+variant made with ``dataclasses.replace`` is checked too. Whether a network
+fits the experiment is decided by :func:`check_fit` alone: for the config's
+networks when it is built, and for each checkpoint when it is loaded.
 """
 
 from __future__ import annotations
@@ -19,6 +21,25 @@ from .networks import CCNN, DENOISER_KINDS, NONEWNET2D, NetworkSpec
 from .noise import NoiseSpec, noise_tag
 from .rng import derive_seed
 from .schemes import HV, NNV, SCHEME_KINDS, TC, TD, TrainSettings
+
+
+def check_fit(spec: NetworkSpec, role: str, dataset: DatasetSpec, where: str) -> None:
+    """The one rule for whether ``spec`` fits the experiment as its
+    ``role`` network ("application" or "denoiser"), applied to the
+    config's networks and to every loaded checkpoint alike; a misfit is a
+    ConfigError that names the network ``where``. A denoiser must be a
+    denoiser kind. An application network must have the task's kind and
+    the dataset's class count and image extents."""
+    if role == "denoiser":
+        if spec.kind not in DENOISER_KINDS:
+            raise ConfigError(f"{where} is a {spec.kind}, not a denoiser")
+        return
+    kind = NONEWNET2D if dataset.task == SEGMENTATION else CCNN
+    have = (spec.kind, spec.num_classes, spec.height, spec.width)
+    need = (kind, dataset.num_classes, dataset.height, dataset.width)
+    if have != need:
+        net = "a {} with {} classes for {}x{} images"
+        raise ConfigError(f"{where} is {net.format(*have)}; the {dataset.task} dataset needs {net.format(*need)}")
 
 
 @dataclass(frozen=True)
@@ -56,14 +77,9 @@ class ExperimentConfig:
         # stored as tuples, so the lists cannot change after these checks
         for name in ("schemes", "test_noises", "checkpoint_overrides"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        expected_app = NONEWNET2D if self.dataset.task == SEGMENTATION else CCNN
-        if self.application.kind != expected_app:
-            raise ConfigError(
-                f"dataset task {self.dataset.task!r} needs application kind {expected_app!r}, "
-                f"got {self.application.kind!r}"
-            )
-        if self.denoiser is not None and self.denoiser.kind not in DENOISER_KINDS:
-            raise ConfigError(f"denoiser kind must be one of {DENOISER_KINDS}")
+        check_fit(self.application, "application", self.dataset, "the application network")
+        if self.denoiser is not None:
+            check_fit(self.denoiser, "denoiser", self.dataset, "the denoiser")
         if not self.schemes:
             raise ConfigError("schemes list is empty")
         for s in self.schemes:

@@ -40,13 +40,6 @@ class InvalidInputError(TaskDenoiseError):
     exit_code = 4
 
 
-class InvalidCompositionError(TaskDenoiseError):
-    """Denoiser output extents do not match the application network input."""
-
-    code = "invalid-composition"
-    exit_code = 4
-
-
 class TrainingDivergedError(TaskDenoiseError):
     """Training produced a non-finite loss."""
 

@@ -12,14 +12,16 @@ under its ``output_dir`` only:
 Training a scheme trains its missing dependencies (nnv needs the tc-trained
 application network) and reads the dataset's train split only if something
 is missing; evaluation never trains, reads only the test split, and
-fails on a checkpoint that is missing or does not fit its role (``eval``
-loads its checkpoints before it reads or writes the dataset). ``compare``
-prepares each evaluation input once and shares it across schemes: one
-dataset read (of the train split too only if some scheme has a checkpoint
-to train), one load per checkpoint directory (tc's application network
-serves tc, hv and nnv, and nnv's training if it runs), and one corrupted
-test set per test noise, since the dirty images depend only on the noise
-spec and the sample index.
+fails on a checkpoint that is missing or does not fit its role by
+``config.check_fit``, the rule the config's own networks pass when it is
+built. ``eval`` loads its checkpoints, and ``compare`` those of every
+scheme it has nothing to train, before reading or writing the dataset, so
+such a failure writes nothing. ``compare`` prepares each evaluation input
+once and shares it across schemes: one dataset read (of the train split
+too only if some scheme has a checkpoint to train), one load per
+checkpoint directory (tc's application network serves tc, hv and nnv, and
+nnv's training if it runs), and one corrupted test set per test noise,
+since the dirty images depend only on the noise spec and the sample index.
 ``eval`` scores one scheme, ``compare`` every scheme, at every test noise
 of the config, through one function, so each metrics file is the same
 bytes whichever command wrote it; another test noise is one more entry of
@@ -33,10 +35,10 @@ from pathlib import Path
 from . import dct as dct_mod
 from . import metrics as metrics_mod
 from . import schemes as schemes_mod
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_fit
 from .data import SPLITS, Sample, generate_dataset, load_dataset, load_dataset_spec, save_dataset
 from .errors import CheckpointError, ConfigError
-from .networks import DENOISER_KINDS, Model, build_network, load_checkpoint, save_checkpoint
+from .networks import Model, build_network, load_checkpoint, save_checkpoint
 from .noise import noise_tag
 from .schemes import HV, NNV, TC, TD, TrainResult
 from .tensorio import read_tensor, write_csv
@@ -50,13 +52,13 @@ def _checkpoint_dir(cfg: ExperimentConfig, scheme: str) -> Path:
     return Path(cfg.output_dir) / "checkpoints" / scheme
 
 
-def ensure_dataset(cfg: ExperimentConfig, regenerate: bool = False, splits: tuple = SPLITS):
+def ensure_dataset(cfg: ExperimentConfig, splits: tuple = SPLITS):
     """(train, test) samples: the ``splits`` named are read if the dataset
     was already generated for this spec (a split not named is None), else
     the dataset is generated and both are returned. The manifest alone
     decides, so a stale dataset's samples are never read."""
     ddir = _dataset_dir(cfg)
-    if not regenerate and (ddir / "manifest.json").is_file() and load_dataset_spec(ddir) == cfg.dataset:
+    if (ddir / "manifest.json").is_file() and load_dataset_spec(ddir) == cfg.dataset:
         _, train, test = load_dataset(ddir, splits)
         return train, test
     train, test = generate_dataset(cfg.dataset)
@@ -65,7 +67,8 @@ def ensure_dataset(cfg: ExperimentConfig, regenerate: bool = False, splits: tupl
 
 
 def cmd_generate(cfg: ExperimentConfig) -> Path:
-    ensure_dataset(cfg, regenerate=True)
+    train, test = generate_dataset(cfg.dataset)
+    save_dataset(cfg.dataset, train, test, _dataset_dir(cfg))
     return _dataset_dir(cfg)
 
 
@@ -160,22 +163,15 @@ def _load(cfg: ExperimentConfig, ckpt: Path, loaded: dict, role: str, scheme: st
     directory already in it is not read again, so schemes that route through
     one checkpoint share one model: evaluation runs every model in eval
     mode, which changes neither weights nor batchnorm statistics. The model
-    must fit its role: an application network of the config's kind and
-    class count, or a denoiser.
+    must fit its role by :func:`config.check_fit`, checked on every use,
+    since one directory can serve two roles.
     """
     key = ckpt.resolve()
     if key not in loaded:
         if not _complete(ckpt):
             raise CheckpointError(f"missing {role} checkpoint for scheme {scheme!r} at {ckpt}")
         loaded[key], _ = load_checkpoint(ckpt)
-    spec = loaded[key].spec
-    if role == "application" and (spec.kind, spec.num_classes) != (cfg.application.kind, cfg.dataset.num_classes):
-        raise ConfigError(
-            f"application checkpoint for scheme {scheme!r} at {ckpt} is a {spec.kind} with {spec.num_classes} "
-            f"classes; the config needs a {cfg.application.kind} with {cfg.dataset.num_classes}"
-        )
-    if role == "denoiser" and spec.kind not in DENOISER_KINDS:
-        raise ConfigError(f"denoiser checkpoint for scheme {scheme!r} at {ckpt} is a {spec.kind}, not a denoiser")
+    check_fit(loaded[key].spec, role, cfg.dataset, f"{role} checkpoint for scheme {scheme!r} at {ckpt}")
     return loaded[key]
 
 
@@ -224,10 +220,12 @@ def cmd_compare(cfg: ExperimentConfig):
     """Train whatever is missing, evaluate every scheme at every test noise,
     and write the aggregate comparison CSV. Returns (rows, csv path): one
     (scheme, noise tag, report) row per evaluated combination."""
-    trains = any(_needs_training(cfg, scheme) for scheme in cfg.schemes)
-    train_samples, test_samples = ensure_dataset(cfg, splits=SPLITS if trains else ("test",))
+    trains = [scheme for scheme in cfg.schemes if _needs_training(cfg, scheme)]
     loaded: dict = {}
-    for scheme in cfg.schemes:
+    # first: a missing or unfit checkpoint that nothing will train writes no dataset
+    _models(cfg, tuple(scheme for scheme in cfg.schemes if scheme not in trains), loaded)
+    train_samples, test_samples = ensure_dataset(cfg, splits=SPLITS if trains else ("test",))
+    for scheme in trains:
         ensure_scheme_trained(cfg, scheme, train_samples, loaded)
     rows = _evaluate(cfg, _models(cfg, cfg.schemes, loaded), test_samples)
     path = Path(cfg.output_dir) / "compare.csv"

@@ -6,6 +6,11 @@ denoiser through the frozen clean-trained application network, minimizing
 the task loss of the composition. Evaluation routes the corrupted test set
 through the scheme's denoiser (if any), then the application network, and
 scores each prediction into the per-sample rows of :mod:`metrics`.
+
+Whether the networks fit the data and each other is decided before any of
+this runs, by ``config.check_fit``; called directly with networks that do
+not fit, a procedure fails with the op's InvalidShapeError on its first
+forward pass, before any update.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .autodiff import Tape, Tensor, backward, cross_entropy_loss, mse_loss
 from .data import Sample
-from .errors import InvalidCompositionError, InvalidInputError, InvalidShapeError, InvalidSpecError, TrainingDivergedError
+from .errors import InvalidInputError, InvalidSpecError, TrainingDivergedError
 from .metrics import MetricsReport
 from .networks import Model
 from .noise import NoiseSpec, apply_noise
@@ -71,10 +76,7 @@ def corrupt_samples(samples: list[Sample], noise_spec: NoiseSpec | None, split_l
 def _route(denoiser: Model | None, application: Model, image: Tensor, train_denoiser: bool) -> Tensor:
     """Application output for the image, through the denoiser if there is one."""
     h = image if denoiser is None else denoiser.forward(image, train=train_denoiser)
-    try:
-        return application.forward(h, train=False)
-    except InvalidShapeError as exc:
-        raise InvalidCompositionError(f"denoiser output does not fit the application network: {exc}") from exc
+    return application.forward(h, train=False)
 
 
 def composed_task_loss(denoiser: Model | None, application: Model, image: Tensor, target, train_denoiser: bool = False) -> Tensor:
@@ -165,7 +167,6 @@ def train_application(
     model: Model, samples: list[Sample], settings: TrainSettings, noise_spec: NoiseSpec | None = None, seed: int = 0
 ) -> TrainResult:
     """Train a segmentation/classification network on clean or dirty images."""
-    _check_task_match(model, samples)
 
     def loss_fn(image: Tensor, sample: Sample, train: bool):
         return cross_entropy_loss(model.forward(image, train=train), sample.target)
@@ -192,7 +193,6 @@ def train_denoiser_nnv(
     Only the denoiser parameters update; the application network's weights
     are bit-identical before and after.
     """
-    _check_task_match(application, samples)
     application.set_trainable(False)
 
     def loss_fn(image: Tensor, sample: Sample, train: bool):
@@ -204,28 +204,14 @@ def train_denoiser_nnv(
         application.set_trainable(True)
 
 
-def _check_task_match(model: Model, samples: list[Sample]) -> None:
-    seg_model = model.kind == "nonewnet2d"
-    if not samples:
-        raise InvalidSpecError("empty sample list")
-    seg_data = samples[0].target.ndim == 2
-    if seg_model != seg_data:
-        raise InvalidSpecError(
-            f"dataset task does not match network kind {model.kind!r} "
-            f"(samples have {'label maps' if seg_data else 'class indices'})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
 def predict(application: Model, denoiser: Model | None, image: Tensor):
-    """Route one image through the scheme and return the hard prediction."""
-    out = _route(denoiser, application, image, train_denoiser=False)
-    if out.data.ndim == 3:
-        return out.data.argmax(axis=0).astype(np.int32)
-    return int(out.data.argmax())
+    """Route one image through the scheme and return the hard prediction:
+    the int32 class of each pixel, or of the image."""
+    return _route(denoiser, application, image, train_denoiser=False).data.argmax(axis=0).astype(np.int32)
 
 
 def evaluate_scheme(

@@ -171,13 +171,19 @@ class TestExitCodes:
         [
             ("tc", {"application": "redcnn"}, "application", "a redcnn with 3 classes"),
             ("tc", {"application": "unet4"}, "application", "a nonewnet2d with 4 classes"),
+            ("tc", {"application": "unet32"}, "application", "a nonewnet2d with 3 classes for 32x32 images"),
             ("hv", {"application": "unet", "denoiser": "unet"}, "denoiser", "a nonewnet2d, not a denoiser"),
         ],
-        ids=["denoiser_as_application", "other_class_count", "application_as_denoiser"],
+        ids=["denoiser_as_application", "other_class_count", "other_extents", "application_as_denoiser"],
     )
     def test_checkpoint_that_does_not_fit_its_role_is_config_error(self, tmp_path, capsys, scheme, paths, role, found):
         cfg = parse_config(_write_config(tmp_path).read_text())
-        specs = {"unet": cfg.application, "unet4": replace(cfg.application, num_classes=4), "redcnn": cfg.denoiser}
+        specs = {
+            "unet": cfg.application,
+            "unet4": replace(cfg.application, num_classes=4),
+            "unet32": replace(cfg.application, height=32, width=32),
+            "redcnn": cfg.denoiser,
+        }
         for name, spec in specs.items():
             save_checkpoint(build_network(spec), tmp_path / name)
         overrides = {scheme: {key: str(tmp_path / name) for key, name in paths.items()}}
@@ -187,7 +193,27 @@ class TestExitCodes:
         where = f"{role} checkpoint for scheme {scheme!r} at {tmp_path / paths[role]}"
         assert err.startswith(f"config-error: {where} is {found}")
         assert err.count("\n") == 1
-        assert not (tmp_path / "run" / "metrics").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_classifier_built_for_other_extents_is_config_error(self, tmp_path, capsys):
+        overrides = {
+            "dataset": {"task": "classification", "height": 32, "width": 32, "num_classes": 3,
+                        "train_count": 3, "test_count": 2},
+            "application": {"kind": "ccnn", "base_channels": 2},
+            "schemes": ["tc", "td"],
+        }
+        cfg = parse_config(_write_config(tmp_path, **overrides).read_text())
+        save_checkpoint(build_network(replace(cfg.application, height=16, width=16)), tmp_path / "ccnn16")
+        td = {"td": {"application": str(tmp_path / "ccnn16"), "denoiser": None}}
+        routed = _write_config(tmp_path, name="routed.json", checkpoint_overrides=td, **overrides)
+        assert main(["compare", "--config", str(routed)]) == 2
+        err = capsys.readouterr().err
+        where = f"application checkpoint for scheme 'td' at {tmp_path / 'ccnn16'}"
+        assert err == (
+            f"config-error: {where} is a ccnn with 3 classes for 16x16 images; "
+            "the classification dataset needs a ccnn with 3 classes for 32x32 images\n"
+        )
+        assert not (tmp_path / "run").exists()
 
     def test_invalid_spec_in_checkpoint_manifest_names_the_checkpoint(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)

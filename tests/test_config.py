@@ -182,6 +182,27 @@ class TestCheckedWhenBuilt:
         with pytest.raises(ConfigError, match=message):
             replace(parse_config(MINIMAL), **change)
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"num_classes": 3}, "a nonewnet2d with 4 classes for 64x64 images; the segmentation dataset needs "
+             "a nonewnet2d with 3 classes for 64x64 images"),
+            ({"height": 32, "width": 32}, "a nonewnet2d with 4 classes for 64x64 images; the segmentation "
+             "dataset needs a nonewnet2d with 4 classes for 32x32 images"),
+        ],
+        ids=["other_class_count", "other_extents"],
+    )
+    def test_replacing_the_dataset_under_the_networks_is_checked(self, change, message):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ConfigError) as err:
+            replace(cfg, dataset=replace(cfg.dataset, **change))
+        assert str(err.value) == f"the application network is {message}"
+
+    def test_replacing_the_denoiser_with_an_application_network_is_checked(self):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ConfigError, match="^the denoiser is a nonewnet2d, not a denoiser$"):
+            replace(cfg, denoiser=cfg.application)
+
     def test_lists_cannot_change_after_the_checks(self):
         cfg = parse_config(MINIMAL)
         with pytest.raises(AttributeError):

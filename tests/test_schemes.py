@@ -7,7 +7,7 @@ from conftest import fd_gradient, parameter_checksum, rel_err
 from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tape
 from taskdenoise.data import DatasetSpec, generate_dataset
-from taskdenoise.errors import InvalidCompositionError, InvalidInputError, InvalidSpecError, TrainingDivergedError
+from taskdenoise.errors import InvalidInputError, InvalidShapeError, InvalidSpecError, TrainingDivergedError
 from taskdenoise.metrics import aggregate, evaluate_segmentation_sample
 from taskdenoise.networks import NetworkSpec, build_network, save_checkpoint
 from taskdenoise.noise import NoiseSpec
@@ -98,8 +98,10 @@ class TestTrainApplication:
     def test_task_mismatch_rejected(self):
         train, _ = _cls_samples(count=4)
         model = build_network(_app_spec(size=64))
-        with pytest.raises(InvalidSpecError):
+        before = parameter_checksum(model)
+        with pytest.raises(InvalidShapeError):
             train_application(model, train, _settings(1), seed=1)
+        assert parameter_checksum(model) == before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises_with_epoch(self):
@@ -230,8 +232,12 @@ class TestTrainDenoiserNnv:
         train, _ = _cls_samples(count=2, size=64)
         app = build_network(NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=32, width=32, seed=43))
         denoiser = build_network(_den_spec(seed=44))
-        with pytest.raises(InvalidCompositionError):
+        before = parameter_checksum(app), parameter_checksum(denoiser)
+        with pytest.raises(InvalidShapeError, match="ccnn was built for 32x32, got 64x64"):
             composed_task_loss(denoiser, app, train[0].image, train[0].target)
+        with pytest.raises(InvalidShapeError, match="ccnn was built for 32x32, got 64x64"):
+            train_denoiser_nnv(denoiser, app, train, _settings(1), NoiseSpec(kind="gaussian", sigma=40.0, seed=45))
+        assert (parameter_checksum(app), parameter_checksum(denoiser)) == before
 
 
 class TestComposedLossInvariant:
