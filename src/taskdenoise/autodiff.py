@@ -23,27 +23,21 @@ float64 sum. Each sum adds the same terms in the same order (extra terms
 only if they are exact zeros), so every value and every checkpoint stays
 byte-identical across such changes; see the convolution section.
 
-Forward ops do only the work their result needs:
+Each op has one forward path, recorded or not, which computes nothing
+that only backward reads. A per-channel value is broadcast over a flat
+[C, H*W] view of a C-contiguous array, in place: numpy runs one inner loop
+per row of a [C, H, W] broadcast of ``v[:, None, None]`` but one per
+channel over the flat view.
 
-- Record-only state: what only an op's backward reads (relu's mask,
-  batchnorm's normalized input, max pooling's argmax) is built only when
-  :func:`_recording` holds, i.e. a tape is active and some input needs a
-  gradient. :func:`_record` applies the same rule, so an evaluation forward
-  builds none of it.
-- Flat-view broadcasts: a per-channel value is broadcast over a flat
-  [C, H*W] view of a C-contiguous array, in place. numpy runs one inner
-  loop per row of a [C, H, W] broadcast of ``v[:, None, None]`` but one per
-  channel over the flat view.
-
-What a recorded op keeps for its backward: every op keeps its inputs (the
-record holds them). Beyond those, the convolution keeps its float64
-kernel matrix, max pooling the index of each window's maximum,
-batchnorm the float32 normalized input and the per-channel scale, relu its
-mask, mse_loss the float64 difference and cross_entropy_loss the float64
-log-probabilities. No op keeps a patch matrix: conv2d's backward rebuilds
-its input's patches right before the kernel-gradient GEMM, and
-transpose_conv2d's backward builds its gradient's patches once for both
-of its GEMMs.
+What a recorded op keeps for its backward: its inputs and its output (the
+record holds them), plus the convolution's float64 kernel matrix,
+batchnorm's per-channel mean and scale, mse_loss's float64 difference and
+cross_entropy_loss's float64 log-probabilities. Backward recomputes the
+rest from them: relu's mask and batchnorm's normalized input from the
+input, max pooling's routing from the input and output. No op keeps a
+patch matrix: conv2d's backward rebuilds its input's patches right before
+the kernel-gradient GEMM, and transpose_conv2d's backward builds its
+gradient's patches once for both of its GEMMs.
 """
 
 from __future__ import annotations
@@ -137,14 +131,8 @@ def _needs(t) -> bool:
     return isinstance(t, Tensor) and t.requires_grad
 
 
-def _recording(inputs: Sequence) -> bool:
-    """Whether an op on ``inputs`` goes on the tape: a tape is active and
-    some input needs a gradient. Record-only state is built only then."""
-    return bool(_TAPE_STACK) and any(_needs(t) for t in inputs)
-
-
 def _record(out: Tensor, inputs: Sequence, backward_fn: Callable) -> None:
-    if not _recording(inputs):
+    if not _TAPE_STACK or not any(_needs(t) for t in inputs):
         return
     out.requires_grad = True
     tape = _TAPE_STACK[-1]
@@ -349,7 +337,9 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
 
     The window cells, strided views of the input, are folded in linear-index
     order by a strict ``>``, so a tie keeps the first cell: not
-    ``np.maximum``, which may return either zero of a +0.0/-0.0 tie.
+    ``np.maximum``, which may return either zero of a +0.0/-0.0 tie. Backward
+    finds that cell again as the window's first cell equal to the output:
+    ``==`` also holds between +0.0 and -0.0.
     """
     if x.data.ndim != 3:
         raise InvalidShapeError(f"maxpool2d expects 3-d input, got {x.shape}")
@@ -360,18 +350,12 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
         raise InvalidShapeError(f"window {window} exceeds input extents {h}x{w}")
     k = window
     oh, ow = h // k, w // k
-    cells = [x.data[:, a : a + k * oh : k, b : b + k * ow : k] for a in range(k) for b in range(k)]
-    recording = _recording((x,))
-    best = cells[0]
-    arg = np.zeros((c, oh, ow), dtype=np.intp) if recording else None
-    for cell in range(1, k * k):
-        later = cells[cell] > best
-        best = np.where(later, cells[cell], best)
-        if recording:
-            arg = np.where(later, cell, arg)
+    cells = [(slice(None), slice(a, a + k * oh, k), slice(b, b + k * ow, k)) for a in range(k) for b in range(k)]
+    best = x.data[cells[0]]
+    for cell in cells[1:]:
+        v = x.data[cell]
+        best = np.where(v > best, v, best)
     out = _wrap(best)
-    if not recording:
-        return out
 
     def backward_fn(g: np.ndarray):
         if not _needs(x):
@@ -380,9 +364,12 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
         # this beats a put_along_axis scatter plus the inverse permutation,
         # which allocate two more input-sized arrays
         dx = np.zeros((c, h, w), dtype=_F64)
-        for cell in range(k * k):
-            a, b = divmod(cell, k)
-            dx[:, a : a + k * oh : k, b : b + k * ow : k] += g * (arg == cell)
+        unrouted = np.ones((c, oh, ow), dtype=bool)  # windows whose gradient is not yet routed
+        for cell in cells:
+            hit = x.data[cell] == out.data
+            hit &= unrouted
+            unrouted ^= hit
+            dx[cell] += g * hit
         return (dx,)
 
     _record(out, (x,), backward_fn)
@@ -422,22 +409,24 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor, ru
         var = running_var.data.astype(_F64)
     ivar = 1.0 / np.sqrt(var + BN_EPS)
     gamma64 = gamma.data.astype(_F64)[:, None]
-    # xm becomes xhat, then the output, in place
-    xhat = xm.reshape(c, n)
-    xhat -= mu[:, None]
-    xhat *= ivar[:, None]
-    recording = _recording((x, gamma, beta))
-    xhat32 = xhat.astype(_F32) if recording else None
-    xhat *= gamma64
-    xhat += beta.data.astype(_F64)[:, None]
-    out = _wrap(xm)
-    if not recording:
-        return out
+
+    def normalized(xm: np.ndarray) -> np.ndarray:
+        """xhat [C, H*W], in place of the float64 copy ``xm`` of x"""
+        xhat = xm.reshape(c, n)
+        xhat -= mu[:, None]
+        xhat *= ivar[:, None]
+        return xhat
+
+    y = normalized(xm)
+    y *= gamma64
+    y += beta.data.astype(_F64)[:, None]
+    out = _wrap(y.reshape(c, h, w))
 
     def backward_fn(g: np.ndarray):
         dx = dgamma = dbeta = None
         g = g.reshape(c, n)
-        xh = xhat32.astype(_F64)
+        # xhat rounded through float32: every gradient and checkpoint depends on that rounding
+        xh = normalized(x.data.astype(_F64)).astype(_F32).astype(_F64)
         if _needs(gamma):
             dgamma = (g * xh).sum(axis=1)
         if _needs(beta):
@@ -465,12 +454,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor, ru
 
 def relu(x: Tensor) -> Tensor:
     out = _wrap(np.maximum(x.data, 0))
-    if not _recording((x,)):
-        return out
-    mask = x.data > 0
 
     def backward_fn(g: np.ndarray):
-        return (g * mask,) if _needs(x) else (None,)
+        return (g * (x.data > 0),) if _needs(x) else (None,)
 
     _record(out, (x,), backward_fn)
     return out

@@ -9,23 +9,24 @@ under its ``output_dir`` only:
     compare.csv                   schemes x metrics aggregate
     dct/<name>.{csv,pgm}          spectrum and frequency-gradient heatmaps
 
-Training a scheme trains its missing dependencies (nnv needs the tc-trained
-application network) and reads the dataset's train split only if something
-is missing; evaluation never trains, reads only the test split, and
-fails on a checkpoint that is missing or does not fit its role by
-``config.check_fit``, the rule the config's own networks pass when it is
-built. ``eval`` loads its checkpoints, and ``compare`` those of every
-scheme it has nothing to train, before reading or writing the dataset, so
-such a failure writes nothing. ``compare`` prepares each evaluation input
-once and shares it across schemes: one dataset read (of the train split
-too only if some scheme has a checkpoint to train), one load per
-checkpoint directory (tc's application network serves tc, hv and nnv, and
-nnv's training if it runs), and one corrupted test set per test noise,
-since the dirty images depend only on the noise spec and the sample index.
-``eval`` scores one scheme, ``compare`` every scheme, at every test noise
-of the config, through one function, so each metrics file is the same
-bytes whichever command wrote it; another test noise is one more entry of
-``test_noises``. All artifacts are pure functions of the config.
+Training a scheme trains its missing dependencies (nnv needs the
+tc-trained application network) and reads the dataset's train split only
+if something is missing; evaluation never trains, reads only the test
+split, and fails on a checkpoint that is missing or does not fit its role
+by ``config.check_fit``, the rule the config's own networks pass when it
+is built. ``eval`` loads its checkpoints, ``compare`` those of every
+scheme it has nothing to train, and ``train`` and ``compare`` the trained
+application network nnv will train through, before reading or writing the
+dataset, so such a failure writes nothing. ``compare`` prepares each
+evaluation input once and shares it across schemes: one dataset read (of
+the train split too only if some scheme has a checkpoint to train), one
+load per checkpoint directory (tc's application network serves tc, hv and
+nnv, and nnv's training if it runs), and one corrupted test set per test
+noise, since the dirty images depend only on the noise spec and the sample
+index. ``eval`` scores one scheme, ``compare`` every scheme, at every test
+noise of the config, through one function, so each metrics file is the
+same bytes whichever command wrote it; another test noise is one more
+entry of ``test_noises``. All artifacts are pure functions of the config.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ def ensure_scheme_trained(
     paths = {"application": app_dir, "denoiser": den_dir}
     if not _needs_training(cfg, scheme):
         return paths
+    loaded = {} if loaded is None else loaded
+    _load_nnv_application(cfg, scheme, loaded)
     if train_samples is None:
         train_samples, _ = ensure_dataset(cfg, splits=("train",))
     if not _complete(app_dir):
@@ -133,12 +136,20 @@ def ensure_scheme_trained(
         if scheme == HV:
             result = schemes_mod.train_denoiser_hv(denoiser, train_samples, cfg.train, cfg.train_noise, cfg.seed)
         else:
-            app_model = _load(cfg, app_dir, {} if loaded is None else loaded, "application", scheme)
+            app_model = _load(cfg, app_dir, loaded, "application", scheme)
             result = schemes_mod.train_denoiser_nnv(
                 denoiser, app_model, train_samples, cfg.train, cfg.train_noise, cfg.seed
             )
         _save_trained(denoiser, result, den_dir)
     return paths
+
+
+def _load_nnv_application(cfg: ExperimentConfig, scheme: str, loaded: dict) -> None:
+    """Load nnv's application network through ``loaded`` if it is trained:
+    one that does not fit then fails before the dataset is touched."""
+    app_dir, _ = _scheme_dirs(cfg, scheme)
+    if scheme == NNV and _complete(app_dir):
+        _load(cfg, app_dir, loaded, "application", scheme)
 
 
 def _check_scheme(cfg: ExperimentConfig, scheme: str) -> None:
@@ -224,6 +235,8 @@ def cmd_compare(cfg: ExperimentConfig):
     loaded: dict = {}
     # first: a missing or unfit checkpoint that nothing will train writes no dataset
     _models(cfg, tuple(scheme for scheme in cfg.schemes if scheme not in trains), loaded)
+    for scheme in trains:
+        _load_nnv_application(cfg, scheme, loaded)
     train_samples, test_samples = ensure_dataset(cfg, splits=SPLITS if trains else ("test",))
     for scheme in trains:
         ensure_scheme_trained(cfg, scheme, train_samples, loaded)

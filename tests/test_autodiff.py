@@ -313,6 +313,12 @@ class TestActivations:
         out = ad.relu(_t([-1.0, 2.0]))
         assert out.data.tolist() == [0.0, 2.0]
 
+    def test_gradient_passes_only_where_input_is_positive(self):
+        x = _t([-1.0, -0.0, 0.0, 2.0], grad=True)
+        with Tape() as tape:
+            grads = ad.backward(ad.tsum(ad.relu(x)), tape)
+        assert grads[x].tolist() == [0.0, 0.0, 0.0, 1.0]
+
     @pytest.mark.parametrize("op", [ad.relu], ids=["relu"])
     def test_gradients(self, op):
         # keep relu inputs away from the kink at 0 relative to the fd step

@@ -195,6 +195,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "command,schemes",
+        [(["train", "--scheme", "nnv"], ["tc", "nnv"]), (["compare"], ["nnv"])],
+        ids=["train", "compare"],
+    )
+    def test_unfit_application_for_nnv_writes_no_dataset(self, tmp_path, capsys, command, schemes):
+        path = _write_config(tmp_path, schemes=schemes)
+        ckpt = tmp_path / "run" / "checkpoints" / "tc"
+        save_checkpoint(build_network(replace(parse_config(path.read_text()).application, num_classes=4)), ckpt)
+        assert main([command[0], "--config", str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        where = f"application checkpoint for scheme 'nnv' at {ckpt}"
+        assert err.startswith(f"config-error: {where} is a nonewnet2d with 4 classes")
+        assert not (tmp_path / "run" / "dataset").exists()
+
     def test_classifier_built_for_other_extents_is_config_error(self, tmp_path, capsys):
         overrides = {
             "dataset": {"task": "classification", "height": 32, "width": 32, "num_classes": 3,

@@ -6,9 +6,8 @@ These tests compare bytes: forward outputs, and every float64 gradient the
 op's backward returns, at each layer shape the four networks run (64x64,
 width 8) and at other extents and strides of the layouts the ops accept. The output
 gradient fed to backward holds +0.0 and -0.0 entries, as relu's backward
-produces, so that a changed sign of zero shows too. Ops that skip their
-backward-only state when nothing is recorded must give the same output
-bytes either way. One training step of each network must give the same
+produces, so that a changed sign of zero shows too. An op must give the
+same output bytes whether or not it is recorded. One training step of each network must give the same
 loss, gradient and running-stat bytes with the reference ops swapped in,
 which the per-op tests cannot show: that a result still in use is not
 overwritten by a later op or backward call.
@@ -210,7 +209,8 @@ def test_batchnorm2d(shape, train):
 
 
 def _forward_calls():
-    """(op, input arrays, other args) of the ops that build backward-only state."""
+    """(op, input arrays, other args) of the ops whose backward recomputes
+    state from the record, and of the transposed convolutions."""
     c = 8
     return [
         (ad.relu, [_rand((c, 9, 7), 14)], ()),

@@ -1,11 +1,14 @@
-"""A recorded forward keeps no convolution patch matrices alive.
+"""A recorded forward keeps no state that backward can recompute.
 
 A conv2d's float64 im2col patches hold 18 times the bytes of its float32
 input, and the kernels of an nnv step's frozen application network take no
-gradient at all. So the patches are rebuilt in backward. This test runs
-one full step first, then measures with tracemalloc what a recorded forward
-(the loss and its tape) leaves alive. At 64x64, width 8, that measured
-21.6-33.7 MiB with the patches kept and 4.0-6.9 MiB without them.
+gradient at all. So the patches are rebuilt in backward, as are relu's
+mask, batchnorm's normalized input and max pooling's routing. These tests
+run one full step first, then measure with tracemalloc what a recorded
+forward (the loss and its tape) leaves alive. At 64x64, width 8, that
+measured 21.6-33.7 MiB with the patches kept, 4.0-6.9 MiB without them
+(mcdncnn 4.12 MiB) and 3.00-6.23 MiB with the other three recomputed too
+(mcdncnn 3.00 MiB, U-Net 3.66 MiB, nnv 6.23 MiB).
 
 Once the tape, loss and gradients of a step are dropped, nothing the step
 allocated may stay alive: no op keeps a buffer between calls.
@@ -58,8 +61,8 @@ def _loss_fn(case: str):
     return lambda: composed_task_loss(denoiser, application, noisy, labels, train_denoiser=True)
 
 
-@pytest.mark.parametrize("case", ["mcdncnn", "nonewnet2d", "nnv"])
-def test_recorded_forward_keeps_no_patches(case):
+def _kept_by_recorded_forward(case: str) -> int:
+    """Bytes a recorded forward of ``case`` leaves alive, after one warm step."""
     loss_fn = _loss_fn(case)
     with Tape() as tape:
         backward(loss_fn(), tape)
@@ -71,7 +74,23 @@ def test_recorded_forward_keeps_no_patches(case):
     finally:
         tracemalloc.stop()
     assert len(tape) and loss.requires_grad
+    return kept
+
+
+@pytest.mark.parametrize("case", ["mcdncnn", "nonewnet2d", "nnv"])
+def test_recorded_forward_keeps_no_patches(case):
+    kept = _kept_by_recorded_forward(case)
     assert kept < BOUND_MIB * 2**20, f"{case}: a recorded forward keeps {kept / 2**20:.1f} MiB"
+
+
+# between mcdncnn's 4.12 MiB with relu's masks and batchnorm's float32
+# normalized inputs kept and its 3.00 MiB with both recomputed in backward
+STATE_BOUND_MIB = 3.5
+
+
+def test_recorded_forward_keeps_no_mask_or_normalized_input():
+    kept = _kept_by_recorded_forward("mcdncnn")
+    assert kept < STATE_BOUND_MIB * 2**20, f"a recorded mcdncnn forward keeps {kept / 2**20:.2f} MiB"
 
 
 # what an nnv step may leave allocated once its tape, loss and gradients are gone
