@@ -398,26 +398,21 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor, ru
     if gamma.shape != (c,) or beta.shape != (c,):
         raise InvalidShapeError(f"gamma/beta shape must be ({c},)")
     n = h * w
-    xm = x.data.astype(_F64)
+    y = x.data.astype(_F64).reshape(c, n)
     if train:
-        mu = xm.mean(axis=(1, 2))
-        var = xm.var(axis=(1, 2))
+        mu = y.mean(axis=1)
+        y -= mu[:, None]
+        # the variance of the centred copy: what y.var computes, without its second mean
+        var = np.square(y).sum(axis=1) / n
         running_mean.data = (BN_MOMENTUM * running_mean.data.astype(_F64) + (1 - BN_MOMENTUM) * mu).astype(_F32)
         running_var.data = (BN_MOMENTUM * running_var.data.astype(_F64) + (1 - BN_MOMENTUM) * var).astype(_F32)
     else:
         mu = running_mean.data.astype(_F64)
         var = running_var.data.astype(_F64)
+        y -= mu[:, None]
     ivar = 1.0 / np.sqrt(var + BN_EPS)
     gamma64 = gamma.data.astype(_F64)[:, None]
-
-    def normalized(xm: np.ndarray) -> np.ndarray:
-        """xhat [C, H*W], in place of the float64 copy ``xm`` of x"""
-        xhat = xm.reshape(c, n)
-        xhat -= mu[:, None]
-        xhat *= ivar[:, None]
-        return xhat
-
-    y = normalized(xm)
+    y *= ivar[:, None]
     y *= gamma64
     y += beta.data.astype(_F64)[:, None]
     out = _wrap(y.reshape(c, h, w))
@@ -426,7 +421,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor, ru
         dx = dgamma = dbeta = None
         g = g.reshape(c, n)
         # xhat rounded through float32: every gradient and checkpoint depends on that rounding
-        xh = normalized(x.data.astype(_F64)).astype(_F32).astype(_F64)
+        xh = x.data.astype(_F64).reshape(c, n)
+        xh -= mu[:, None]
+        xh *= ivar[:, None]
+        xh = xh.astype(_F32).astype(_F64)
         if _needs(gamma):
             dgamma = (g * xh).sum(axis=1)
         if _needs(beta):

@@ -26,16 +26,26 @@ noise, since the dirty images depend only on the noise spec and the sample
 index. ``eval`` scores one scheme, ``compare`` every scheme, at every test
 noise of the config, through one function, so each metrics file is the
 same bytes whichever command wrote it; another test noise is one more
-entry of ``test_noises``. All artifacts are pure functions of the config.
+entry of ``test_noises``. Evaluation denoises every test image of every
+denoiser scheme on every core this process may run on, in forked children
+(:func:`_denoise`), before it scores any scheme in this process; on one
+core, or where ``os.sched_getaffinity`` or ``os.fork`` is missing, it runs
+every denoiser pass here. A traced run times only this process's share of
+those passes. All artifacts are pure functions of the config, whatever the
+core count.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
+
+import numpy as np
 
 from . import dct as dct_mod
 from . import metrics as metrics_mod
 from . import schemes as schemes_mod
+from .autodiff import Tensor, _wrap
 from .config import ExperimentConfig, check_fit
 from .data import SPLITS, Sample, generate_dataset, load_dataset, load_dataset_spec, save_dataset
 from .errors import CheckpointError, ConfigError
@@ -201,16 +211,99 @@ def _models(cfg: ExperimentConfig, schemes: tuple[str, ...], loaded: dict) -> di
     return models
 
 
+def _run_chunk(chunk: list) -> list[Tensor]:
+    return [denoiser.forward(image, train=False) for denoiser, image in chunk]
+
+
+def _work(chunk: list, r: int, w: int, readers) -> None:
+    """A forked child's whole life: run the chunk, write its outputs to
+    ``w`` as one payload of raw float32 bytes, and leave through
+    ``os._exit``, so nothing of the parent's (exit handlers, buffered
+    output) runs twice. The child first closes every read end it inherited,
+    its own included: a read end still open in a child would keep a write
+    to a parent that closed it blocked."""
+    code = 1
+    try:
+        os.close(r)
+        for fh in readers:
+            fh.close()
+        payload = b"".join(out.data.tobytes() for out in _run_chunk(chunk))
+        with open(w, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _denoise(jobs: list) -> list[Tensor]:
+    """Eval-mode output of each (denoiser, image) job, in job order.
+
+    The jobs are cut into contiguous chunks, one per core this process may
+    run on (one chunk without ``os.sched_getaffinity`` or ``os.fork``). This
+    process runs the first chunk and forks a child per other chunk, which
+    builds its whole chunk before it writes: a child that wrote each image
+    as it was made would wait on the pipe until this process read it. The
+    parent knows each output's shape, its input's, and takes the bytes back
+    unvalidated, as an op's output is. A chunk whose child fails, or sends
+    back the wrong byte count, is run again here, so its error is raised as
+    on one core. Every read end is closed before its child is reaped, on
+    every path, so a child blocked on its write cannot hang a parent that
+    raised.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
+    bounds = [-(-len(jobs) * k // cores) for k in range(cores + 1)]
+    first, *rest = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
+    children: dict = {}  # pid -> (read end, chunk) of each child not yet reaped
+    try:
+        for chunk in filter(None, rest):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(chunk, r, w, [fh for fh, _ in children.values()])
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children[pid] = open(r, "rb"), chunk
+        outputs = _run_chunk(first)
+        for pid in list(children):
+            fh, chunk = children[pid]
+            with fh:
+                payload = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status != 0 or len(payload) != 4 * sum(image.size for _, image in chunk):
+                outputs += _run_chunk(chunk)
+                continue
+            flat = np.frombuffer(payload, dtype=np.float32)
+            for _, image in chunk:
+                outputs.append(_wrap(flat[: image.size].reshape(image.shape)))
+                flat = flat[image.size :]
+    finally:
+        for fh, _ in children.values():
+            fh.close()
+        for pid in children:
+            os.waitpid(pid, 0)
+    return outputs
+
+
 def _evaluate(cfg: ExperimentConfig, models: dict, test_samples: list[Sample]) -> list:
     """Score each scheme's :func:`_models` pair at every test noise of the
     config and write its per-sample CSV; returns one (scheme, noise tag,
-    report) row per pair. Each noise's dirty images are made once. ``eval``
-    and ``compare`` both score here."""
+    report) row per pair. Each noise's dirty images are made once, and every
+    scheme's denoised images (:func:`_denoise`) are made before the first is
+    scored. ``eval`` and ``compare`` both score here."""
     dirty = [schemes_mod.corrupt_samples(test_samples, noise, "test") for noise in cfg.test_noises]
+    jobs = [(den, image) for _, den in models.values() if den is not None for images in dirty for image in images]
+    denoised = iter(_denoise(jobs))
     rows: list[tuple[str, str, metrics_mod.MetricsReport]] = []
-    for scheme, pair in models.items():
+    for scheme, (application, denoiser) in models.items():
         for test_noise, images in zip(cfg.test_noises, dirty):
-            report = schemes_mod.evaluate_scheme(*pair, test_samples, images)
+            if denoiser is not None:
+                images = [next(denoised) for _ in images]
+            report = schemes_mod.evaluate_scheme(application, test_samples, images)
             tag = noise_tag(test_noise)
             metrics_mod.write_per_sample_csv(report, _metrics_path(cfg, scheme, tag))
             rows.append((scheme, tag, report))

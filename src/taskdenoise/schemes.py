@@ -3,9 +3,9 @@
 TC and TD train the application network directly on clean or dirty images.
 HV trains a denoiser on (dirty, clean) pairs with pixel MSE. NNV trains a
 denoiser through the frozen clean-trained application network, minimizing
-the task loss of the composition. Evaluation routes the corrupted test set
-through the scheme's denoiser (if any), then the application network, and
-scores each prediction into the per-sample rows of :mod:`metrics`.
+the task loss of the composition. Evaluation scores the application
+network's prediction on each test image, dirty or denoised by the scheme's
+denoiser, into the per-sample rows of :mod:`metrics`.
 
 Whether the networks fit the data and each other is decided before any of
 this runs, by ``config.check_fit``; called directly with networks that do
@@ -208,31 +208,26 @@ def train_denoiser_nnv(
 # Evaluation
 
 
-def predict(application: Model, denoiser: Model | None, image: Tensor):
-    """Route one image through the scheme and return the hard prediction:
-    the int32 class of each pixel, or of the image."""
-    return _route(denoiser, application, image, train_denoiser=False).data.argmax(axis=0).astype(np.int32)
+def predict(application: Model, image: Tensor):
+    """The application network's hard prediction for one image (dirty, or
+    already denoised): the int32 class of each pixel, or of the image."""
+    return application.forward(image, train=False).data.argmax(axis=0).astype(np.int32)
 
 
-def evaluate_scheme(
-    application: Model,
-    denoiser: Model | None,
-    test_samples: list[Sample],
-    images: list[Tensor],
-) -> MetricsReport:
-    """Route each test image (dirty or clean, one per sample, as
-    ``corrupt_samples`` makes them) through the scheme and report its
-    (sample, class, metric, value) rows, scored right after each prediction.
+def evaluate_scheme(application: Model, test_samples: list[Sample], images: list[Tensor]) -> MetricsReport:
+    """Score the application network on each test image (one per sample: the
+    dirty image, or the scheme's denoised one) and report its (sample,
+    class, metric, value) rows, scored right after each prediction.
 
-    Neither model nor image is modified, so one set of dirty images and one
-    loaded model can serve every scheme.
+    Neither model nor image is modified, so one set of images and one loaded
+    model can serve every scheme.
     """
     if len(images) != len(test_samples):
         raise InvalidInputError(f"{len(images)} images for {len(test_samples)} test samples")
     num_classes = application.spec.num_classes
     rows = []
     for i, (image, sample) in enumerate(zip(images, test_samples)):
-        pred = predict(application, denoiser, image)
+        pred = predict(application, image)
         if sample.target.ndim == 0:
             rows += [(i, "", "predicted", pred), (i, "", "top1", float(pred == sample.target))]
         else:

@@ -1,16 +1,22 @@
 """Pipeline orchestration: artifact layout, reuse, overrides, determinism."""
 
 import json
+import os
 import shutil
+import signal
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from taskdenoise import data, experiment, networks, schemes
+from taskdenoise import autodiff, data, experiment, networks, schemes
+from taskdenoise.autodiff import Tensor
+from taskdenoise.cli import main
 from taskdenoise.config import parse_config
-from taskdenoise.errors import CheckpointError, ConfigError
+from taskdenoise.errors import CheckpointError, ConfigError, InvalidInputError
 from taskdenoise.experiment import cmd_compare, cmd_dct, cmd_eval, cmd_generate, cmd_train
 from taskdenoise.noise import noise_tag
 
@@ -304,6 +310,136 @@ class TestSharedEvaluationInputs:
         calls["load_checkpoint"].clear()
         cmd_compare(replace(parse_config(json.dumps(raw)), output_dir=str(tmp_path / "shared")))
         assert calls["load_checkpoint"] == [spellings[0]]
+
+
+class TestParallelDenoising:
+    """Evaluation denoises the test set on every core before it scores: the
+    same bytes on any core count, no child left behind, and a failure
+    reported as on one core."""
+
+    NOISES = TestSharedEvaluationInputs.NOISES
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        """Set the core count the pipeline sees; returns the pids forked since."""
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+
+        def set_cores(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+            forked.clear()
+            return forked
+
+        return set_cores
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_compare_writes_the_same_bytes_on_any_core_count(self, tmp_path, cores):
+        raw = json.loads(_config_text(tmp_path / "run"))
+        raw["test_noises"] = self.NOISES
+        cfg = parse_config(json.dumps(raw))
+        metrics = tmp_path / "run" / "metrics"
+        written = []
+        for n in (1, 2, 3):
+            forked = cores(n)
+            shutil.rmtree(metrics, ignore_errors=True)
+            _, path = cmd_compare(cfg)
+            assert len(forked) == n - 1
+            self._no_child_left()
+            written.append({p.name: p.read_bytes() for p in [path, *metrics.iterdir()]})
+        assert len(written[0]) == 1 + len(cfg.schemes) * len(cfg.test_noises)
+        assert written[0] == written[1] == written[2]
+
+    def test_eval_leaves_no_child(self, cfg, cores):
+        cmd_train(cfg, "hv")
+        forked = cores(2)
+        cmd_eval(cfg, "hv")
+        assert forked
+        self._no_child_left()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_outputs_come_back_in_job_order_unvalidated(self, cores, n):
+        """Real denoiser outputs, and a non-finite one that ``Tensor`` would
+        reject, come back byte for byte as the denoiser made them."""
+        net = networks.build_network(networks.NetworkSpec(kind="redcnn", base_channels=2, seed=3))
+        nan = SimpleNamespace(forward=lambda image, train: autodiff._wrap(np.full(image.shape, np.nan)))
+        rng = np.random.default_rng(0)
+        images = [Tensor(rng.uniform(0, 255, (1, 16, 16 + 4 * k)).astype(np.float32)) for k in range(5)]
+        jobs = [(net, image) for image in images] + [(nan, images[0]), (net, images[1])]
+        forked = cores(n)
+        outputs = experiment._denoise(jobs)
+        assert len(forked) == min(n, len(jobs)) - 1
+        self._no_child_left()
+        assert [o.data.tobytes() for o in outputs] == [d.forward(i, train=False).data.tobytes() for d, i in jobs]
+
+    def test_a_parent_that_raises_reaps_children_blocked_on_their_pipes(self, cores):
+        """Each child's chunk is over the 64 KiB a pipe buffers, so it waits on
+        its write until the parent closes the read end."""
+        parent = os.getpid()
+
+        def forward(image, train):
+            if os.getpid() == parent:
+                raise InvalidInputError("the parent's own chunk failed")
+            return image
+
+        def hung(signum, frame):
+            for pid in forked:  # an orphan blocked on its write would outlive the test run
+                os.kill(pid, signal.SIGKILL)
+            raise TimeoutError("the parent waited on a child that never ended")
+
+        denoiser = SimpleNamespace(forward=forward)
+        image = Tensor(np.zeros((1, 64, 64), dtype=np.float32))
+        forked = cores(3)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(InvalidInputError, match="own chunk"):
+                experiment._denoise([(denoiser, image)] * 18)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forked) == 2
+        self._no_child_left()
+
+    def test_a_failing_worker_fails_as_one_core_does(self, tmp_path, cores, monkeypatch, capsys):
+        """nnv's denoiser raises on every image. With two cores its jobs all
+        run in the child, which fails; the parent then runs them itself."""
+        path = tmp_path / "cfg.json"
+        path.write_text(_config_text(tmp_path / "run"))
+        assert main(["compare", "--config", str(path)]) == 0
+        models = experiment._models
+
+        def poisoned(cfg, schemes, loaded):
+            out = models(cfg, schemes, loaded)
+            if "nnv" in out:
+
+                def forward(image, train=False):
+                    raise InvalidInputError("nnv's denoiser failed")
+
+                out["nnv"][1].forward = forward
+            return out
+
+        monkeypatch.setattr(experiment, "_models", poisoned)
+        failures = []
+        for n in (1, 2, 3):
+            capsys.readouterr()
+            forked = cores(n)
+            failures.append((main(["compare", "--config", str(path)]), capsys.readouterr().err))
+            assert len(forked) == n - 1
+            self._no_child_left()
+        assert failures[0] == (4, "invalid-input: nnv's denoiser failed\n")
+        assert failures[0] == failures[1] == failures[2]
 
 
 class TestDct:

@@ -266,7 +266,7 @@ def _classification_report(predictions, truths):
     """Report of scoring one-hot logits of the predictions against the truths."""
     samples = [Sample(Tensor(np.zeros((1, 2, 2))), np.asarray(t, np.int32)) for t in truths]
     logits = [Tensor(np.eye(3)[p]) for p in predictions]
-    return evaluate_scheme(LogitsStub(3), None, samples, logits)
+    return evaluate_scheme(LogitsStub(3), samples, logits)
 
 
 def _top1(predictions, truths) -> float:

@@ -99,7 +99,7 @@ hv,poisson_p0.1,,,,,,,,,0.6,0.489898,0
 
 
 def _score(samples, images, num_classes, tmp_path) -> tuple:
-    report = evaluate_scheme(LogitsStub(num_classes), None, samples, images)
+    report = evaluate_scheme(LogitsStub(num_classes), samples, images)
     path = tmp_path / "m.csv"
     write_per_sample_csv(report, path)
     return report, path.read_bytes()
