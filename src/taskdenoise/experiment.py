@@ -9,23 +9,20 @@ under its ``output_dir`` only:
     compare.csv                   schemes x metrics aggregate
     dct/<name>.{csv,pgm}          spectrum and frequency-gradient heatmaps
 
-Training a scheme trains its missing dependencies (nnv needs the
-tc-trained application network) and reads the dataset's train split only
-if something is missing; evaluation never trains, reads only the test
-split, and fails on a checkpoint that is missing or does not fit its role
-by ``config.check_fit``, the rule the config's own networks pass when it
-is built. ``eval`` loads its checkpoints, ``compare`` those of every
-scheme it has nothing to train, and ``train`` and ``compare`` the trained
-application network nnv will train through, before reading or writing the
-dataset, so such a failure writes nothing. ``compare`` prepares each
-evaluation input once and shares it across schemes: one dataset read (of
-the train split too only if some scheme has a checkpoint to train), one
-load per checkpoint directory (tc's application network serves tc, hv and
-nnv, and nnv's training if it runs), and one corrupted test set per test
-noise, since the dirty images depend only on the noise spec and the sample
-index. ``eval`` scores one scheme, ``compare`` every scheme, at every test
-noise of the config, through one function, so each metrics file is the
-same bytes whichever command wrote it; another test noise is one more
+``train``, ``eval`` and ``compare`` run one path (:func:`_run`) under one
+rule: first load every checkpoint directory the command reads (both of
+each scheme it scores, and the tc-trained application network when it
+trains nnv's denoiser) and check its fit by ``config.check_fit``, the rule
+the config's own networks pass when it is built; a listed directory that
+is missing fails unless the command trains it. Only then are the dataset
+splits it uses read or generated, once, so such a failure writes nothing.
+Then it trains what is missing (``eval`` never trains) and scores. Each
+checkpoint directory is loaded once (tc's application network serves tc,
+hv and nnv, and nnv's training), and each test noise's corrupted test set
+is made once, since the dirty images depend only on the noise spec and the
+sample index. ``eval`` scores one scheme, ``compare`` every scheme, at
+every test noise of the config, through one function, so each metrics file
+is the same bytes whichever command wrote it; another test noise is one more
 entry of ``test_noises``. Evaluation denoises every test image of every
 denoiser scheme on every core this process may run on, in forked children
 (:func:`_denoise`), before it scores any scheme in this process; on one
@@ -93,6 +90,9 @@ def _save_trained(model: Model, result: TrainResult, ckpt: Path) -> None:
     save_checkpoint(model, ckpt, epoch=result.best_epoch)
 
 
+_ROLES = ("application", "denoiser")
+
+
 def _scheme_dirs(cfg: ExperimentConfig, scheme: str) -> tuple[Path, Path | None]:
     """(application, denoiser) checkpoint directories the scheme routes
     through: the config's override, else the conventional layout, where hv
@@ -115,27 +115,12 @@ def _needs_training(cfg: ExperimentConfig, scheme: str) -> bool:
     return not overridden and not all(_complete(d) for d in dirs)
 
 
-def ensure_scheme_trained(
-    cfg: ExperimentConfig, scheme: str, train_samples: list[Sample] | None = None, loaded: dict | None = None
-) -> dict:
-    """Train the scheme's missing checkpoints; returns their paths.
-
-    Returns {"application": Path, "denoiser": Path | None}. Checkpoint
-    overrides short-circuit training entirely for that scheme. Without
-    ``train_samples`` the train split is read from the dataset, and only if
-    something must be trained. The application network nnv trains through
-    is loaded through ``loaded`` (see :func:`_load`), so evaluation can
-    reuse it: training leaves it bit-identical, because it is frozen and
-    runs in eval mode.
-    """
+def _train(cfg: ExperimentConfig, scheme: str, train_samples: list[Sample], loaded: dict) -> None:
+    """Train and save the scheme's missing checkpoints, application first.
+    nnv's denoiser trains through the application network in ``loaded``
+    (see :func:`_load`), which training leaves bit-identical, because it is
+    frozen and runs in eval mode, so evaluation can reuse it."""
     app_dir, den_dir = _scheme_dirs(cfg, scheme)
-    paths = {"application": app_dir, "denoiser": den_dir}
-    if not _needs_training(cfg, scheme):
-        return paths
-    loaded = {} if loaded is None else loaded
-    _load_nnv_application(cfg, scheme, loaded)
-    if train_samples is None:
-        train_samples, _ = ensure_dataset(cfg, splits=("train",))
     if not _complete(app_dir):
         model = build_network(cfg.application)
         noise = cfg.train_noise if scheme == TD else None
@@ -151,26 +136,6 @@ def ensure_scheme_trained(
                 denoiser, app_model, train_samples, cfg.train, cfg.train_noise, cfg.seed
             )
         _save_trained(denoiser, result, den_dir)
-    return paths
-
-
-def _load_nnv_application(cfg: ExperimentConfig, scheme: str, loaded: dict) -> None:
-    """Load nnv's application network through ``loaded`` if it is trained:
-    one that does not fit then fails before the dataset is touched."""
-    app_dir, _ = _scheme_dirs(cfg, scheme)
-    if scheme == NNV and _complete(app_dir):
-        _load(cfg, app_dir, loaded, "application", scheme)
-
-
-def _check_scheme(cfg: ExperimentConfig, scheme: str) -> None:
-    """``train`` and ``eval`` act only on a scheme the config names."""
-    if scheme not in cfg.schemes:
-        raise ConfigError(f"scheme {scheme!r} is not in the config's scheme list {list(cfg.schemes)}")
-
-
-def cmd_train(cfg: ExperimentConfig, scheme: str) -> dict:
-    _check_scheme(cfg, scheme)
-    return ensure_scheme_trained(cfg, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +163,6 @@ def _load(cfg: ExperimentConfig, ckpt: Path, loaded: dict, role: str, scheme: st
 
 def _metrics_path(cfg: ExperimentConfig, scheme: str, tag: str) -> Path:
     return Path(cfg.output_dir) / "metrics" / f"{scheme}_{tag}.csv"
-
-
-def _models(cfg: ExperimentConfig, schemes: tuple[str, ...], loaded: dict) -> dict:
-    """scheme -> (application, denoiser or None), each loaded through
-    ``loaded`` (see :func:`_load`)."""
-    models = {}
-    for scheme in schemes:
-        app_dir, den_dir = _scheme_dirs(cfg, scheme)
-        application = _load(cfg, app_dir, loaded, "application", scheme)
-        models[scheme] = application, None if den_dir is None else _load(cfg, den_dir, loaded, "denoiser", scheme)
-    return models
 
 
 def _run_chunk(chunk: list) -> list[Tensor]:
@@ -290,11 +244,12 @@ def _denoise(jobs: list) -> list[Tensor]:
 
 
 def _evaluate(cfg: ExperimentConfig, models: dict, test_samples: list[Sample]) -> list:
-    """Score each scheme's :func:`_models` pair at every test noise of the
-    config and write its per-sample CSV; returns one (scheme, noise tag,
-    report) row per pair. Each noise's dirty images are made once, and every
-    scheme's denoised images (:func:`_denoise`) are made before the first is
-    scored. ``eval`` and ``compare`` both score here."""
+    """Score each scheme's (application, denoiser or None) pair at every
+    test noise of the config and write its per-sample CSV; returns one
+    (scheme, noise tag, report) row per pair. Each noise's dirty images are
+    made once, and every scheme's denoised images (:func:`_denoise`) are
+    made before the first is scored. ``eval`` and ``compare`` both score
+    here."""
     dirty = [schemes_mod.corrupt_samples(test_samples, noise, "test") for noise in cfg.test_noises]
     jobs = [(den, image) for _, den in models.values() if den is not None for images in dirty for image in images]
     denoised = iter(_denoise(jobs))
@@ -310,30 +265,63 @@ def _evaluate(cfg: ExperimentConfig, models: dict, test_samples: list[Sample]) -
     return rows
 
 
+# ---------------------------------------------------------------------------
+# Commands
+
+
+def _check_scheme(cfg: ExperimentConfig, scheme: str) -> None:
+    """``train`` and ``eval`` act only on a scheme the config names."""
+    if scheme not in cfg.schemes:
+        raise ConfigError(f"scheme {scheme!r} is not in the config's scheme list {list(cfg.schemes)}")
+
+
+def _run(cfg: ExperimentConfig, trains: tuple[str, ...], scores: tuple[str, ...]) -> list:
+    """Train the missing checkpoints of the schemes ``trains``, then score
+    the schemes ``scores`` through :func:`_evaluate`; returns its rows. The
+    steps, in order, are the module's rule: load and fit-check every listed
+    checkpoint directory through :func:`_load`, read or generate the splits
+    used, train in config order, score. One ``loaded`` dict serves them all.
+    """
+    trains = tuple(scheme for scheme in trains if _needs_training(cfg, scheme))
+    loaded: dict = {}
+    for scheme in cfg.schemes:
+        app_dir, den_dir = _scheme_dirs(cfg, scheme)
+        reads_app = scheme in scores or (scheme == NNV and scheme in trains and not _complete(den_dir))
+        listed = (app_dir if reads_app else None, den_dir if scheme in scores else None)
+        for role, ckpt in zip(_ROLES, listed):
+            if ckpt is not None and (_complete(ckpt) or scheme not in trains):
+                _load(cfg, ckpt, loaded, role, scheme)
+    splits = (("train",) if trains else ()) + (("test",) if scores else ())
+    train_samples, test_samples = ensure_dataset(cfg, splits) if splits else (None, None)
+    for scheme in trains:
+        _train(cfg, scheme, train_samples, loaded)
+    models = {}
+    for scheme in scores:
+        dirs = zip(_ROLES, _scheme_dirs(cfg, scheme))
+        models[scheme] = tuple(None if d is None else _load(cfg, d, loaded, role, scheme) for role, d in dirs)
+    return _evaluate(cfg, models, test_samples) if scores else []
+
+
+def cmd_train(cfg: ExperimentConfig, scheme: str) -> dict:
+    """Train the scheme's missing checkpoints (nnv's needs tc's application
+    network); returns {"application": Path, "denoiser": Path | None}."""
+    _check_scheme(cfg, scheme)
+    _run(cfg, (scheme,), ())
+    return dict(zip(_ROLES, _scheme_dirs(cfg, scheme)))
+
+
 def cmd_eval(cfg: ExperimentConfig, scheme: str) -> list:
     """Evaluate one trained scheme at every test noise of the config;
     returns one (report, csv path) pair per test noise, in config order."""
     _check_scheme(cfg, scheme)
-    models = _models(cfg, (scheme,), {})  # first: a missing or unfit checkpoint writes no dataset
-    _, test_samples = ensure_dataset(cfg, splits=("test",))
-    rows = _evaluate(cfg, models, test_samples)
-    return [(report, _metrics_path(cfg, scheme, tag)) for _, tag, report in rows]
+    return [(report, _metrics_path(cfg, scheme, tag)) for _, tag, report in _run(cfg, (), (scheme,))]
 
 
 def cmd_compare(cfg: ExperimentConfig):
     """Train whatever is missing, evaluate every scheme at every test noise,
     and write the aggregate comparison CSV. Returns (rows, csv path): one
     (scheme, noise tag, report) row per evaluated combination."""
-    trains = [scheme for scheme in cfg.schemes if _needs_training(cfg, scheme)]
-    loaded: dict = {}
-    # first: a missing or unfit checkpoint that nothing will train writes no dataset
-    _models(cfg, tuple(scheme for scheme in cfg.schemes if scheme not in trains), loaded)
-    for scheme in trains:
-        _load_nnv_application(cfg, scheme, loaded)
-    train_samples, test_samples = ensure_dataset(cfg, splits=SPLITS if trains else ("test",))
-    for scheme in trains:
-        ensure_scheme_trained(cfg, scheme, train_samples, loaded)
-    rows = _evaluate(cfg, _models(cfg, cfg.schemes, loaded), test_samples)
+    rows = _run(cfg, cfg.schemes, cfg.schemes)
     path = Path(cfg.output_dir) / "compare.csv"
     metrics_mod.write_compare_csv(rows, path)
     return rows, path

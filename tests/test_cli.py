@@ -165,6 +165,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"missing-checkpoint: missing application checkpoint for scheme 'tc' at {ckpt}\n"
         assert not (tmp_path / "run").exists()
+        # tc's checkpoint exists, hv's denoiser does not
+        save_checkpoint(build_network(parse_config(cfg.read_text()).application), ckpt)
+        before = sorted((tmp_path / "run").rglob("*"))
+        assert main(["eval", "--config", str(cfg), "--scheme", "hv"]) == 5
+        ckpt = tmp_path / "run" / "checkpoints" / "hv"
+        err = capsys.readouterr().err
+        assert err == f"missing-checkpoint: missing denoiser checkpoint for scheme 'hv' at {ckpt}\n"
+        assert sorted((tmp_path / "run").rglob("*")) == before
 
     @pytest.mark.parametrize(
         "scheme,paths,role,found",
@@ -197,18 +205,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command,schemes",
-        [(["train", "--scheme", "nnv"], ["tc", "nnv"]), (["compare"], ["nnv"])],
-        ids=["train", "compare"],
+        [(["train", "--scheme", "nnv"], ["tc", "nnv"]), (["compare"], ["nnv"]), (["compare"], ["hv"])],
+        ids=["train_nnv", "compare_nnv", "compare_hv"],
     )
-    def test_unfit_application_for_nnv_writes_no_dataset(self, tmp_path, capsys, command, schemes):
+    def test_unfit_trained_application_writes_no_dataset(self, tmp_path, capsys, command, schemes):
+        """A scheme that routes through an existing application checkpoint
+        that does not fit fails before anything is trained or written, even
+        when its denoiser is still to be trained."""
         path = _write_config(tmp_path, schemes=schemes)
         ckpt = tmp_path / "run" / "checkpoints" / "tc"
         save_checkpoint(build_network(replace(parse_config(path.read_text()).application, num_classes=4)), ckpt)
         assert main([command[0], "--config", str(path), *command[1:]]) == 2
         err = capsys.readouterr().err
-        where = f"application checkpoint for scheme 'nnv' at {ckpt}"
+        where = f"application checkpoint for scheme {schemes[-1]!r} at {ckpt}"
         assert err.startswith(f"config-error: {where} is a nonewnet2d with 4 classes")
         assert not (tmp_path / "run" / "dataset").exists()
+        assert not (tmp_path / "run" / "checkpoints" / schemes[-1]).exists()
 
     def test_classifier_built_for_other_extents_is_config_error(self, tmp_path, capsys):
         overrides = {

@@ -418,19 +418,16 @@ class TestParallelDenoising:
         path = tmp_path / "cfg.json"
         path.write_text(_config_text(tmp_path / "run"))
         assert main(["compare", "--config", str(path)]) == 0
-        models = experiment._models
+        evaluate = experiment._evaluate
 
-        def poisoned(cfg, schemes, loaded):
-            out = models(cfg, schemes, loaded)
-            if "nnv" in out:
+        def poisoned(cfg, models, test_samples):
+            def forward(image, train=False):
+                raise InvalidInputError("nnv's denoiser failed")
 
-                def forward(image, train=False):
-                    raise InvalidInputError("nnv's denoiser failed")
+            models["nnv"][1].forward = forward
+            return evaluate(cfg, models, test_samples)
 
-                out["nnv"][1].forward = forward
-            return out
-
-        monkeypatch.setattr(experiment, "_models", poisoned)
+        monkeypatch.setattr(experiment, "_evaluate", poisoned)
         failures = []
         for n in (1, 2, 3):
             capsys.readouterr()

@@ -7,8 +7,20 @@ with the environment that recorded them. A speedup that leaves every
 artifact byte-identical passes; one that reorders a float64 sum, changes a
 seed derivation or a file format fails. The digests depend on the numpy
 and BLAS builds, so the test skips when either differs from the record.
-They may also depend on the CPU kernel the BLAS selects at run time, which
-the record does not hold; they were checked under one and two BLAS threads.
+
+The ``cls-compare`` digest also depends on the CPU kernels OpenBLAS and
+numpy select at run time, which the record does not hold and the skip does
+not test. Both digests hold on the recording host's own kernels under one
+and two BLAS threads. Seed 1 of ``cls-compare`` gives ``f75c2dbb...``
+under ``OPENBLAS_CORETYPE=Haswell``, ``7b6ec42f...`` under
+``Sandybridge``, ``b84c892a...`` under ``Nehalem`` and ``ce41c126...``
+under ``NPY_DISABLE_CPU_FEATURES=X86_V4``. In each, only the mcdncnn
+denoisers' checkpoints move (nnv's always, hv's too under Sandybridge and
+Nehalem); the tc and td checkpoints and every metrics CSV keep their
+bytes. The largest moves are in the biases of the convs that feed
+train-mode batchnorm, whose true gradient is zero, so Adam steps them on
+rounding noise: up to 3.9e-5 for nnv and 7.9e-4 for hv, against at most
+3e-8 for any conv weight. ``seg-compare`` keeps its digest under all four.
 """
 
 from __future__ import annotations
