@@ -25,15 +25,17 @@ every test noise of the config, through one function, so each metrics file
 is the same bytes whichever command wrote it; another test noise is one more
 entry of ``test_noises``. Evaluation denoises every test image of every
 denoiser scheme on every core this process may run on, in forked children
-(:func:`_denoise`), before it scores any scheme in this process; on one
-core, or where ``os.sched_getaffinity`` or ``os.fork`` is missing, it runs
-every denoiser pass here. A traced run times only this process's share of
-those passes. All artifacts are pure functions of the config, whatever the
-core count.
+that write each output into its slot of one shared mapping made before
+they fork (:func:`_denoise`), before it scores any scheme in this process;
+on one core, or where ``os.sched_getaffinity`` or ``os.fork`` is missing,
+it runs every denoiser pass here. A traced run times only this process's
+share of those passes. All artifacts are pure functions of the config,
+whatever the core count.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 from pathlib import Path
 
@@ -165,82 +167,53 @@ def _metrics_path(cfg: ExperimentConfig, scheme: str, tag: str) -> Path:
     return Path(cfg.output_dir) / "metrics" / f"{scheme}_{tag}.csv"
 
 
-def _run_chunk(chunk: list) -> list[Tensor]:
-    return [denoiser.forward(image, train=False) for denoiser, image in chunk]
-
-
-def _work(chunk: list, r: int, w: int, readers) -> None:
-    """A forked child's whole life: run the chunk, write its outputs to
-    ``w`` as one payload of raw float32 bytes, and leave through
-    ``os._exit``, so nothing of the parent's (exit handlers, buffered
-    output) runs twice. The child first closes every read end it inherited,
-    its own included: a read end still open in a child would keep a write
-    to a parent that closed it blocked."""
-    code = 1
-    try:
-        os.close(r)
-        for fh in readers:
-            fh.close()
-        payload = b"".join(out.data.tobytes() for out in _run_chunk(chunk))
-        with open(w, "wb") as fh:
-            fh.write(payload)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _denoise(jobs: list) -> list[Tensor]:
     """Eval-mode output of each (denoiser, image) job, in job order.
 
-    The jobs are cut into contiguous chunks, one per core this process may
-    run on (one chunk without ``os.sched_getaffinity`` or ``os.fork``). This
-    process runs the first chunk and forks a child per other chunk, which
-    builds its whole chunk before it writes: a child that wrote each image
-    as it was made would wait on the pipe until this process read it. The
-    parent knows each output's shape, its input's, and takes the bytes back
-    unvalidated, as an op's output is. A chunk whose child fails, or sends
-    back the wrong byte count, is run again here, so its error is raised as
-    on one core. Every read end is closed before its child is reaped, on
-    every path, so a child blocked on its write cannot hang a parent that
-    raised.
+    Every output lands in its slot of one anonymous shared mapping, made
+    before any fork, each slot the size of its job's input (a denoiser's
+    output has its input's shape). The jobs are cut into contiguous spans,
+    one per core this process may run on (one span without
+    ``os.sched_getaffinity`` or ``os.fork``). This process fills the first
+    span and forks a child per other span, which fills that span's slots
+    and leaves through ``os._exit``, so nothing of the parent's (exit
+    handlers, buffered output) runs twice. A child never waits on this
+    process, so reaping every child, on every path, cannot hang. A span
+    whose child exited non-zero is run again here, so its error is raised as
+    on one core. Each output is copied out of the mapping unvalidated, as an
+    op's output is.
     """
+    if not jobs:
+        return []
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
     bounds = [-(-len(jobs) * k // cores) for k in range(cores + 1)]
-    first, *rest = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
-    children: dict = {}  # pid -> (read end, chunk) of each child not yet reaped
+    first, *rest = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    ends = np.cumsum([0] + [image.size for _, image in jobs])
+    flat = np.frombuffer(mmap.mmap(-1, 4 * int(ends[-1])), dtype=np.float32)
+    slots = [flat[a:b].reshape(image.shape) for a, b, (_, image) in zip(ends, ends[1:], jobs)]
+
+    def fill(span: slice) -> None:
+        for (denoiser, image), slot in zip(jobs[span], slots[span]):
+            slot[...] = denoiser.forward(image, train=False).data
+
+    children: dict = {}  # pid -> span of each forked child
     try:
-        for chunk in filter(None, rest):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(chunk, r, w, [fh for fh, _ in children.values()])
-            except BaseException:
-                os.close(r)
-                raise
-            finally:
-                os.close(w)
-            children[pid] = open(r, "rb"), chunk
-        outputs = _run_chunk(first)
-        for pid in list(children):
-            fh, chunk = children[pid]
-            with fh:
-                payload = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if status != 0 or len(payload) != 4 * sum(image.size for _, image in chunk):
-                outputs += _run_chunk(chunk)
-                continue
-            flat = np.frombuffer(payload, dtype=np.float32)
-            for _, image in chunk:
-                outputs.append(_wrap(flat[: image.size].reshape(image.shape)))
-                flat = flat[image.size :]
+        for span in rest:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    fill(span)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = span
+        fill(first)
     finally:
-        for fh, _ in children.values():
-            fh.close()
-        for pid in children:
-            os.waitpid(pid, 0)
-    return outputs
+        failed = [span for pid, span in children.items() if os.waitpid(pid, 0)[1] != 0]
+    for span in failed:
+        fill(span)
+    return [_wrap(slot.copy()) for slot in slots]
 
 
 def _evaluate(cfg: ExperimentConfig, models: dict, test_samples: list[Sample]) -> list:

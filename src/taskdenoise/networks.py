@@ -123,9 +123,6 @@ class Model:
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         raise NotImplementedError
 
-    def __call__(self, x: Tensor, train: bool = False) -> Tensor:
-        return self.forward(x, train)
-
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"{layer.name}.{key}", p) for layer in self._layers for key, p in layer.params.items()]
 

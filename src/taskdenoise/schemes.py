@@ -73,19 +73,14 @@ def corrupt_samples(samples: list[Sample], noise_spec: NoiseSpec | None, split_l
     return out
 
 
-def _route(denoiser: Model | None, application: Model, image: Tensor, train_denoiser: bool) -> Tensor:
-    """Application output for the image, through the denoiser if there is one."""
-    h = image if denoiser is None else denoiser.forward(image, train=train_denoiser)
-    return application.forward(h, train=False)
-
-
 def composed_task_loss(denoiser: Model | None, application: Model, image: Tensor, target, train_denoiser: bool = False) -> Tensor:
     """Task loss of the (denoiser -> application) composition as one expression.
 
     With ``denoiser=None`` the image feeds the application directly, so the
     composed loss is bit-identical to the application-only loss.
     """
-    return cross_entropy_loss(_route(denoiser, application, image, train_denoiser), target)
+    h = image if denoiser is None else denoiser.forward(image, train=train_denoiser)
+    return cross_entropy_loss(application.forward(h, train=False), target)
 
 
 # ---------------------------------------------------------------------------

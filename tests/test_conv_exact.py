@@ -103,7 +103,7 @@ def _layer_calls(kind: str) -> list:
         return wrapper
 
     with _ops_replaced({name: recording(name) for name in OPS}):
-        model(_image(), train=True)
+        model.forward(_image(), train=True)
     return calls
 
 
@@ -123,7 +123,7 @@ def _training_step(kind: str) -> list:
     image = _image()
     rng = np.random.default_rng(2)
     with Tape() as tape:
-        out = model(image, train=True)
+        out = model.forward(image, train=True)
         if out.shape == image.shape:
             loss = ad.mse_loss(out, Tensor(rng.uniform(0, 255, size=image.shape)))
         else:

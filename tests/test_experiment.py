@@ -383,9 +383,9 @@ class TestParallelDenoising:
         self._no_child_left()
         assert [o.data.tobytes() for o in outputs] == [d.forward(i, train=False).data.tobytes() for d, i in jobs]
 
-    def test_a_parent_that_raises_reaps_children_blocked_on_their_pipes(self, cores):
-        """Each child's chunk is over the 64 KiB a pipe buffers, so it waits on
-        its write until the parent closes the read end."""
+    def test_a_parent_that_raises_reaps_every_child(self, cores):
+        """This process's own span fails; each of the two children is reaped
+        before the error reaches the caller."""
         parent = os.getpid()
 
         def forward(image, train):
@@ -394,7 +394,7 @@ class TestParallelDenoising:
             return image
 
         def hung(signum, frame):
-            for pid in forked:  # an orphan blocked on its write would outlive the test run
+            for pid in forked:  # a child still running would outlive the test run
                 os.kill(pid, signal.SIGKILL)
             raise TimeoutError("the parent waited on a child that never ended")
 
@@ -411,6 +411,32 @@ class TestParallelDenoising:
             signal.signal(signal.SIGALRM, previous)
         assert len(forked) == 2
         self._no_child_left()
+
+    def test_a_child_that_dies_part_way_has_its_span_run_again(self, cores):
+        """The child leaves through ``os._exit(7)`` from its third
+        ``forward``, two of its slots filled; this process runs the child's
+        whole span again and returns what one core returns."""
+        net = networks.build_network(networks.NetworkSpec(kind="redcnn", base_channels=2, seed=3))
+        parent = os.getpid()
+        child_calls = []
+
+        def forward(image, train):
+            if os.getpid() != parent:
+                child_calls.append(image)
+                if len(child_calls) == 3:
+                    os._exit(7)
+            return net.forward(image, train)
+
+        denoiser = SimpleNamespace(forward=forward)
+        rng = np.random.default_rng(1)
+        jobs = [(denoiser, Tensor(rng.uniform(0, 255, (1, 16, 16)).astype(np.float32))) for _ in range(8)]
+        cores(1)
+        expected = [o.data.tobytes() for o in experiment._denoise(jobs)]
+        forked = cores(2)
+        outputs = experiment._denoise(jobs)
+        assert len(forked) == 1
+        self._no_child_left()
+        assert [o.data.tobytes() for o in outputs] == expected
 
     def test_a_failing_worker_fails_as_one_core_does(self, tmp_path, cores, monkeypatch, capsys):
         """nnv's denoiser raises on every image. With two cores its jobs all

@@ -52,10 +52,10 @@ def _loss_fn(case: str):
     if case == "mcdncnn":  # hv: pixel loss of the denoiser
         model = _network("mcdncnn")
         clean = Tensor(rng.uniform(0, 255, size=(1, 64, 64)).astype(np.float32))
-        return lambda: mse_loss(model(noisy, train=True), clean)
+        return lambda: mse_loss(model.forward(noisy, train=True), clean)
     if case == "nonewnet2d":  # tc: task loss of the U-Net
         model = _network("nonewnet2d")
-        return lambda: cross_entropy_loss(model(noisy, train=True), labels)
+        return lambda: cross_entropy_loss(model.forward(noisy, train=True), labels)
     # nnv: task loss of redcnn through the frozen U-Net
     denoiser, application = _network("redcnn"), _network("nonewnet2d", trainable=False)
     return lambda: composed_task_loss(denoiser, application, noisy, labels, train_denoiser=True)
