@@ -16,7 +16,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 from .data import CLASSIFICATION, SEGMENTATION, DatasetSpec
-from .errors import ConfigError, InvalidSpecError
+from .errors import ConfigError
 from .networks import CCNN, DENOISER_KINDS, NONEWNET2D, NetworkSpec
 from .noise import NoiseSpec, noise_tag
 from .rng import derive_seed
@@ -45,7 +45,8 @@ def check_fit(spec: NetworkSpec, role: str, dataset: DatasetSpec, where: str) ->
 @dataclass(frozen=True)
 class CheckpointOverride:
     """The checkpoint directories ``scheme`` is evaluated through instead of
-    the conventional layout; a scheme under an override is never trained."""
+    the conventional layout: a denoiser path for hv and nnv, None for tc and
+    td. A scheme under an override is never trained."""
 
     scheme: str
     application: str
@@ -54,10 +55,10 @@ class CheckpointOverride:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEME_KINDS:
             raise ConfigError(f"checkpoint override for unknown scheme {self.scheme!r}")
-        if not isinstance(self.application, str) or not isinstance(self.denoiser, str | None):
-            raise ConfigError(
-                f"checkpoint_overrides.{self.scheme} needs an 'application' path and a 'denoiser' path or null"
-            )
+        denoised = self.scheme in (HV, NNV)
+        if not isinstance(self.application, str) or not isinstance(self.denoiser, str if denoised else type(None)):
+            need = "a 'denoiser' path" if denoised else "a null 'denoiser'"
+            raise ConfigError(f"checkpoint_overrides.{self.scheme} needs an 'application' path and {need}")
 
 
 @dataclass(frozen=True)
@@ -177,10 +178,7 @@ def _section(cls, obj, where: str, defaults: dict, fixed: dict | None = None):
             values[f.name] = defaults[f.name]
         elif f.default is MISSING:
             raise ConfigError(f"{where} needs a {f.name!r}")
-    try:
-        return cls(**values)
-    except InvalidSpecError as exc:
-        raise ConfigError(str(exc)) from exc
+    return cls(**values)
 
 
 def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfig:

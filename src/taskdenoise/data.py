@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import FormatError, InvalidSpecError
+from .errors import ConfigError, FormatError
 from .rng import Rng, derive_seed
 from .tensorio import read_tensor, write_tensor
 
@@ -52,15 +52,15 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         if self.task not in (SEGMENTATION, CLASSIFICATION):
-            raise InvalidSpecError(f"unknown task {self.task!r}")
+            raise ConfigError(f"unknown task {self.task!r}")
         if self.num_classes < 2:
-            raise InvalidSpecError("num_classes must be >= 2")
+            raise ConfigError("num_classes must be >= 2")
         if self.task == CLASSIFICATION and self.num_classes > 3:
-            raise InvalidSpecError("classification morphologies are defined for 2 or 3 classes")
+            raise ConfigError("classification morphologies are defined for 2 or 3 classes")
         if self.height < 16 or self.width < 16:
-            raise InvalidSpecError("extents must be >= 16")
+            raise ConfigError("extents must be >= 16")
         if self.train_count < 1 or self.test_count < 1:
-            raise InvalidSpecError("train_count and test_count must be >= 1")
+            raise ConfigError("train_count and test_count must be >= 1")
 
 
 @dataclass
@@ -114,7 +114,7 @@ def _background(rng: Rng, m: int, n: int) -> np.ndarray:
         phase = 2.0 * math.pi * float(rng.uniform(1)[0])
         k = 2.0 * math.pi / wavelength
         field = field + amp * np.sin(k * (math.cos(theta) * yy + math.sin(theta) * xx) + phase)
-    field = field + rng.gaussian(m * n, 0.0, 3.0).reshape(m, n)
+    field = field + rng.gaussian(m * n, 3.0).reshape(m, n)
     return field
 
 
@@ -259,7 +259,7 @@ def load_dataset_spec(directory) -> DatasetSpec:
         raise FormatError(manifest, 0, "missing dataset manifest")
     try:
         return DatasetSpec(**json.loads(manifest.read_text()))
-    except (TypeError, ValueError, InvalidSpecError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise FormatError(manifest, 0, f"malformed manifest: {exc}") from exc
 
 

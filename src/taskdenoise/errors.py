@@ -26,13 +26,6 @@ class InvalidLabelError(TaskDenoiseError):
     exit_code = 4
 
 
-class InvalidSpecError(TaskDenoiseError):
-    """A noise / dataset / network / scheme spec violates its invariants."""
-
-    code = "invalid-spec"
-    exit_code = 2
-
-
 class InvalidInputError(TaskDenoiseError):
     """Input values violate an operation's preconditions (e.g. negative pixels)."""
 
@@ -65,7 +58,8 @@ class FormatError(TaskDenoiseError):
 
 
 class ConfigError(TaskDenoiseError):
-    """Experiment config failed to parse or validate."""
+    """A config, or any spec it holds (dataset, network, noise, training
+    settings), failed to parse or breaks a rule when built."""
 
     code = "config-error"
     exit_code = 2

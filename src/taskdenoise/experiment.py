@@ -101,7 +101,7 @@ def _scheme_dirs(cfg: ExperimentConfig, scheme: str) -> tuple[Path, Path | None]
     and nnv route through the clean-trained (tc) application network."""
     for o in cfg.checkpoint_overrides:
         if o.scheme == scheme:
-            return Path(o.application), Path(o.denoiser) if o.denoiser else None
+            return Path(o.application), None if o.denoiser is None else Path(o.denoiser)
     app_dir = _checkpoint_dir(cfg, TD if scheme == TD else TC)
     return app_dir, _checkpoint_dir(cfg, scheme) if scheme in (HV, NNV) else None
 

@@ -124,10 +124,6 @@ class MetricsReport:
     aggregates: dict  # metric name -> (mean, sd)
     hausdorff_undefined: int
 
-    @property
-    def sample_count(self) -> int:
-        return len({row[0] for row in self.rows})
-
 
 def report(rows: list[tuple]) -> MetricsReport:
     """Aggregate (sample, class, metric, value) rows. A metric with no

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import CheckpointError, InvalidShapeError, InvalidSpecError
+from .errors import CheckpointError, ConfigError, InvalidShapeError
 from .optim import xavier_uniform_init
 from .rng import derive_seed
 from .tensorio import read_tensor, write_tensor
@@ -52,18 +52,18 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ALL_KINDS:
-            raise InvalidSpecError(f"unknown network kind {self.kind!r}; expected one of {ALL_KINDS}")
+            raise ConfigError(f"unknown network kind {self.kind!r}; expected one of {ALL_KINDS}")
         if self.base_channels < 1:
-            raise InvalidSpecError("base_channels must be >= 1")
+            raise ConfigError("base_channels must be >= 1")
         if self.kind in APPLICATION_KINDS and self.num_classes < 2:
-            raise InvalidSpecError(f"{self.kind} requires num_classes >= 2")
+            raise ConfigError(f"{self.kind} requires num_classes >= 2")
         if self.kind == NONEWNET2D and self.depth < 1:
-            raise InvalidSpecError("depth must be >= 1")
+            raise ConfigError("depth must be >= 1")
         if self.height < 1 or self.width < 1:
-            raise InvalidSpecError("input extents must be positive")
+            raise ConfigError("input extents must be positive")
         factor = 16 if self.kind == CCNN else 2**self.depth if self.kind == NONEWNET2D else 1
         if self.height % factor or self.width % factor:
-            raise InvalidSpecError(
+            raise ConfigError(
                 f"{self.kind} input extents {self.height}x{self.width} must be divisible by {factor}"
             )
 
@@ -335,7 +335,7 @@ def load_checkpoint(directory) -> tuple[Model, int]:
         spec = NetworkSpec(**manifest["spec"])
         epoch = int(manifest["epoch"])
         model = build_network(spec)
-    except (KeyError, TypeError, ValueError, InvalidSpecError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest at {manifest_path}: {exc}") from exc
     for name, t in model.named_state():
         path = directory / f"{name}.tsr1"

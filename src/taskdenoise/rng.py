@@ -66,15 +66,15 @@ class Rng:
         """n doubles uniform on (0, 1] (safe to pass to log)."""
         return ((self.next_u64(n) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _U53
 
-    def gaussian(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """n Box-Muller normal draws."""
+    def gaussian(self, n: int, sigma: float = 1.0) -> np.ndarray:
+        """n Box-Muller draws from N(0, sigma^2)."""
         half = (n + 1) // 2
         u1 = self.uniform_open(half)
         u2 = self.uniform(half)
         r = np.sqrt(-2.0 * np.log(u1))
         theta = (2.0 * math.pi) * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return mu + sigma * z
+        return sigma * z
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""

@@ -23,7 +23,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .autodiff import Tape, Tensor, backward, cross_entropy_loss, mse_loss
 from .data import Sample
-from .errors import InvalidInputError, InvalidSpecError, TrainingDivergedError
+from .errors import ConfigError, InvalidInputError, TrainingDivergedError
 from .metrics import MetricsReport
 from .networks import Model
 from .noise import NoiseSpec, apply_noise
@@ -46,13 +46,13 @@ class TrainSettings:
 
     def __post_init__(self) -> None:
         if self.epochs_application < 1 or self.epochs_denoiser < 1:
-            raise InvalidSpecError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise InvalidSpecError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.checkpoint_cadence < 1:
-            raise InvalidSpecError("checkpoint_cadence must be >= 1")
+            raise ConfigError("checkpoint_cadence must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:
-            raise InvalidSpecError("validation_fraction must be in [0, 1)")
+            raise ConfigError("validation_fraction must be in [0, 1)")
 
 
 @dataclass

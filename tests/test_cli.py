@@ -113,7 +113,7 @@ class TestExitCodes:
         assert not (tmp_path / "run").exists()
 
     def test_colliding_test_noise_tags_are_a_config_error(self, tmp_path, capsys):
-        noises = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "gaussian", "sigma": 40.0, "mu": 60.0}]
+        noises = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "gaussian", "sigma": 40.0, "seed": 3}]
         cfg = _write_config(tmp_path, test_noises=noises)
         assert main(["compare", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
@@ -221,6 +221,21 @@ class TestExitCodes:
         assert err.startswith(f"config-error: {where} is a nonewnet2d with 4 classes")
         assert not (tmp_path / "run" / "dataset").exists()
         assert not (tmp_path / "run" / "checkpoints" / schemes[-1]).exists()
+
+    def test_override_that_swaps_which_scheme_has_a_denoiser_is_config_error(self, tmp_path, capsys):
+        """Routed this way, hv would score as tc and tc as nnv."""
+        cfg = parse_config(_write_config(tmp_path).read_text())
+        save_checkpoint(build_network(cfg.application), tmp_path / "tc")
+        save_checkpoint(build_network(cfg.denoiser), tmp_path / "nnv")
+        overrides = {
+            "hv": {"application": str(tmp_path / "tc"), "denoiser": None},
+            "tc": {"application": str(tmp_path / "tc"), "denoiser": str(tmp_path / "nnv")},
+        }
+        routed = _write_config(tmp_path, name="routed.json", checkpoint_overrides=overrides)
+        assert main(["compare", "--config", str(routed)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config-error: checkpoint_overrides.hv needs an 'application' path and a 'denoiser' path\n"
+        assert not (tmp_path / "run").exists()
 
     def test_classifier_built_for_other_extents_is_config_error(self, tmp_path, capsys):
         overrides = {

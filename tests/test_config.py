@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, asdict, replace
 import pytest
 
 from taskdenoise.config import parse_config
-from taskdenoise.errors import ConfigError, InvalidSpecError
+from taskdenoise.errors import ConfigError
 from taskdenoise.noise import noise_tag
 
 MINIMAL = """
@@ -93,17 +93,44 @@ class TestParsing:
             parse_config(json.dumps(raw))
 
     def test_colliding_test_noise_tags_rejected(self):
-        # the tag leaves out mu, so both noises would write metrics/<scheme>_gaussian_sigma40.csv
+        # the tag leaves out the seed, so both noises would write metrics/<scheme>_gaussian_sigma40.csv
         raw = json.loads(MINIMAL)
-        raw["test_noises"] = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "gaussian", "sigma": 40.0, "mu": 60.0}]
+        raw["test_noises"] = [{"kind": "gaussian", "sigma": 40.0}, {"kind": "gaussian", "sigma": 40.0, "seed": 3}]
         with pytest.raises(ConfigError, match=r"test_noises\[0\] and test_noises\[1\] share .*gaussian_sigma40"):
             parse_config(json.dumps(raw))
 
     def test_distinct_test_noise_tags_accepted(self):
         raw = json.loads(MINIMAL)
-        raw["test_noises"] = [{"kind": "gaussian", "sigma": 40.0, "mu": 60.0}, {"kind": "poisson", "seed": 3}]
+        raw["test_noises"] = [{"kind": "gaussian", "sigma": 40.0, "seed": 3}, {"kind": "poisson", "seed": 3}]
         cfg = parse_config(json.dumps(raw))
         assert [noise_tag(n) for n in cfg.test_noises] == ["gaussian_sigma40", "poisson_scale0.1"]
+
+    @pytest.mark.parametrize("section", ["train_noise", "test_noises"])
+    def test_noise_has_no_mean(self, section):
+        # gaussian noise is zero-mean; a mean is an unknown key like any other
+        raw = json.loads(MINIMAL)
+        noise = {"kind": "gaussian", "sigma": 40.0, "mu": 0.0}
+        raw[section] = [noise] if section == "test_noises" else noise
+        where = "test_noises[0]" if section == "test_noises" else section
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert str(err.value) == f"unknown keys in {where}: ['mu']"
+
+    @pytest.mark.parametrize(
+        "scheme,denoiser,need",
+        [
+            ("hv", None, "a 'denoiser' path"),
+            ("nnv", None, "a 'denoiser' path"),
+            ("tc", "d", "a null 'denoiser'"),
+            ("td", "d", "a null 'denoiser'"),
+        ],
+    )
+    def test_override_has_a_denoiser_exactly_for_a_denoiser_scheme(self, scheme, denoiser, need):
+        # otherwise an override could score hv without a denoiser, or tc through one
+        raw = json.loads(MINIMAL)
+        raw["checkpoint_overrides"] = {scheme: {"application": "a", "denoiser": denoiser}}
+        with pytest.raises(ConfigError, match=rf"^checkpoint_overrides\.{scheme} needs an 'application' path and {need}$"):
+            parse_config(json.dumps(raw))
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -165,7 +192,7 @@ class TestCheckedWhenBuilt:
         ids=["dataset", "application", "application_extents", "denoiser", "train_noise", "train"],
     )
     def test_replacing_a_section_value_is_checked(self, section, change, message):
-        with pytest.raises(InvalidSpecError, match=message):
+        with pytest.raises(ConfigError, match=message):
             replace(getattr(parse_config(MINIMAL), section), **change)
 
     @pytest.mark.parametrize(
@@ -250,7 +277,7 @@ class TestCheckedWhenBuilt:
             setattr(cfg if section is None else getattr(cfg, section), key, 1)
 
 
-_NOISE = {"kind": "gaussian", "mu": 0.0, "poisson_scale": 0.1}
+_NOISE = {"kind": "gaussian", "poisson_scale": 0.1}
 _TRAIN = {
     "checkpoint_cadence": 1,
     "epochs_application": 30,

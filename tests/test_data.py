@@ -11,7 +11,7 @@ from taskdenoise.data import (
     load_dataset,
     save_dataset,
 )
-from taskdenoise.errors import FormatError, InvalidSpecError
+from taskdenoise.errors import ConfigError, FormatError
 from taskdenoise.tensorio import read_tensor, write_tensor
 
 
@@ -130,7 +130,7 @@ class TestClassificationGenerator:
         assert correct / len(test) < 0.5
 
     def test_more_than_three_classes_rejected(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError):
             _cls_spec(num_classes=5)
 
 

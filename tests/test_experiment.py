@@ -143,7 +143,7 @@ class TestEval:
         cmd_train(cfg, "tc")
         [(report, path)] = cmd_eval(cfg, "tc")
         assert path.is_file()
-        assert report.sample_count == cfg.dataset.test_count
+        assert {row[0] for row in report.rows} == set(range(cfg.dataset.test_count))
         assert path.name == f"tc_{noise_tag(cfg.test_noises[0])}.csv"
 
     def test_eval_twice_is_byte_identical(self, cfg):
@@ -156,7 +156,7 @@ class TestEval:
     def test_hv_eval_routes_denoiser(self, cfg):
         cmd_train(cfg, "hv")
         [(report, _)] = cmd_eval(cfg, "hv")
-        assert report.sample_count == cfg.dataset.test_count
+        assert {row[0] for row in report.rows} == set(range(cfg.dataset.test_count))
 
 
 class TestCompare:
@@ -171,19 +171,20 @@ class TestCompare:
             assert (out / "metrics" / f"{scheme}_{noise_tag(cfg.test_noises[0])}.csv").is_file()
 
     def test_identical_checkpoints_give_identical_rows(self, cfg, tmp_path):
-        cmd_train(cfg, "tc")
-        tc_path = str((tmp_path / "run" / "checkpoints" / "tc").resolve())
+        cmd_train(cfg, "hv")
+        ckpts = (tmp_path / "run" / "checkpoints").resolve()
         raw = json.loads(_config_text(tmp_path / "run"))
         raw["test_noises"] = [{"kind": "gaussian", "sigma": 0.0}]
         raw["checkpoint_overrides"] = {
-            s: {"application": tc_path, "denoiser": None} for s in ["tc", "td", "hv", "nnv"]
+            s: {"application": str(ckpts / "tc"), "denoiser": str(ckpts / "hv") if s in ("hv", "nnv") else None}
+            for s in ["tc", "td", "hv", "nnv"]
         }
         degenerate = replace(parse_config(json.dumps(raw)), output_dir=str(tmp_path / "degenerate"))
         _, path = cmd_compare(degenerate)
         lines = path.read_text().strip().splitlines()
-        values = {line.split(",", 2)[2] for line in lines[1:]}
-        assert len(lines) == 5
-        assert len(values) == 1  # four identical metric rows
+        values = {line.split(",", 1)[0]: line.split(",", 2)[2] for line in lines[1:]}
+        assert list(values) == ["tc", "td", "hv", "nnv"]
+        assert values["tc"] == values["td"] and values["hv"] == values["nnv"]
 
 
 class TestSharedEvaluationInputs:
@@ -300,16 +301,23 @@ class TestSharedEvaluationInputs:
         assert len(test) == 6 and data.load_dataset_spec(out / "dataset") == cfg.dataset
 
     def test_overrides_share_by_resolved_directory(self, cfg, tmp_path, calls):
-        cmd_train(cfg, "tc")
+        cmd_train(cfg, "hv")
         run = tmp_path / "run"
-        spellings = [run / "checkpoints" / "tc", run / "checkpoints" / ".." / "checkpoints" / "tc"]
+
+        def spellings(name):
+            return [run / "checkpoints" / name, run / "checkpoints" / ".." / "checkpoints" / name]
+
         raw = json.loads(_config_text(run))
         raw["checkpoint_overrides"] = {
-            s: {"application": str(spellings[i % 2]), "denoiser": None} for i, s in enumerate(["tc", "td", "hv", "nnv"])
+            s: {
+                "application": str(spellings("tc")[i % 2]),
+                "denoiser": str(spellings("hv")[i % 2]) if s in ("hv", "nnv") else None,
+            }
+            for i, s in enumerate(["tc", "td", "hv", "nnv"])
         }
         calls["load_checkpoint"].clear()
         cmd_compare(replace(parse_config(json.dumps(raw)), output_dir=str(tmp_path / "shared")))
-        assert calls["load_checkpoint"] == [spellings[0]]
+        assert calls["load_checkpoint"] == [spellings("tc")[0], spellings("hv")[0]]
 
 
 class TestParallelDenoising:

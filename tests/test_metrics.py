@@ -318,7 +318,7 @@ class TestReportsAndCsv:
 
     def test_segmentation_report_aggregates(self):
         r = report([row for i in range(3) for row in self._sample_rows(i)])
-        assert r.sample_count == 3
+        assert {row[0] for row in r.rows} == {0, 1, 2}
         mean, sd = r.aggregates["dice"]
         assert sd == pytest.approx(0.0, abs=1e-12)
         assert mean == pytest.approx((2 / 3 + 1.0) / 2)  # classes averaged first
@@ -335,7 +335,7 @@ class TestReportsAndCsv:
         r = _classification_report([0, 1, 2, 0], [0, 1, 1, 0])
         assert set(r.aggregates) == {"top1"}  # the predicted class is not aggregated
         assert r.aggregates["top1"][0] == pytest.approx(0.75)
-        assert r.sample_count == 4
+        assert {row[0] for row in r.rows} == {0, 1, 2, 3}
 
     def test_per_sample_csv_layout(self, tmp_path):
         path = tmp_path / "m.csv"

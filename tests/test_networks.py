@@ -6,7 +6,7 @@ import pytest
 from conftest import parameter_checksum
 from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tape, Tensor
-from taskdenoise.errors import CheckpointError, InvalidShapeError, InvalidSpecError
+from taskdenoise.errors import CheckpointError, ConfigError, InvalidShapeError
 from taskdenoise.networks import (
     NetworkSpec,
     build_network,
@@ -90,7 +90,7 @@ class TestNoNewNet2d:
         assert out.shape == (3, 64, 64)
 
     def test_indivisible_spec_extents_raise(self):
-        with pytest.raises(InvalidSpecError, match="20x20 must be divisible by 8"):
+        with pytest.raises(ConfigError, match="20x20 must be divisible by 8"):
             NetworkSpec(kind="nonewnet2d", base_channels=4, num_classes=2, height=20, width=20, depth=3)
 
     def test_indivisible_extents_raise(self):
@@ -148,7 +148,7 @@ class TestCcnn:
             model.forward(_image((1, 32, 32)))
 
     def test_indivisible_spec_extents_raise(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(ConfigError):
             build_network(NetworkSpec(kind="ccnn", base_channels=4, num_classes=3, height=60, width=64, seed=1))
 
     def test_parameter_count_oracle(self):

@@ -120,7 +120,7 @@ def test_segmentation_csv_and_aggregates(tmp_path):
     assert text == SEG_CSV.replace("\n", "\r\n").encode()
     assert report.aggregates == SEG_AGGREGATES
     assert report.hausdorff_undefined == 3
-    assert report.sample_count == 3
+    assert {row[0] for row in report.rows} == {0, 1, 2}
 
 
 def test_classification_csv_and_aggregates(tmp_path):
@@ -128,7 +128,7 @@ def test_classification_csv_and_aggregates(tmp_path):
     assert text == CLS_CSV.replace("\n", "\r\n").encode()
     assert report.aggregates == {"top1": (0.6, 0.48989794855663565)}
     assert report.hausdorff_undefined == 0
-    assert report.sample_count == 5
+    assert {row[0] for row in report.rows} == {0, 1, 2, 3, 4}
 
 
 def test_compare_csv(tmp_path):
