@@ -120,9 +120,6 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _TAPE_STACK.pop()
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 _TAPE_STACK: list[Tape] = []
 
@@ -132,6 +129,7 @@ def _needs(t) -> bool:
 
 
 def _record(out: Tensor, inputs: Sequence, backward_fn: Callable) -> None:
+    # no record unless an input needs a gradient: a one-input op's backward_fn assumes it does
     if not _TAPE_STACK or not any(_needs(t) for t in inputs):
         return
     out.requires_grad = True
@@ -358,8 +356,6 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     out = _wrap(best)
 
     def backward_fn(g: np.ndarray):
-        if not _needs(x):
-            return (None,)
         # one masked strided add per window cell: at the networks' extents
         # this beats a put_along_axis scatter plus the inverse permutation,
         # which allocate two more input-sized arrays
@@ -454,7 +450,7 @@ def relu(x: Tensor) -> Tensor:
     out = _wrap(np.maximum(x.data, 0))
 
     def backward_fn(g: np.ndarray):
-        return (g * (x.data > 0),) if _needs(x) else (None,)
+        return (g * (x.data > 0),)
 
     _record(out, (x,), backward_fn)
     return out
@@ -502,7 +498,7 @@ def flatten(x: Tensor) -> Tensor:
     out = _wrap(x.data.reshape(-1))
 
     def backward_fn(g: np.ndarray):
-        return (g.reshape(shape),) if _needs(x) else (None,)
+        return (g.reshape(shape),)
 
     _record(out, (x,), backward_fn)
     return out
@@ -539,7 +535,7 @@ def tsum(x: Tensor) -> Tensor:
     shape = x.shape
 
     def backward_fn(g: np.ndarray):
-        return (np.broadcast_to(g, shape).astype(_F64),) if _needs(x) else (None,)
+        return (np.broadcast_to(g, shape).astype(_F64),)
 
     _record(out, (x,), backward_fn)
     return out
@@ -588,8 +584,6 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     out = _wrap(np.asarray(-logp[labf, np.arange(npos)].sum() / npos))
 
     def backward_fn(g: np.ndarray):
-        if not _needs(logits):
-            return (None, None)
         p = np.exp(logp)
         p[labf, np.arange(npos)] -= 1.0
         return ((g / npos) * p.reshape(logits.shape), None)

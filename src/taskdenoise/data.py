@@ -175,7 +175,6 @@ def _segmentation_sample(spec: DatasetSpec, rng: Rng, force_class: int) -> Sampl
     image = _background(rng, m, n)
     labels = np.zeros((m, n), dtype=np.int32)
     count = 1 + int(rng.uniform(1)[0] * (k - 1))
-    count = min(count, k - 1)
     placed: list[_Structure] = []
     scale = min(m, n)
     for j in range(count):

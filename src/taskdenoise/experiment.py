@@ -28,9 +28,11 @@ denoiser scheme on every core this process may run on, in forked children
 that write each output into its slot of one shared mapping made before
 they fork (:func:`_denoise`), before it scores any scheme in this process;
 on one core, or where ``os.sched_getaffinity`` or ``os.fork`` is missing,
-it runs every denoiser pass here. A traced run times only this process's
-share of those passes. All artifacts are pure functions of the config,
-whatever the core count.
+it runs every denoiser pass here, and a span whose fork fails runs here
+too. A traced run times only this process's share of those passes. All
+artifacts are pure functions of the config, whatever the core count.
+``dct`` loads its checkpoint, reads the image and computes both maps
+before it writes either, so a failed ``dct`` writes nothing.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def _denoise(jobs: list) -> list[Tensor]:
     and leaves through ``os._exit``, so nothing of the parent's (exit
     handlers, buffered output) runs twice. A child never waits on this
     process, so reaping every child, on every path, cannot hang. A span
-    whose child exited non-zero is run again here, so its error is raised as
-    on one core. Each output is copied out of the mapping unvalidated, as an
+    whose fork fails (at a process limit) is run here, and a span whose
+    child exited non-zero is run again here, so its error is raised as on
+    one core. Each output is copied out of the mapping unvalidated, as an
     op's output is.
     """
     if not jobs:
@@ -197,9 +200,14 @@ def _denoise(jobs: list) -> list[Tensor]:
             slot[...] = denoiser.forward(image, train=False).data
 
     children: dict = {}  # pid -> span of each forked child
+    here = [first]  # the spans this process fills
     try:
         for span in rest:
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN at a process or cgroup pid limit
+                here.append(span)
+                continue
             if pid == 0:
                 code = 1
                 try:
@@ -208,7 +216,8 @@ def _denoise(jobs: list) -> list[Tensor]:
                 finally:
                     os._exit(code)
             children[pid] = span
-        fill(first)
+        for span in here:
+            fill(span)
     finally:
         failed = [span for pid, span in children.items() if os.waitpid(pid, 0)[1] != 0]
     for span in failed:
@@ -306,16 +315,14 @@ def cmd_compare(cfg: ExperimentConfig):
 
 def cmd_dct(cfg: ExperimentConfig, image_path, checkpoint=None) -> list[Path]:
     """Spectrum heatmap of an image; with a checkpoint, also the
-    frequency-gradient heatmap of that model on the image."""
-    out = Path(cfg.output_dir) / "dct"
+    frequency-gradient heatmap of that model on the image. Writes nothing
+    until both grids are computed."""
+    model = None if checkpoint is None else load_checkpoint(Path(checkpoint))[0]
     image_path = Path(image_path)
     image = read_tensor(image_path)
-    stem = image_path.name.split(".")[0]
-    produced: list[Path] = []
-    produced += dct_mod.export_heatmap(dct_mod.spectrum_sd(image), out / f"{stem}.spectrum")
-    if checkpoint is not None:
-        model, _ = load_checkpoint(Path(checkpoint))
-        grid = dct_mod.frequency_gradient(dct_mod.sum_head(model), image)
-        produced += dct_mod.export_heatmap(grid, out / f"{stem}.freqgrad")
-    return produced
+    grids = {"spectrum": dct_mod.spectrum_sd(image)}
+    if model is not None:
+        grids["freqgrad"] = dct_mod.frequency_gradient(dct_mod.sum_head(model), image)
+    base = Path(cfg.output_dir) / "dct" / image_path.name.split(".")[0]
+    return [path for kind, grid in grids.items() for path in dct_mod.export_heatmap(grid, f"{base}.{kind}")]
 

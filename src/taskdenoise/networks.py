@@ -108,7 +108,7 @@ def _batchnorm(name: str, channels: int) -> _Layer:
 
 
 class Model:
-    """Base: an ordered list of layers plus a forward pass."""
+    """Base: an ordered list of layers; each kind defines ``forward(x, train)``."""
 
     kind = ""
 
@@ -119,9 +119,6 @@ class Model:
     def _register(self, layer: _Layer) -> _Layer:
         self._layers.append(layer)
         return layer
-
-    def forward(self, x: Tensor, train: bool = False) -> Tensor:
-        raise NotImplementedError
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"{layer.name}.{key}", p) for layer in self._layers for key, p in layer.params.items()]

@@ -65,8 +65,6 @@ def _fans(shape: tuple) -> tuple[int, int]:
         return shape[1] * receptive, shape[0] * receptive
     if len(shape) == 2:
         return shape[1], shape[0]
-    if len(shape) == 1:
-        return shape[0], shape[0]
     raise InvalidShapeError(f"no fan convention for shape {shape}")
 
 

@@ -73,13 +73,9 @@ def corrupt_samples(samples: list[Sample], noise_spec: NoiseSpec | None, split_l
     return out
 
 
-def composed_task_loss(denoiser: Model | None, application: Model, image: Tensor, target, train_denoiser: bool = False) -> Tensor:
-    """Task loss of the (denoiser -> application) composition as one expression.
-
-    With ``denoiser=None`` the image feeds the application directly, so the
-    composed loss is bit-identical to the application-only loss.
-    """
-    h = image if denoiser is None else denoiser.forward(image, train=train_denoiser)
+def composed_task_loss(denoiser: Model, application: Model, image: Tensor, target, train_denoiser: bool = False) -> Tensor:
+    """Task loss of the (denoiser -> application) composition as one expression."""
+    h = denoiser.forward(image, train=train_denoiser)
     return cross_entropy_loss(application.forward(h, train=False), target)
 
 
@@ -123,7 +119,6 @@ def _run_training(
     state = make_adam_state(trainable, lr=settings.learning_rate)
     shuffle_rng = Rng(derive_seed(derive_seed(seed, f"train/{purpose}"), "shuffle"))
     result = TrainResult()
-    best = _snapshot(model)
 
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(len(train_items))
@@ -137,7 +132,7 @@ def _run_training(
                 grads = backward(loss, tape)
             adam_step(trainable, grads, state)
             total += value
-        train_loss = total / max(1, len(train_items))
+        train_loss = total / len(train_items)
         if val_items and (epoch % settings.checkpoint_cadence == 0 or epoch == epochs):
             val_loss = float(np.mean([loss_fn(*item, False).item() for item in val_items]))
         elif val_items:

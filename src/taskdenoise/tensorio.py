@@ -69,8 +69,6 @@ def write_pgm(path, image: np.ndarray) -> None:
     to 255 (an image with no positive entry goes out black) and values are
     clamped to [0, 255]."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim == 3 and img.shape[0] == 1:
-        img = img[0]
     if img.ndim != 2:
         raise FormatError(path, 0, f"PGM export needs a 2-d image, got shape {img.shape}")
     peak = img.max()

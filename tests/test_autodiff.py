@@ -451,7 +451,7 @@ class TestTapeAndBackward:
         x = _rand((2, 2), 0)
         with Tape() as tape:
             ad.relu(x)
-        assert len(tape) == 0
+        assert len(tape.records) == 0
 
     def test_deterministic_gradients(self):
         def run():

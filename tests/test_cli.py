@@ -345,6 +345,33 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("format-error:") and err.count("\n") == 1
 
+    def test_dct_with_a_missing_checkpoint_writes_nothing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        image = tmp_path / "run" / "dataset" / "test" / "0000.img.tsr1"
+        capsys.readouterr()
+        code = main(["dct", "--config", str(cfg), "--out", str(tmp_path / "out"), "--image", str(image),
+                     "--checkpoint", str(tmp_path / "no" / "such" / "dir")])
+        err = capsys.readouterr().err
+        assert code == 5
+        assert err.startswith("missing-checkpoint:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_dct_whose_gradient_map_fails_writes_nothing(self, tmp_path, capsys):
+        """A 20x20 image has a spectrum (its blocks are edge-padded), but no
+        gradient map, which needs extents that are multiples of 8."""
+        cfg = _write_config(tmp_path)
+        ckpt = tmp_path / "redcnn"
+        save_checkpoint(build_network(parse_config(cfg.read_text()).denoiser), ckpt)
+        image = tmp_path / "img20.tsr1"
+        write_tensor(image, np.full((1, 20, 20), 100.0, dtype=np.float32))
+        code = main(["dct", "--config", str(cfg), "--out", str(tmp_path / "out"), "--image", str(image),
+                     "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("invalid-shape:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestPipelineSmoke:
     def test_generate_train_eval_end_to_end(self, tmp_path, capsys):

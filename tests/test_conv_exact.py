@@ -227,5 +227,5 @@ def test_forward_is_the_same_with_and_without_a_tape(call):
     plain = op(*[Tensor(a) for a in arrays], *args)
     with Tape() as tape:
         recorded = op(*[Tensor(a, requires_grad=True) for a in arrays], *args)
-    assert len(tape) == 1 and recorded.requires_grad and not plain.requires_grad
+    assert len(tape.records) == 1 and recorded.requires_grad and not plain.requires_grad
     _same_bits(plain.data, recorded.data, f"{op.__name__}{args[-2:]} forward")

@@ -446,6 +446,29 @@ class TestParallelDenoising:
         self._no_child_left()
         assert [o.data.tobytes() for o in outputs] == expected
 
+    def test_a_span_whose_fork_fails_runs_here(self, cores, monkeypatch):
+        """On three cores the second fork fails as at a process limit; this
+        process runs that span and returns what one core returns."""
+        net = networks.build_network(networks.NetworkSpec(kind="redcnn", base_channels=2, seed=3))
+        rng = np.random.default_rng(2)
+        jobs = [(net, Tensor(rng.uniform(0, 255, (1, 16, 16)).astype(np.float32))) for _ in range(9)]
+        cores(1)
+        expected = [o.data.tobytes() for o in experiment._denoise(jobs)]
+        forked = cores(3)
+        fork, calls = os.fork, []
+
+        def fork_failing_second():
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_failing_second)
+        outputs = experiment._denoise(jobs)
+        assert len(calls) == 2 and len(forked) == 1
+        self._no_child_left()
+        assert [o.data.tobytes() for o in outputs] == expected
+
     def test_a_failing_worker_fails_as_one_core_does(self, tmp_path, cores, monkeypatch, capsys):
         """nnv's denoiser raises on every image. With two cores its jobs all
         run in the child, which fails; the parent then runs them itself."""

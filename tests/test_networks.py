@@ -55,6 +55,26 @@ class TestRedCnn:
         target = _image((1, 16, 16), seed=6, scale=0.5)
         _assert_all_params_reached(model, lambda: ad.mse_loss(model.forward(x, train=True), target))
 
+    def test_input_residual_with_zero_final_layer_returns_the_input(self):
+        model = build_network(NetworkSpec(kind="redcnn", base_channels=4, seed=2, input_residual=True))
+        model.deconv5.params["weight"].data = np.zeros_like(model.deconv5.params["weight"].data)
+        x = _image((1, 12, 12), seed=3)
+        assert model.forward(x).data.tobytes() == x.data.tobytes()
+
+    def test_input_residual_gradient_reaches_every_parameter(self):
+        model = build_network(NetworkSpec(kind="redcnn", base_channels=4, seed=4, input_residual=True))
+        x = _image((1, 16, 16), seed=5, scale=0.5)
+        target = _image((1, 16, 16), seed=6, scale=0.5)
+        _assert_all_params_reached(model, lambda: ad.mse_loss(model.forward(x, train=True), target))
+
+    def test_input_residual_survives_a_checkpoint_round_trip(self, tmp_path):
+        model = build_network(NetworkSpec(kind="redcnn", base_channels=4, seed=7, input_residual=True))
+        save_checkpoint(model, tmp_path / "ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.spec.input_residual
+        x = _image((1, 16, 16), seed=8)
+        assert loaded.forward(x).data.tobytes() == model.forward(x).data.tobytes()
+
 
 class TestMcDnCnn:
     def test_shape_contract(self):

@@ -196,17 +196,6 @@ class TestTrainDenoiserNnv:
         train_denoiser_nnv(denoiser, app, train, _settings(1), noise, seed=37)
         assert parameter_checksum(denoiser) != before
 
-    def test_identity_denoiser_equals_application_only_loss(self):
-        train, _ = _seg_samples(count=20, seed=38)
-        app = build_network(_app_spec(seed=39))
-        for sample in train:
-            with Tape() as t1:
-                composed = composed_task_loss(None, app, sample.image, sample.target)
-            with Tape() as t2:
-                direct = ad.cross_entropy_loss(app.forward(sample.image), sample.target)
-            assert composed.data.tobytes() == direct.data.tobytes()
-            assert len(t1) == len(t2)
-
     def test_composed_gradient_matches_fd(self):
         train, _ = _seg_samples(count=1, seed=40)
         sample = train[0]
