@@ -86,10 +86,7 @@ def frequency_gradient(loss_head: Callable[[Tensor], Tensor], image) -> np.ndarr
     with Tape() as tape:
         out = loss_head(x)
         grads = ad.backward(out, tape)
-    pixel_grad = grads.get(x)
-    if pixel_grad is None:
-        return np.zeros((BLOCK, BLOCK))
-    g = np.abs(pixel_grad.astype(np.float64)[0])
+    g = np.abs(grads[x].astype(np.float64)[0])
     coeffs = block_coefficients(img)
     # mean |gradient| per block, times |coefficient| per component, averaged over blocks
     gm = g.reshape(m // BLOCK, BLOCK, n // BLOCK, BLOCK).transpose(0, 2, 1, 3).reshape(-1, BLOCK * BLOCK)

@@ -23,13 +23,14 @@ is made once, since the dirty images depend only on the noise spec and the
 sample index. ``eval`` scores one scheme, ``compare`` every scheme, at
 every test noise of the config, through one function, so each metrics file
 is the same bytes whichever command wrote it; another test noise is one more
-entry of ``test_noises``. Evaluation denoises every test image of every
-denoiser scheme on every core this process may run on, in forked children
-that write each output into its slot of one shared mapping made before
-they fork (:func:`_denoise`), before it scores any scheme in this process;
-on one core, or where ``os.sched_getaffinity`` or ``os.fork`` is missing,
-it runs every denoiser pass here, and a span whose fork fails runs here
-too. A traced run times only this process's share of those passes. All
+entry of ``test_noises``. Evaluation runs every network forward of every
+scored image, the task network's included, on every core this process may
+run on, in forked children that write each image's logits into its slot of
+one shared mapping made before they fork (:func:`_forward`); only then
+does it score, in this process, one ``schemes.predict`` per image. On one
+core, or where ``os.sched_getaffinity`` or ``os.fork`` is missing, it runs
+every forward here, and a span whose fork fails runs here too. A traced
+run times only this process's share of those forwards. All
 artifacts are pure functions of the config, whatever the core count.
 ``dct`` loads its checkpoint, reads the image and computes both maps
 before it writes either, so a failed ``dct`` writes nothing.
@@ -37,6 +38,7 @@ before it writes either, so a failed ``dct`` writes nothing.
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 from pathlib import Path
@@ -46,9 +48,8 @@ import numpy as np
 from . import dct as dct_mod
 from . import metrics as metrics_mod
 from . import schemes as schemes_mod
-from .autodiff import Tensor, _wrap
 from .config import ExperimentConfig, check_fit
-from .data import SPLITS, Sample, generate_dataset, load_dataset, load_dataset_spec, save_dataset
+from .data import SEGMENTATION, SPLITS, Sample, generate_dataset, load_dataset, load_dataset_spec, save_dataset
 from .errors import CheckpointError, ConfigError
 from .networks import Model, build_network, load_checkpoint, save_checkpoint
 from .noise import noise_tag
@@ -169,35 +170,36 @@ def _metrics_path(cfg: ExperimentConfig, scheme: str, tag: str) -> Path:
     return Path(cfg.output_dir) / "metrics" / f"{scheme}_{tag}.csv"
 
 
-def _denoise(jobs: list) -> list[Tensor]:
-    """Eval-mode output of each (denoiser, image) job, in job order.
+def _forward(jobs: list, logit_shape: tuple) -> np.ndarray:
+    """Eval-mode logits of each (application, denoiser or None, image) job,
+    in job order: the application network's output on the image, denoised
+    first where the job has a denoiser, as one ``[jobs, *logit_shape]``
+    float32 array.
 
-    Every output lands in its slot of one anonymous shared mapping, made
-    before any fork, each slot the size of its job's input (a denoiser's
-    output has its input's shape). The jobs are cut into contiguous spans,
-    one per core this process may run on (one span without
-    ``os.sched_getaffinity`` or ``os.fork``). This process fills the first
-    span and forks a child per other span, which fills that span's slots
-    and leaves through ``os._exit``, so nothing of the parent's (exit
-    handlers, buffered output) runs twice. A child never waits on this
-    process, so reaping every child, on every path, cannot hang. A span
-    whose fork fails (at a process limit) is run here, and a span whose
-    child exited non-zero is run again here, so its error is raised as on
-    one core. Each output is copied out of the mapping unvalidated, as an
-    op's output is.
+    The array is one anonymous shared mapping, made before any fork. Job
+    ``k`` belongs to span ``k mod cores``, one span per core this process
+    may run on (one span without ``os.sched_getaffinity`` or ``os.fork``),
+    so every span gets the same mix of application-only and
+    denoiser-plus-application jobs. This process fills span 0 and forks a
+    child per other span, which fills that span's slots and leaves through
+    ``os._exit``, so nothing of the parent's (exit handlers, buffered
+    output) runs twice. A child never waits on this process, so reaping
+    every child, on every path, cannot hang. A span whose fork fails (at a
+    process limit) is run here, and a span whose child exited non-zero is
+    run again here, so its error is raised as on one core. Every slot holds
+    the network's output unvalidated, as an op's output is.
     """
-    if not jobs:
-        return []
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") else 1
-    bounds = [-(-len(jobs) * k // cores) for k in range(cores + 1)]
-    first, *rest = [slice(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    ends = np.cumsum([0] + [image.size for _, image in jobs])
-    flat = np.frombuffer(mmap.mmap(-1, 4 * int(ends[-1])), dtype=np.float32)
-    slots = [flat[a:b].reshape(image.shape) for a, b, (_, image) in zip(ends, ends[1:], jobs)]
+    first, *rest = [slice(w, None, cores) for w in range(min(cores, len(jobs)))]
+    size = 4 * len(jobs) * math.prod(logit_shape)
+    logits = np.frombuffer(mmap.mmap(-1, size), dtype=np.float32).reshape(len(jobs), *logit_shape)
 
     def fill(span: slice) -> None:
-        for (denoiser, image), slot in zip(jobs[span], slots[span]):
-            slot[...] = denoiser.forward(image, train=False).data
+        for k in range(len(jobs))[span]:
+            application, denoiser, image = jobs[k]
+            if denoiser is not None:
+                image = denoiser.forward(image, train=False)
+            logits[k] = application.forward(image, train=False).data
 
     children: dict = {}  # pid -> span of each forked child
     here = [first]  # the spans this process fills
@@ -222,25 +224,26 @@ def _denoise(jobs: list) -> list[Tensor]:
         failed = [span for pid, span in children.items() if os.waitpid(pid, 0)[1] != 0]
     for span in failed:
         fill(span)
-    return [_wrap(slot.copy()) for slot in slots]
+    return logits
 
 
 def _evaluate(cfg: ExperimentConfig, models: dict, test_samples: list[Sample]) -> list:
     """Score each scheme's (application, denoiser or None) pair at every
     test noise of the config and write its per-sample CSV; returns one
     (scheme, noise tag, report) row per pair. Each noise's dirty images are
-    made once, and every scheme's denoised images (:func:`_denoise`) are
-    made before the first is scored. ``eval`` and ``compare`` both score
-    here."""
+    made once, and every network forward of every scheme (:func:`_forward`)
+    ends before the first image is scored here. Every application network
+    has passed ``config.check_fit`` against ``cfg.dataset``, so the dataset
+    gives the logits' shape. ``eval`` and ``compare`` both score here."""
     dirty = [schemes_mod.corrupt_samples(test_samples, noise, "test") for noise in cfg.test_noises]
-    jobs = [(den, image) for _, den in models.values() if den is not None for images in dirty for image in images]
-    denoised = iter(_denoise(jobs))
+    jobs = [(app, den, image) for app, den in models.values() for images in dirty for image in images]
+    ds = cfg.dataset
+    logit_shape = (ds.num_classes, ds.height, ds.width) if ds.task == SEGMENTATION else (ds.num_classes,)
+    per_pair = iter(np.split(_forward(jobs, logit_shape), len(models) * len(dirty)))
     rows: list[tuple[str, str, metrics_mod.MetricsReport]] = []
-    for scheme, (application, denoiser) in models.items():
-        for test_noise, images in zip(cfg.test_noises, dirty):
-            if denoiser is not None:
-                images = [next(denoised) for _ in images]
-            report = schemes_mod.evaluate_scheme(application, test_samples, images)
+    for scheme in models:
+        for test_noise in cfg.test_noises:
+            report = schemes_mod.evaluate_scheme(test_samples, next(per_pair))
             tag = noise_tag(test_noise)
             metrics_mod.write_per_sample_csv(report, _metrics_path(cfg, scheme, tag))
             rows.append((scheme, tag, report))

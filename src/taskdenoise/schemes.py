@@ -4,7 +4,7 @@ TC and TD train the application network directly on clean or dirty images.
 HV trains a denoiser on (dirty, clean) pairs with pixel MSE. NNV trains a
 denoiser through the frozen clean-trained application network, minimizing
 the task loss of the composition. Evaluation scores the application
-network's prediction on each test image, dirty or denoised by the scheme's
+network's logits on each test image, dirty or denoised by the scheme's
 denoiser, into the per-sample rows of :mod:`metrics`.
 
 Whether the networks fit the data and each other is decided before any of
@@ -198,29 +198,25 @@ def train_denoiser_nnv(
 # Evaluation
 
 
-def predict(application: Model, image: Tensor):
-    """The application network's hard prediction for one image (dirty, or
-    already denoised): the int32 class of each pixel, or of the image."""
-    return application.forward(image, train=False).data.argmax(axis=0).astype(np.int32)
+def predict(logits: np.ndarray) -> np.ndarray:
+    """The hard prediction of one image's logits: the int32 class of each
+    pixel, or of the image."""
+    return logits.argmax(axis=0).astype(np.int32)
 
 
-def evaluate_scheme(application: Model, test_samples: list[Sample], images: list[Tensor]) -> MetricsReport:
-    """Score the application network on each test image (one per sample: the
-    dirty image, or the scheme's denoised one) and report its (sample,
-    class, metric, value) rows, scored right after each prediction.
-
-    Neither model nor image is modified, so one set of images and one loaded
-    model can serve every scheme.
-    """
-    if len(images) != len(test_samples):
-        raise InvalidInputError(f"{len(images)} images for {len(test_samples)} test samples")
-    num_classes = application.spec.num_classes
+def evaluate_scheme(test_samples: list[Sample], logits) -> MetricsReport:
+    """Score the application network's logits on each test image (one per
+    sample: of the dirty image, or of the scheme's denoised one) and report
+    its (sample, class, metric, value) rows, scored right after each
+    prediction. The class count is each logits' first axis."""
+    if len(logits) != len(test_samples):
+        raise InvalidInputError(f"{len(logits)} logits for {len(test_samples)} test samples")
     rows = []
-    for i, (image, sample) in enumerate(zip(images, test_samples)):
-        pred = predict(application, image)
+    for i, (logit, sample) in enumerate(zip(logits, test_samples)):
+        pred = predict(logit)
         if sample.target.ndim == 0:
             rows += [(i, "", "predicted", pred), (i, "", "top1", float(pred == sample.target))]
         else:
-            scored = metrics_mod.evaluate_segmentation_sample(pred, sample.target, num_classes)
+            scored = metrics_mod.evaluate_segmentation_sample(pred, sample.target, len(logit))
             rows += [(i, *row) for row in scored]
     return metrics_mod.report(rows)

@@ -1,6 +1,5 @@
-"""Shared test helpers: finite-difference gradient checking, an
-application-network stub that scores fixed logits without any BLAS, and a
-digest of a model's parameters and running statistics.
+"""Shared test helpers: finite-difference gradient checking and a digest
+of a model's parameters and running statistics.
 
 Forward values are float32, so central differences carry rounding noise of
 roughly eps32 * |output| / (2h), about 1e-4 absolute at h = 1e-3 for
@@ -17,7 +16,6 @@ noise-free brute-force float64 oracles in the op tests.
 from __future__ import annotations
 
 import hashlib
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,16 +75,6 @@ def check_op_gradients(op_forward, params, probe_seed: int = 0, tol: float = FD_
         for idx, fd_val in fd.items():
             err = rel_err(analytic[idx], fd_val)
             assert err < tol, f"param entry {idx}: analytic {analytic[idx]:.6g} vs fd {fd_val:.6g} (err {err:.3g})"
-
-
-class LogitsStub:
-    """Application network whose forward hands the image back as its logits."""
-
-    def __init__(self, num_classes: int):
-        self.spec = SimpleNamespace(num_classes=num_classes)
-
-    def forward(self, image: Tensor, train: bool = False) -> Tensor:
-        return image
 
 
 def parameter_checksum(model) -> bytes:

@@ -321,11 +321,14 @@ class TestSharedEvaluationInputs:
 
 
 class TestParallelDenoising:
-    """Evaluation denoises the test set on every core before it scores: the
-    same bytes on any core count, no child left behind, and a failure
-    reported as on one core."""
+    """Evaluation runs every network forward, the task network's included,
+    on every core before it scores: the same bytes on any core count, no
+    child left behind, a failure reported as on one core, and every score
+    taken in this process."""
 
     NOISES = TestSharedEvaluationInputs.NOISES
+    _cfg = TestSharedEvaluationInputs._cfg
+    SHAPE = (3, 16, 16)  # the logits of a 3-class segmentation network at 16x16
 
     @pytest.fixture
     def cores(self, monkeypatch):
@@ -353,10 +356,20 @@ class TestParallelDenoising:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @staticmethod
+    def _networks():
+        app = networks.build_network(
+            networks.NetworkSpec(kind="nonewnet2d", base_channels=2, depth=2, num_classes=3, height=16, width=16, seed=3)
+        )
+        return app, networks.build_network(networks.NetworkSpec(kind="redcnn", base_channels=2, seed=4))
+
+    @staticmethod
+    def _images(n, seed):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.uniform(0, 255, (1, 16, 16)).astype(np.float32)) for _ in range(n)]
+
     def test_compare_writes_the_same_bytes_on_any_core_count(self, tmp_path, cores):
-        raw = json.loads(_config_text(tmp_path / "run"))
-        raw["test_noises"] = self.NOISES
-        cfg = parse_config(json.dumps(raw))
+        cfg = self._cfg(tmp_path / "run")
         metrics = tmp_path / "run" / "metrics"
         written = []
         for n in (1, 2, 3):
@@ -378,18 +391,55 @@ class TestParallelDenoising:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_outputs_come_back_in_job_order_unvalidated(self, cores, n):
-        """Real denoiser outputs, and a non-finite one that ``Tensor`` would
-        reject, come back byte for byte as the denoiser made them."""
-        net = networks.build_network(networks.NetworkSpec(kind="redcnn", base_channels=2, seed=3))
-        nan = SimpleNamespace(forward=lambda image, train: autodiff._wrap(np.full(image.shape, np.nan)))
-        rng = np.random.default_rng(0)
-        images = [Tensor(rng.uniform(0, 255, (1, 16, 16 + 4 * k)).astype(np.float32)) for k in range(5)]
-        jobs = [(net, image) for image in images] + [(nan, images[0]), (net, images[1])]
+        """Real logits, with and without a denoiser, and non-finite ones that
+        ``Tensor`` would reject, come back byte for byte as the networks made
+        them."""
+        app, den = self._networks()
+        nan = SimpleNamespace(forward=lambda image, train: autodiff._wrap(np.full(self.SHAPE, np.nan)))
+        images = self._images(5, 0)
+        jobs = [(app, den, image) for image in images] + [(app, None, image) for image in images[:2]]
+        jobs += [(nan, den, images[0]), (app, den, images[1])]
         forked = cores(n)
-        outputs = experiment._denoise(jobs)
+        logits = experiment._forward(jobs, self.SHAPE)
         assert len(forked) == min(n, len(jobs)) - 1
         self._no_child_left()
-        assert [o.data.tobytes() for o in outputs] == [d.forward(i, train=False).data.tobytes() for d, i in jobs]
+        expected = [a.forward(i if d is None else d.forward(i, train=False), train=False) for a, d, i in jobs]
+        assert logits.shape == (len(jobs), *self.SHAPE)
+        assert [x.tobytes() for x in logits] == [e.data.tobytes() for e in expected]
+
+    def test_jobs_alternate_between_this_process_and_the_child(self, cores):
+        """On two cores job k runs in this process for even k and in the
+        child for odd k: each job's logits hold the pid that computed them."""
+        stamp = SimpleNamespace(forward=lambda image, train: autodiff._wrap(np.full((1,), os.getpid())))
+        forked = cores(2)
+        pids = experiment._forward([(stamp, None, image) for image in self._images(7, 5)], (1,))
+        assert len(forked) == 1
+        self._no_child_left()
+        assert list(pids[:, 0]) == [[os.getpid(), forked[0]][k % 2] for k in range(7)]
+
+    def test_compare_scores_in_this_process_after_every_forward(self, tmp_path, cores, monkeypatch):
+        """``schemes.predict`` runs once per scored image here, and no network
+        forward runs here after the first of them."""
+        cfg = self._cfg(tmp_path / "run")
+        cmd_compare(cfg)
+        events = []
+
+        def recording(owner, name, event):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                events.append(event)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recording(schemes, "predict", "predict")
+        for cls in (networks.RedCnn, networks.McDnCnn, networks.NoNewNet2d, networks.Ccnn):
+            recording(cls, "forward", "forward")
+        cores(2)
+        cmd_compare(cfg)
+        assert events.count("predict") == len(cfg.schemes) * len(cfg.test_noises) * cfg.dataset.test_count
+        assert "forward" in events and "forward" not in events[events.index("predict") :]
 
     def test_a_parent_that_raises_reaps_every_child(self, cores):
         """This process's own span fails; each of the two children is reaped
@@ -398,7 +448,7 @@ class TestParallelDenoising:
 
         def forward(image, train):
             if os.getpid() == parent:
-                raise InvalidInputError("the parent's own chunk failed")
+                raise InvalidInputError("the parent's own span failed")
             return image
 
         def hung(signum, frame):
@@ -406,14 +456,14 @@ class TestParallelDenoising:
                 os.kill(pid, signal.SIGKILL)
             raise TimeoutError("the parent waited on a child that never ended")
 
-        denoiser = SimpleNamespace(forward=forward)
+        application = SimpleNamespace(forward=forward)
         image = Tensor(np.zeros((1, 64, 64), dtype=np.float32))
         forked = cores(3)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
-            with pytest.raises(InvalidInputError, match="own chunk"):
-                experiment._denoise([(denoiser, image)] * 18)
+            with pytest.raises(InvalidInputError, match="own span"):
+                experiment._forward([(application, None, image)] * 18, image.shape)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -422,9 +472,9 @@ class TestParallelDenoising:
 
     def test_a_child_that_dies_part_way_has_its_span_run_again(self, cores):
         """The child leaves through ``os._exit(7)`` from its third
-        ``forward``, two of its slots filled; this process runs the child's
-        whole span again and returns what one core returns."""
-        net = networks.build_network(networks.NetworkSpec(kind="redcnn", base_channels=2, seed=3))
+        application forward, two of its slots filled; this process runs the
+        child's whole span again and returns what one core returns."""
+        app, den = self._networks()
         parent = os.getpid()
         child_calls = []
 
@@ -433,27 +483,25 @@ class TestParallelDenoising:
                 child_calls.append(image)
                 if len(child_calls) == 3:
                     os._exit(7)
-            return net.forward(image, train)
+            return app.forward(image, train)
 
-        denoiser = SimpleNamespace(forward=forward)
-        rng = np.random.default_rng(1)
-        jobs = [(denoiser, Tensor(rng.uniform(0, 255, (1, 16, 16)).astype(np.float32))) for _ in range(8)]
+        application = SimpleNamespace(forward=forward)
+        jobs = [(application, den if k % 3 else None, image) for k, image in enumerate(self._images(8, 1))]
         cores(1)
-        expected = [o.data.tobytes() for o in experiment._denoise(jobs)]
+        expected = experiment._forward(jobs, self.SHAPE).tobytes()
         forked = cores(2)
-        outputs = experiment._denoise(jobs)
+        logits = experiment._forward(jobs, self.SHAPE)
         assert len(forked) == 1
         self._no_child_left()
-        assert [o.data.tobytes() for o in outputs] == expected
+        assert logits.tobytes() == expected
 
     def test_a_span_whose_fork_fails_runs_here(self, cores, monkeypatch):
         """On three cores the second fork fails as at a process limit; this
         process runs that span and returns what one core returns."""
-        net = networks.build_network(networks.NetworkSpec(kind="redcnn", base_channels=2, seed=3))
-        rng = np.random.default_rng(2)
-        jobs = [(net, Tensor(rng.uniform(0, 255, (1, 16, 16)).astype(np.float32))) for _ in range(9)]
+        app, den = self._networks()
+        jobs = [(app, den if k % 2 else None, image) for k, image in enumerate(self._images(9, 2))]
         cores(1)
-        expected = [o.data.tobytes() for o in experiment._denoise(jobs)]
+        expected = experiment._forward(jobs, self.SHAPE).tobytes()
         forked = cores(3)
         fork, calls = os.fork, []
 
@@ -464,14 +512,15 @@ class TestParallelDenoising:
             return fork()
 
         monkeypatch.setattr(os, "fork", fork_failing_second)
-        outputs = experiment._denoise(jobs)
+        logits = experiment._forward(jobs, self.SHAPE)
         assert len(calls) == 2 and len(forked) == 1
         self._no_child_left()
-        assert [o.data.tobytes() for o in outputs] == expected
+        assert logits.tobytes() == expected
 
     def test_a_failing_worker_fails_as_one_core_does(self, tmp_path, cores, monkeypatch, capsys):
-        """nnv's denoiser raises on every image. With two cores its jobs all
-        run in the child, which fails; the parent then runs them itself."""
+        """nnv's denoiser raises on every image. Its jobs run in every span,
+        this process's and each child's; whichever fails, the error is the
+        one a single core raises."""
         path = tmp_path / "cfg.json"
         path.write_text(_config_text(tmp_path / "run"))
         assert main(["compare", "--config", str(path)]) == 0

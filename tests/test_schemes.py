@@ -241,26 +241,35 @@ class TestComposedLossInvariant:
             assert composed.data.tobytes() == staged.data.tobytes()
 
 
+def _logits(app, images, denoiser=None) -> list:
+    """The application network's eval-mode logits of each image, denoised
+    first where a denoiser is given."""
+    if denoiser is not None:
+        images = [denoiser.forward(image) for image in images]
+    return [app.forward(image).data for image in images]
+
+
 class TestEvaluateScheme:
     def test_tc_with_zero_noise_equals_plain_evaluation(self):
         _, test = _seg_samples(count=3, seed=60)
         app = build_network(_app_spec(seed=61))
         zero = NoiseSpec(kind="gaussian", sigma=0.0, seed=62)
-        with_noise = evaluate_scheme(app, test, corrupt_samples(test, zero, "test"))
-        plain = evaluate_scheme(app, test, corrupt_samples(test, None, "test"))
+        with_noise = evaluate_scheme(test, _logits(app, corrupt_samples(test, zero, "test")))
+        plain = evaluate_scheme(test, _logits(app, corrupt_samples(test, None, "test")))
         assert with_noise.aggregates == plain.aggregates
 
     def test_per_sample_count_matches_test_size(self):
         _, test = _seg_samples(count=3, seed=63)
         app = build_network(_app_spec(seed=64))
-        report = evaluate_scheme(app, test, corrupt_samples(test, None, "test"))
+        report = evaluate_scheme(test, _logits(app, corrupt_samples(test, None, "test")))
         assert {row[0] for row in report.rows} == set(range(len(test)))
 
     def test_aggregation_matches_hand_computation(self):
         _, test = _seg_samples(count=3, seed=65)
         app = build_network(_app_spec(seed=66))
-        report = evaluate_scheme(app, test, corrupt_samples(test, None, "test"))
-        preds = [predict(app, s.image) for s in test]
+        logits = _logits(app, corrupt_samples(test, None, "test"))
+        report = evaluate_scheme(test, logits)
+        preds = [predict(logit) for logit in logits]
         per_sample = [
             np.mean([v for _, m, v in evaluate_segmentation_sample(p, s.target, 3) if m == "dice"])
             for p, s in zip(preds, test)
@@ -273,19 +282,19 @@ class TestEvaluateScheme:
         denoiser = build_network(_den_spec(seed=69))
         noise = NoiseSpec(kind="gaussian", sigma=70.0, seed=70)
         dirty = corrupt_samples(test, noise, "test")
-        routed = evaluate_scheme(app, test, [denoiser.forward(image) for image in dirty])
-        direct = evaluate_scheme(app, test, dirty)
+        routed = evaluate_scheme(test, _logits(app, dirty, denoiser))
+        direct = evaluate_scheme(test, _logits(app, dirty))
         assert {row[0] for row in routed.rows} == {row[0] for row in direct.rows} == set(range(len(test)))
 
     def test_one_image_per_sample_required(self):
         _, test = _seg_samples(seed=73)
         app = build_network(_app_spec(seed=74))
         with pytest.raises(InvalidInputError):
-            evaluate_scheme(app, test, corrupt_samples(test[:1], None, "test"))
+            evaluate_scheme(test, _logits(app, corrupt_samples(test[:1], None, "test")))
 
     def test_classification_report_kind(self):
         _, test = _cls_samples(count=4, seed=71)
         app = build_network(NetworkSpec(kind="ccnn", base_channels=2, num_classes=3, height=64, width=64, seed=72))
-        report = evaluate_scheme(app, test, corrupt_samples(test, None, "test"))
+        report = evaluate_scheme(test, _logits(app, corrupt_samples(test, None, "test")))
         assert [(i, c, m) for i, c, m, _ in report.rows] == [(i, "", m) for i in range(3) for m in ("predicted", "top1")]
         assert set(report.aggregates) == {"top1"}

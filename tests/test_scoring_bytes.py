@@ -1,21 +1,20 @@
 """Byte pin of the scoring path, from fixed logits to the per-sample CSV.
 
-The application is a stub whose forward hands each image back as its
-logits, so no BLAS runs and the pinned text holds on any numpy build
-(``test_golden_digest.py`` skips on builds other than the recorded one).
+The logits are fixed arrays, so no BLAS runs and the pinned text holds on
+any numpy build (``test_golden_digest.py`` skips on builds other than the
+recorded one).
 """
 
 import numpy as np
 
-from conftest import LogitsStub
 from taskdenoise.autodiff import Tensor
 from taskdenoise.data import Sample
 from taskdenoise.metrics import write_compare_csv, write_per_sample_csv
 from taskdenoise.schemes import evaluate_scheme
 
 
-def _one_hot(label_map: np.ndarray, num_classes: int) -> Tensor:
-    return Tensor(np.stack([label_map == c for c in range(num_classes)]).astype(np.float32))
+def _one_hot(label_map: np.ndarray, num_classes: int) -> np.ndarray:
+    return np.stack([label_map == c for c in range(num_classes)]).astype(np.float32)
 
 
 # (truth, prediction) per sample. Sample 0 lacks class 2 on both sides
@@ -98,8 +97,8 @@ hv,poisson_p0.1,,,,,,,,,0.6,0.489898,0
 """
 
 
-def _score(samples, images, num_classes, tmp_path) -> tuple:
-    report = evaluate_scheme(LogitsStub(num_classes), samples, images)
+def _score(samples, logits, tmp_path) -> tuple:
+    report = evaluate_scheme(samples, logits)
     path = tmp_path / "m.csv"
     write_per_sample_csv(report, path)
     return report, path.read_bytes()
@@ -112,11 +111,11 @@ def _seg_inputs() -> tuple:
 
 def _cls_inputs() -> tuple:
     samples = [Sample(Tensor(np.zeros((1, 4, 4))), np.asarray(t, np.int32)) for t, _ in CLS]
-    return samples, [Tensor(np.array(logits)) for _, logits in CLS]
+    return samples, [np.array(logits, np.float32) for _, logits in CLS]
 
 
 def test_segmentation_csv_and_aggregates(tmp_path):
-    report, text = _score(*_seg_inputs(), 3, tmp_path)
+    report, text = _score(*_seg_inputs(), tmp_path)
     assert text == SEG_CSV.replace("\n", "\r\n").encode()
     assert report.aggregates == SEG_AGGREGATES
     assert report.hausdorff_undefined == 3
@@ -124,7 +123,7 @@ def test_segmentation_csv_and_aggregates(tmp_path):
 
 
 def test_classification_csv_and_aggregates(tmp_path):
-    report, text = _score(*_cls_inputs(), 3, tmp_path)
+    report, text = _score(*_cls_inputs(), tmp_path)
     assert text == CLS_CSV.replace("\n", "\r\n").encode()
     assert report.aggregates == {"top1": (0.6, 0.48989794855663565)}
     assert report.hausdorff_undefined == 0
@@ -132,8 +131,8 @@ def test_classification_csv_and_aggregates(tmp_path):
 
 
 def test_compare_csv(tmp_path):
-    seg, _ = _score(*_seg_inputs(), 3, tmp_path)
-    cls, _ = _score(*_cls_inputs(), 3, tmp_path)
+    seg, _ = _score(*_seg_inputs(), tmp_path)
+    cls, _ = _score(*_cls_inputs(), tmp_path)
     path = tmp_path / "compare.csv"
     # a metric a row lacks is left empty
     write_compare_csv([("tc", "gaussian_s40", seg), ("hv", "poisson_p0.1", cls)], path)
