@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over float32 numpy arrays.
 
 The engine is deliberately small: a :class:`Tensor` is a float32 array
-that ops never write into, a :class:`Tape` records every differentiable
-operation executed while it is active, and :func:`backward` replays the
-records in reverse to produce exact gradients. The operation set is exactly
-what the four network recipes need, in the layouts they run: one
+that ops never write into; a tensor takes a gradient only while a
+:class:`Tape` that watches it is active, which records every op that
+depends on a watched tensor; and :func:`backward` replays the records in
+reverse to produce the watched tensors' exact gradients. The operation set
+is exactly what the four network recipes need, in the layouts they run: one
 convolution op, whose two directions are ``conv2d`` and
 ``transpose_conv2d``, at stride 1 with any padding, or at a stride equal to
 its square kernel with padding 0, whose windows tile the grid (conv2d's
@@ -58,14 +59,15 @@ class Tensor:
     checkpoint loading, best-epoch restore and, for batchnorm's running
     statistics, each train-mode :func:`batchnorm2d` call."""
 
+    # requires_grad, the flag the ops read, is set by the Tape and by _record
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=_F32, order="C")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("tensor holds non-finite values")
         self.data = arr
-        self.requires_grad = requires_grad
+        self.requires_grad = False
 
     @property
     def shape(self) -> tuple:
@@ -102,23 +104,31 @@ class _Record:
 
 
 class Tape:
-    """Ordered record of differentiable operations.
+    """Ordered record of the operations that depend on the ``watch`` tensors.
+
+    Each watched tensor takes a gradient from entering the tape until
+    leaving it, also when the body raises; :func:`backward` runs inside.
 
     Records are appended in execution order, so operands always precede the
     operations that consume them; one reverse sweep therefore visits every
     node after all of its consumers.
     """
 
-    def __init__(self):
+    def __init__(self, watch=()):
+        self._watched = tuple(watch)
         self.records: list[_Record] = []
         self._output_ids: set[int] = set()
 
     def __enter__(self) -> "Tape":
+        for t in self._watched:
+            t.requires_grad = True
         _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
         _TAPE_STACK.pop()
+        for t in self._watched:
+            t.requires_grad = False
 
 
 _TAPE_STACK: list[Tape] = []
@@ -139,33 +149,29 @@ def _record(out: Tensor, inputs: Sequence, backward_fn: Callable) -> None:
 
 
 def backward(loss: Tensor, tape: Tape) -> dict:
-    """Reverse sweep: gradients of ``loss`` w.r.t. every reachable leaf.
+    """Reverse sweep: gradients of ``loss`` w.r.t. the tape's watched tensors.
 
-    Returns a dict mapping leaf Tensors (parameters, watched inputs) to
-    float32 gradient arrays. Deterministic: identical tapes produce
+    Returns a dict mapping each watched Tensor that ``loss`` reaches to its
+    float32 gradient array. Runs inside ``tape``: the ops' backward reads
+    which inputs take a gradient. Deterministic: identical tapes produce
     bit-identical gradients.
     """
     if loss.shape != ():
         raise InvalidShapeError(f"loss must be a scalar, got shape {loss.shape}")
     if id(loss) not in tape._output_ids:
         raise InvalidInputError("loss was not produced on this tape")
+    if tape not in _TAPE_STACK:
+        raise InvalidInputError("backward must run inside its tape")
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=_F64)}
-    leaves: dict[int, Tensor] = {}
     for rec in reversed(tape.records):
         g = grads.pop(id(rec.out), None)
         if g is None:
             continue
-        contributions = rec.backward_fn(g)
-        for tensor, contrib in zip(rec.inputs, contributions):
-            if contrib is None or not isinstance(tensor, Tensor):
-                continue
-            key = id(tensor)
-            if key in grads:
-                grads[key] = grads[key] + contrib
-            else:
-                grads[key] = contrib
-                leaves[key] = tensor
-    return {leaves[k]: g.astype(_F32) for k, g in grads.items() if k in leaves}
+        for tensor, contrib in zip(rec.inputs, rec.backward_fn(g)):
+            if contrib is not None:
+                key = id(tensor)
+                grads[key] = grads[key] + contrib if key in grads else contrib
+    return {t: grads[id(t)].astype(_F32) for t in tape._watched if id(t) in grads}
 
 
 # ---------------------------------------------------------------------------

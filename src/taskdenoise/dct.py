@@ -75,15 +75,15 @@ def frequency_gradient(loss_head: Callable[[Tensor], Tensor], image) -> np.ndarr
     """8x8 importance grid: mean over pixels of |pixel gradient * block coefficient|.
 
     ``loss_head`` maps an image tensor [1, m, n] to a scalar; its input
-    gradient is obtained with one backward pass and combined with each
-    block's DCT coefficients.
+    gradient is obtained with one backward pass, under a tape that watches
+    only the image, and combined with each block's DCT coefficients.
     """
     img = _to_2d(image)
     m, n = img.shape
     if m % BLOCK or n % BLOCK:
         raise InvalidShapeError(f"image extents {m}x{n} must be multiples of {BLOCK} for gradient analysis")
-    x = Tensor(img[None].astype(np.float32), requires_grad=True)
-    with Tape() as tape:
+    x = Tensor(img[None].astype(np.float32))
+    with Tape([x]) as tape:
         out = loss_head(x)
         grads = ad.backward(out, tape)
     g = np.abs(grads[x].astype(np.float64)[0])
@@ -94,11 +94,11 @@ def frequency_gradient(loss_head: Callable[[Tensor], Tensor], image) -> np.ndarr
     return (np.abs(coeffs) * block_gmean[:, None, None]).mean(axis=0)
 
 
-def sum_head(model, train: bool = False) -> Callable[[Tensor], Tensor]:
-    """Scalar head: sum of all model outputs (gradient analysis default)."""
+def sum_head(model) -> Callable[[Tensor], Tensor]:
+    """Scalar head: sum of all eval-mode model outputs (gradient analysis default)."""
 
     def head(x: Tensor) -> Tensor:
-        return ad.tsum(model.forward(x, train))
+        return ad.tsum(model.forward(x))
 
     return head
 

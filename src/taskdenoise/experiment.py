@@ -123,8 +123,8 @@ def _needs_training(cfg: ExperimentConfig, scheme: str) -> bool:
 def _train(cfg: ExperimentConfig, scheme: str, train_samples: list[Sample], loaded: dict) -> None:
     """Train and save the scheme's missing checkpoints, application first.
     nnv's denoiser trains through the application network in ``loaded``
-    (see :func:`_load`), which training leaves bit-identical, because it is
-    frozen and runs in eval mode, so evaluation can reuse it."""
+    (see :func:`_load`), which training leaves bit-identical, because no tape
+    watches it and it runs in eval mode, so evaluation can reuse it."""
     app_dir, den_dir = _scheme_dirs(cfg, scheme)
     if not _complete(app_dir):
         model = build_network(cfg.application)

@@ -5,9 +5,10 @@ norm), a U-Net style segmentation network, and a small classification CNN,
 all expressed over the autodiff op set. Convolutions are 3x3 with padding 1
 unless a layer is a 1x1 projection; widths default to desk scale.
 
-Every layer is one ``_Layer``: an autodiff op with its named tensors. A
-checkpoint holds one TSR1 file per tensor of ``Model.named_state()``: the
-parameters, then the batchnorm running statistics.
+Every layer is one ``_Layer``: an autodiff op with its named tensors.
+Parameters are built taking no gradient. A checkpoint holds one TSR1 file
+per tensor of ``Model.named_state()``: the parameters, then the batchnorm
+running statistics.
 """
 
 from __future__ import annotations
@@ -86,8 +87,7 @@ class _Layer:
 def _weighted(name: str, op: str, weight_shape: tuple, outputs: int, seed: int, *args) -> _Layer:
     """A layer with a seeded Xavier weight and a zero bias."""
     weight = xavier_uniform_init(weight_shape, derive_seed(seed, f"{name}.weight"))
-    weight.requires_grad = True
-    bias = Tensor(np.zeros(outputs, dtype=np.float32), requires_grad=True)
+    bias = Tensor(np.zeros(outputs, dtype=np.float32))
     return _Layer(name, op, {"weight": weight, "bias": bias}, args=args)
 
 
@@ -100,8 +100,8 @@ def _tconv(name: str, cin: int, cout: int, seed: int, kernel: int = 3, stride: i
 
 
 def _batchnorm(name: str, channels: int) -> _Layer:
-    gamma = Tensor(np.ones(channels, dtype=np.float32), requires_grad=True)
-    beta = Tensor(np.zeros(channels, dtype=np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(channels, dtype=np.float32))
+    beta = Tensor(np.zeros(channels, dtype=np.float32))
     mean = Tensor(np.zeros(channels, dtype=np.float32))
     var = Tensor(np.ones(channels, dtype=np.float32))
     return _Layer(name, "batchnorm2d", {"gamma": gamma, "beta": beta}, {"running_mean": mean, "running_var": var})
@@ -131,10 +131,6 @@ class Model:
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
-
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.parameters():
-            p.requires_grad = flag
 
     def _check_input(self, x: Tensor) -> None:
         if x.data.ndim != 3 or x.shape[0] != 1:

@@ -3,7 +3,9 @@
 TC and TD train the application network directly on clean or dirty images.
 HV trains a denoiser on (dirty, clean) pairs with pixel MSE. NNV trains a
 denoiser through the frozen clean-trained application network, minimizing
-the task loss of the composition. Evaluation scores the application
+the task loss of the composition. Each training step runs under a ``Tape``
+watching the trained model's parameters: nnv's application network is
+frozen because no tape watches it. Evaluation scores the application
 network's logits on each test image, dirty or denoised by the scheme's
 denoiser, into the per-sample rows of :mod:`metrics`.
 
@@ -73,12 +75,6 @@ def corrupt_samples(samples: list[Sample], noise_spec: NoiseSpec | None, split_l
     return out
 
 
-def composed_task_loss(denoiser: Model, application: Model, image: Tensor, target, train_denoiser: bool = False) -> Tensor:
-    """Task loss of the (denoiser -> application) composition as one expression."""
-    h = denoiser.forward(image, train=train_denoiser)
-    return cross_entropy_loss(application.forward(h, train=False), target)
-
-
 # ---------------------------------------------------------------------------
 # Shared training loop
 
@@ -115,8 +111,8 @@ def _run_training(
     train_items = items[: len(items) - n_val]
     val_items = items[len(items) - n_val :]
 
-    trainable = [p for p in model.parameters() if p.requires_grad]
-    state = make_adam_state(trainable, lr=settings.learning_rate)
+    params = model.parameters()
+    state = make_adam_state(params, lr=settings.learning_rate)
     shuffle_rng = Rng(derive_seed(derive_seed(seed, f"train/{purpose}"), "shuffle"))
     result = TrainResult()
 
@@ -124,13 +120,13 @@ def _run_training(
         order = shuffle_rng.permutation(len(train_items))
         total = 0.0
         for step, idx in enumerate(order):
-            with Tape() as tape:
+            with Tape(params) as tape:
                 loss = loss_fn(*train_items[int(idx)], True)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainingDivergedError(epoch, step)
                 grads = backward(loss, tape)
-            adam_step(trainable, grads, state)
+            adam_step(params, grads, state)
             total += value
         train_loss = total / len(train_items)
         if val_items and (epoch % settings.checkpoint_cadence == 0 or epoch == epochs):
@@ -180,18 +176,15 @@ def train_denoiser_nnv(
 ) -> TrainResult:
     """Train a denoiser through the frozen application network's task loss.
 
-    Only the denoiser parameters update; the application network's weights
-    are bit-identical before and after.
+    Only the denoiser parameters update; the application network runs in
+    eval mode and no tape watches it, so it is bit-identical after.
     """
-    application.set_trainable(False)
 
     def loss_fn(image: Tensor, sample: Sample, train: bool):
-        return composed_task_loss(model, application, image, sample.target, train_denoiser=train)
+        logits = application.forward(model.forward(image, train=train), train=False)
+        return cross_entropy_loss(logits, sample.target)
 
-    try:
-        return _run_training(model, samples, noise_spec, settings, "denoiser", seed, loss_fn)
-    finally:
-        application.set_trainable(True)
+    return _run_training(model, samples, noise_spec, settings, "denoiser", seed, loss_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def check_op_gradients(op_forward, params, probe_seed: int = 0, tol: float = FD_
     out0 = op_forward()
     w = np.random.default_rng(probe_seed).normal(size=out0.data.shape).astype(np.float32)
 
-    with Tape() as tape:
+    with Tape(params) as tape:
         weighted = ad.linear(ad.flatten(op_forward()), Tensor(w.reshape(1, -1)), Tensor(np.zeros(1)))
         grads = ad.backward(ad.tsum(weighted), tape)
 

@@ -9,13 +9,13 @@ from taskdenoise.autodiff import Tape, Tensor
 from taskdenoise.errors import InvalidInputError, InvalidLabelError, InvalidShapeError
 
 
-def _t(data, grad=False):
-    return Tensor(np.asarray(data, dtype=np.float32), requires_grad=grad)
+def _t(data):
+    return Tensor(np.asarray(data, dtype=np.float32))
 
 
-def _rand(shape, seed, scale=1.0, grad=False):
+def _rand(shape, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    return Tensor((scale * rng.normal(size=shape)).astype(np.float32), requires_grad=grad)
+    return Tensor((scale * rng.normal(size=shape)).astype(np.float32))
 
 
 class TestTensor:
@@ -68,9 +68,9 @@ class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
     def test_gradients(self, stride, padding):
         kk, w = (3, 5) if stride == 1 else (2, 4)
-        x = _rand((2, 6, w), 10, grad=True)
-        k = _rand((3, 2, kk, kk), 11, grad=True)
-        b = _rand((3,), 12, grad=True)
+        x = _rand((2, 6, w), 10)
+        k = _rand((3, 2, kk, kk), 11)
+        b = _rand((3,), 12)
         check_op_gradients(lambda: ad.conv2d(x, k, b, stride, padding), [x, k, b])
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
@@ -79,9 +79,9 @@ class TestConv2d:
         rng = np.random.default_rng(13)
         cin, cout, h = 2, 3, 6
         kk, w = (3, 5) if stride == 1 else (2, 4)
-        x = Tensor(rng.normal(size=(cin, h, w)).astype(np.float32), requires_grad=True)
-        k = Tensor(rng.normal(size=(cout, cin, kk, kk)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.normal(size=cout).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.normal(size=(cin, h, w)).astype(np.float32))
+        k = Tensor(rng.normal(size=(cout, cin, kk, kk)).astype(np.float32))
+        b = Tensor(rng.normal(size=cout).astype(np.float32))
         out = ad.conv2d(x, k, b, stride, padding)
         g_out = rng.normal(size=out.shape).astype(np.float32).astype(np.float64)
 
@@ -95,7 +95,7 @@ class TestConv2d:
                     ref[o, i, j] = (patch * k.data[o]).sum() + b.data[o]
         np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
 
-        with Tape() as tape:
+        with Tape([x, k, b]) as tape:
             head = Tensor(g_out.reshape(1, -1))
             loss = ad.tsum(ad.linear(ad.flatten(ad.conv2d(x, k, b, stride, padding)), head, Tensor(np.zeros(1))))
             grads = ad.backward(loss, tape)
@@ -155,9 +155,9 @@ class TestTransposeConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
     def test_gradients(self, stride, padding):
         kk = 3 if stride == 1 else 2
-        x = _rand((2, 4, 4), 20, grad=True)
-        k = _rand((2, 3, kk, kk), 21, grad=True)
-        b = _rand((3,), 22, grad=True)
+        x = _rand((2, 4, 4), 20)
+        k = _rand((2, 3, kk, kk), 21)
+        b = _rand((3,), 22)
         check_op_gradients(lambda: ad.transpose_conv2d(x, k, b, stride, padding), [x, k, b])
 
 
@@ -226,15 +226,15 @@ class TestMaxPool:
         assert out.data.ravel().tolist() == [4.0]
 
     def test_gradient_routes_to_argmax(self):
-        x = _t([[[1.0, 2.0], [3.0, 4.0]]], grad=True)
-        with Tape() as tape:
+        x = _t([[[1.0, 2.0], [3.0, 4.0]]])
+        with Tape([x]) as tape:
             loss = ad.tsum(ad.maxpool2d(x, 2))
             grads = ad.backward(loss, tape)
         np.testing.assert_array_equal(grads[x][0], [[0.0, 0.0], [0.0, 1.0]])
 
     def test_tie_breaks_to_lowest_linear_index(self):
-        x = _t(np.full((1, 2, 2), 5.0), grad=True)
-        with Tape() as tape:
+        x = _t(np.full((1, 2, 2), 5.0))
+        with Tape([x]) as tape:
             loss = ad.tsum(ad.maxpool2d(x, 2))
             grads = ad.backward(loss, tape)
         np.testing.assert_array_equal(grads[x][0], [[1.0, 0.0], [0.0, 0.0]])
@@ -247,7 +247,6 @@ class TestMaxPool:
         # values spread out so no window has near-ties within the fd step
         vals = 0.25 * np.arange(32, dtype=np.float32).reshape(2, 4, 4)
         x = Tensor(vals + 0.01 * np.random.default_rng(3).normal(size=vals.shape).astype(np.float32))
-        x.requires_grad = True
         check_op_gradients(lambda: ad.maxpool2d(x, 2), [x])
 
     def test_window_below_one_raises(self):
@@ -291,19 +290,19 @@ class TestBatchNorm:
         assert out.data[0, 0, 0] == pytest.approx((6.0 - 2.0) / np.sqrt(4.0 + 1e-5), rel=1e-5)
 
     def test_running_stats_are_not_recorded(self):
-        x = _rand((2, 4, 4), 31, grad=True)
+        x, gamma, beta = _rand((2, 4, 4), 31), _t([1.5, 0.8]), _t([0.3, -0.2])
         mean, var = _t([0.0, 0.0]), _t([1.0, 1.0])
-        with Tape() as tape:
-            loss = ad.tsum(ad.batchnorm2d(x, _t([1.5, 0.8], grad=True), _t([0.3, -0.2], grad=True), mean, var, train=True))
-        grads = ad.backward(loss, tape)
+        with Tape([x, gamma, beta]) as tape:
+            loss = ad.tsum(ad.batchnorm2d(x, gamma, beta, mean, var, train=True))
+            grads = ad.backward(loss, tape)
         assert len(tape.records[0].inputs) == 3
         assert mean not in grads and var not in grads and not mean.requires_grad
 
     @pytest.mark.parametrize("train", [True, False])
     def test_gradients(self, train):
-        x = _rand((2, 4, 4), 30, scale=2.0, grad=True)
-        gamma = Tensor(np.array([1.5, 0.8], np.float32), requires_grad=True)
-        beta = Tensor(np.array([0.3, -0.2], np.float32), requires_grad=True)
+        x = _rand((2, 4, 4), 30, scale=2.0)
+        gamma = _t([1.5, 0.8])
+        beta = _t([0.3, -0.2])
         mean, var = _t([0.1, -0.2]), _t([1.2, 0.7])
         check_op_gradients(lambda: ad.batchnorm2d(x, gamma, beta, mean, var, train=train), [x, gamma, beta])
 
@@ -314,8 +313,8 @@ class TestActivations:
         assert out.data.tolist() == [0.0, 2.0]
 
     def test_gradient_passes_only_where_input_is_positive(self):
-        x = _t([-1.0, -0.0, 0.0, 2.0], grad=True)
-        with Tape() as tape:
+        x = _t([-1.0, -0.0, 0.0, 2.0])
+        with Tape([x]) as tape:
             grads = ad.backward(ad.tsum(ad.relu(x)), tape)
         assert grads[x].tolist() == [0.0, 0.0, 0.0, 1.0]
 
@@ -325,21 +324,21 @@ class TestActivations:
         rng = np.random.default_rng(40)
         vals = rng.normal(size=(3, 4, 4))
         vals = np.where(np.abs(vals) < 0.05, 0.3, vals)
-        x = Tensor(vals.astype(np.float32), requires_grad=True)
+        x = Tensor(vals.astype(np.float32))
         check_op_gradients(lambda: op(x), [x])
 
 
 class TestElementwise:
     def test_add_sub_concat_flatten_linear_gradients(self):
-        a = _rand((2, 3, 3), 50, grad=True)
-        b = _rand((2, 3, 3), 51, grad=True)
+        a = _rand((2, 3, 3), 50)
+        b = _rand((2, 3, 3), 51)
         check_op_gradients(lambda: ad.add(a, b), [a, b])
         check_op_gradients(lambda: ad.sub(a, b), [a, b])
         check_op_gradients(lambda: ad.concat_channels(a, b), [a, b])
         check_op_gradients(lambda: ad.flatten(a), [a])
-        x = _rand((6,), 52, grad=True)
-        w = _rand((4, 6), 53, grad=True)
-        bias = _rand((4,), 54, grad=True)
+        x = _rand((6,), 52)
+        w = _rand((4, 6), 53)
+        bias = _rand((4,), 54)
         check_op_gradients(lambda: ad.linear(x, w, bias), [x, w, bias])
 
     def test_shape_mismatch_raises(self):
@@ -358,9 +357,9 @@ class TestMseLoss:
         assert ad.mse_loss(pred, target).item() == pytest.approx((9.0 + 16.0) / 2.0)
 
     def test_gradient_formula_and_fd(self):
-        pred = _rand((3, 4), 60, scale=2.0, grad=True)
+        pred = _rand((3, 4), 60, scale=2.0)
         target = _rand((3, 4), 61, scale=2.0)
-        with Tape() as tape:
+        with Tape([pred]) as tape:
             loss = ad.mse_loss(pred, target)
             grads = ad.backward(loss, tape)
         expected = 2.0 * (pred.data.astype(np.float64) - target.data) / pred.size
@@ -398,9 +397,9 @@ class TestCrossEntropyLoss:
         assert loss.item() == pytest.approx(expected, rel=1e-6)
 
     def test_gradient_softmax_minus_onehot_and_fd(self):
-        logits = _rand((4, 3, 3), 72, scale=2.0, grad=True)
+        logits = _rand((4, 3, 3), 72, scale=2.0)
         labels = np.random.default_rng(73).integers(0, 4, size=(3, 3))
-        with Tape() as tape:
+        with Tape([logits]) as tape:
             loss = ad.cross_entropy_loss(logits, labels)
             grads = ad.backward(loss, tape)
         z = logits.data.astype(np.float64)
@@ -419,46 +418,67 @@ class TestCrossEntropyLoss:
 
 class TestTapeAndBackward:
     def test_backward_requires_scalar(self):
-        x = _rand((2, 2), 0, grad=True)
-        with Tape() as tape:
+        x = _rand((2, 2), 0)
+        with Tape([x]) as tape:
             y = ad.relu(x)
             with pytest.raises(InvalidShapeError):
                 ad.backward(y, tape)
 
     def test_backward_requires_loss_on_tape(self):
-        x = _rand((2, 2), 0, grad=True)
-        with Tape() as tape:
-            ad.tsum(x)
-        with Tape() as other:
+        x = _rand((2, 2), 0)
+        with Tape([x]):
             loss = ad.tsum(x)
-        with pytest.raises(InvalidInputError):
+        with Tape([x]) as tape:
+            ad.tsum(x)
+            with pytest.raises(InvalidInputError, match="not produced on this tape"):
+                ad.backward(loss, tape)
+
+    def test_backward_outside_its_tape_raises(self):
+        # the ops' backward reads which inputs take a gradient, which the
+        # tape's exit has cleared
+        x = _rand((2, 2), 0)
+        with Tape([x]) as tape:
+            loss = ad.tsum(x)
+        with pytest.raises(InvalidInputError, match="inside its tape"):
             ad.backward(loss, tape)
 
     def test_gradient_accumulates_over_multiple_uses(self):
-        x = _t([2.0], grad=True)
-        with Tape() as tape:
+        x = _t([2.0])
+        with Tape([x]) as tape:
             y = ad.add(x, x)
             loss = ad.tsum(y)
             grads = ad.backward(loss, tape)
         assert grads[x].tolist() == [2.0]
 
     def test_no_recording_without_tape(self):
-        x = _rand((2, 2), 0, grad=True)
+        # a tensor a tape watched takes no gradient once the tape is left
+        x = _rand((2, 2), 0)
+        with Tape([x]):
+            pass
         out = ad.relu(x)
-        assert out.requires_grad is False
+        assert out.requires_grad is False and x.requires_grad is False
 
     def test_no_recording_without_requires_grad(self):
-        x = _rand((2, 2), 0)
-        with Tape() as tape:
-            ad.relu(x)
-        assert len(tape.records) == 0
+        # an op none of whose inputs the active tape watches is not recorded
+        x, w = _rand((2, 2), 0), _rand((2, 2), 1)
+        with Tape([w]) as tape:
+            out = ad.relu(x)
+        assert len(tape.records) == 0 and out.requires_grad is False
+
+    def test_watched_tensors_are_cleared_when_the_body_raises(self):
+        x, w = _rand((2, 2), 0), _rand((2, 2), 1)
+        with pytest.raises(RuntimeError):
+            with Tape([x, w]):
+                assert x.requires_grad and w.requires_grad
+                raise RuntimeError("body failed")
+        assert not x.requires_grad and not w.requires_grad
 
     def test_deterministic_gradients(self):
         def run():
-            x = _rand((2, 8, 8), 80, grad=True)
-            k = _rand((3, 2, 3, 3), 81, grad=True)
-            b = _rand((3,), 82, grad=True)
-            with Tape() as tape:
+            x = _rand((2, 8, 8), 80)
+            k = _rand((3, 2, 3, 3), 81)
+            b = _rand((3,), 82)
+            with Tape([x, k, b]) as tape:
                 h = ad.relu(ad.conv2d(x, k, b, 1, 1))
                 loss = ad.mse_loss(h, _rand(h.shape, 83))
                 grads = ad.backward(loss, tape)
@@ -467,10 +487,11 @@ class TestTapeAndBackward:
         assert run() == run()
 
     def test_frozen_parameters_get_no_gradient(self):
-        x = _rand((1, 4, 4), 90, grad=True)
-        k = _rand((2, 1, 3, 3), 91, grad=False)
-        b = _rand((2,), 92, grad=False)
-        with Tape() as tape:
+        # a parameter the tape does not watch
+        x = _rand((1, 4, 4), 90)
+        k = _rand((2, 1, 3, 3), 91)
+        b = _rand((2,), 92)
+        with Tape([x]) as tape:
             loss = ad.tsum(ad.conv2d(x, k, b, 1, 1))
             grads = ad.backward(loss, tape)
         assert k not in grads and b not in grads and x in grads

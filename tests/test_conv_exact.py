@@ -40,21 +40,22 @@ def _output_grad(shape, seed: int) -> np.ndarray:
     return np.where(rng.random(shape) < 0.3, g * 0.0, g)
 
 
-def _run(op, arrays, args, needs=None):
-    """Forward value and the op's backward, which returns a float64 gradient
-    of input i if ``needs[i]`` (default: of every input), else None."""
-    inputs = [Tensor(a, requires_grad=n) for a, n in zip(arrays, needs or [True] * len(arrays))]
-    with Tape() as tape:
+def _run(op, arrays, args, seed: int, needs=None):
+    """Forward value and the op's backward of the output gradient of
+    ``seed``, run under a tape watching input i if ``needs[i]`` (default:
+    every input): a float64 gradient of each watched input, else None."""
+    inputs = [Tensor(a) for a in arrays]
+    watched = [t for t, n in zip(inputs, needs or [True] * len(inputs)) if n]
+    with Tape(watched) as tape:
         out = op(*inputs, *args)
-    return out, tape.records[-1].backward_fn
+        grads = tape.records[-1].backward_fn(_output_grad(out.shape, seed))
+    return out, grads
 
 
 def assert_exact(name: str, arrays, args, seed: int = 0, needs=None) -> None:
-    out, backward = _run(getattr(ad, name), arrays, args, needs)
-    out_ref, backward_ref = _run(getattr(ref, name), arrays, args, needs)
+    out, grads = _run(getattr(ad, name), arrays, args, seed, needs)
+    out_ref, grads_ref = _run(getattr(ref, name), arrays, args, seed, needs)
     _same_bits(out.data, out_ref.data, f"{name}{args} forward")
-    g = _output_grad(out.shape, seed)
-    grads, grads_ref = backward(g), backward_ref(g)
     assert len(grads) == len(grads_ref) == len(arrays)
     for i, (d, d_ref) in enumerate(zip(grads, grads_ref)):
         what = f"{name}{args} gradient of input {i} (inputs needing one: {needs or 'all'})"
@@ -122,7 +123,7 @@ def _training_step(kind: str) -> list:
     model = _network(kind)
     image = _image()
     rng = np.random.default_rng(2)
-    with Tape() as tape:
+    with Tape(model.parameters()) as tape:
         out = model.forward(image, train=True)
         if out.shape == image.shape:
             loss = ad.mse_loss(out, Tensor(rng.uniform(0, 255, size=image.shape)))
@@ -197,8 +198,8 @@ def test_batchnorm2d(shape, train):
     results = []
     for op in (ad.batchnorm2d, ref.batchnorm2d):
         mean, var = _stats(c, 12)
-        out, backward = _run(op, arrays, (mean, var, train))
-        results.append((out.data, mean.data, var.data, backward(_output_grad(shape, 13))))
+        out, grads = _run(op, arrays, (mean, var, train), 13)
+        results.append((out.data, mean.data, var.data, grads))
     (out, mean, var, grads), (out_ref, mean_ref, var_ref, grads_ref) = results
     _same_bits(out, out_ref, f"batchnorm2d train={train} forward")
     _same_bits(mean, mean_ref, "running mean")
@@ -225,7 +226,8 @@ def _forward_calls():
 def test_forward_is_the_same_with_and_without_a_tape(call):
     op, arrays, args = _forward_calls()[call]
     plain = op(*[Tensor(a) for a in arrays], *args)
-    with Tape() as tape:
-        recorded = op(*[Tensor(a, requires_grad=True) for a in arrays], *args)
+    inputs = [Tensor(a) for a in arrays]
+    with Tape(inputs) as tape:
+        recorded = op(*inputs, *args)
     assert len(tape.records) == 1 and recorded.requires_grad and not plain.requires_grad
     _same_bits(plain.data, recorded.data, f"{op.__name__}{args[-2:]} forward")

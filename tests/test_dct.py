@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from taskdenoise import autodiff as ad
-from taskdenoise.autodiff import Tensor
+from taskdenoise.autodiff import Tape, Tensor
 from taskdenoise.dct import (
     _DCT,
     block_coefficients,
@@ -196,6 +196,28 @@ class TestFrequencyGradient:
         grid = frequency_gradient(sum_head(model), img)
         assert grid.shape == (8, 8)
         assert np.all(np.isfinite(grid)) and grid.max() > 0
+
+    def test_loaded_checkpoint_takes_only_the_image_gradient(self, tmp_path, monkeypatch):
+        # the grid reads only the image's gradient; the tape watches nothing else
+        from taskdenoise.networks import NetworkSpec, build_network, load_checkpoint, save_checkpoint
+
+        spec = NetworkSpec(kind="nonewnet2d", base_channels=2, num_classes=3, height=16, width=16, seed=4, depth=2)
+        save_checkpoint(build_network(spec), tmp_path / "ckpt")
+        model, _ = load_checkpoint(tmp_path / "ckpt")
+        img = np.random.default_rng(13).normal(100, 20, size=(16, 16))
+        real_backward, results = ad.backward, []
+
+        def recording_backward(loss, tape):
+            results.append(real_backward(loss, tape))
+            return results[-1]
+
+        monkeypatch.setattr(ad, "backward", recording_backward)
+        grid = frequency_gradient(sum_head(model), img)
+        [grads] = results
+        assert len(grads) == 1 and next(iter(grads)).shape == (1, 16, 16)
+        with Tape(model.parameters()):
+            every_parameter_watched = frequency_gradient(sum_head(model), img)
+        assert grid.tobytes() == every_parameter_watched.tobytes()
 
 
 class TestExport:

@@ -29,7 +29,6 @@ import pytest
 import taskdenoise
 from taskdenoise.autodiff import Tape, Tensor, backward, cross_entropy_loss, mse_loss
 from taskdenoise.networks import NetworkSpec, build_network
-from taskdenoise.schemes import composed_task_loss
 
 _SRC = Path(taskdenoise.__file__).resolve().parent.parent
 
@@ -37,38 +36,39 @@ _SRC = Path(taskdenoise.__file__).resolve().parent.parent
 BOUND_MIB = 12
 
 
-def _network(kind: str, trainable: bool = True):
+def _network(kind: str):
     spec = NetworkSpec(kind=kind, base_channels=8, num_classes=4, height=64, width=64, seed=3)
-    model = build_network(spec)
-    model.set_trainable(trainable)
-    return model
+    return build_network(spec)
 
 
 def _loss_fn(case: str):
-    """A function running the recorded forward of one training step."""
+    """The parameters one training step watches, and a function running its
+    recorded forward."""
     rng = np.random.default_rng(4)
     noisy = Tensor(rng.uniform(0, 255, size=(1, 64, 64)).astype(np.float32))
     labels = rng.integers(0, 4, size=(64, 64))
     if case == "mcdncnn":  # hv: pixel loss of the denoiser
         model = _network("mcdncnn")
         clean = Tensor(rng.uniform(0, 255, size=(1, 64, 64)).astype(np.float32))
-        return lambda: mse_loss(model.forward(noisy, train=True), clean)
+        return model.parameters(), lambda: mse_loss(model.forward(noisy, train=True), clean)
     if case == "nonewnet2d":  # tc: task loss of the U-Net
         model = _network("nonewnet2d")
-        return lambda: cross_entropy_loss(model.forward(noisy, train=True), labels)
-    # nnv: task loss of redcnn through the frozen U-Net
-    denoiser, application = _network("redcnn"), _network("nonewnet2d", trainable=False)
-    return lambda: composed_task_loss(denoiser, application, noisy, labels, train_denoiser=True)
+        return model.parameters(), lambda: cross_entropy_loss(model.forward(noisy, train=True), labels)
+    # nnv: task loss of redcnn through the frozen U-Net, which no tape watches
+    denoiser, application = _network("redcnn"), _network("nonewnet2d")
+    return denoiser.parameters(), lambda: cross_entropy_loss(
+        application.forward(denoiser.forward(noisy, train=True), train=False), labels
+    )
 
 
 def _kept_by_recorded_forward(case: str) -> int:
     """Bytes a recorded forward of ``case`` leaves alive, after one warm step."""
-    loss_fn = _loss_fn(case)
-    with Tape() as tape:
+    params, loss_fn = _loss_fn(case)
+    with Tape(params) as tape:
         backward(loss_fn(), tape)
     tracemalloc.start()
     try:
-        with Tape() as tape:
+        with Tape(params) as tape:
             loss = loss_fn()
             kept, _ = tracemalloc.get_traced_memory()
     finally:
@@ -99,10 +99,10 @@ RETAINED_BOUND_MIB = 1
 
 def retained_after_nnv_step() -> int:
     """Bytes still allocated after one nnv step whose results are dropped."""
-    loss_fn = _loss_fn("nnv")
+    params, loss_fn = _loss_fn("nnv")
     tracemalloc.start()
     try:
-        with Tape() as tape:
+        with Tape(params) as tape:
             loss = loss_fn()
             grads = backward(loss, tape)
         del tape, loss, grads

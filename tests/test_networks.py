@@ -22,7 +22,7 @@ def _image(shape, seed=0, scale=1.0):
 
 
 def _assert_all_params_reached(model, loss_builder):
-    with Tape() as tape:
+    with Tape(model.parameters()) as tape:
         loss = loss_builder()
         grads = ad.backward(loss, tape)
     for name, p in model.named_parameters():
@@ -269,6 +269,16 @@ def test_init_is_pinned(kind):
     names, checksum = _PINNED_INIT[kind]
     assert [f"{n}:{'x'.join(map(str, p.shape))}" for n, p in model.named_parameters()] == names.split()
     assert parameter_checksum(model).hex() == checksum
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_INIT))
+def test_built_and_loaded_parameters_take_no_gradient(kind, tmp_path):
+    # a parameter takes a gradient only inside a tape that watches it
+    spec = NetworkSpec(kind=kind, base_channels=2, num_classes=3, height=16, width=16, seed=5, depth=2)
+    model = build_network(spec)
+    save_checkpoint(model, tmp_path / "ckpt")
+    loaded, _ = load_checkpoint(tmp_path / "ckpt")
+    assert not any(t.requires_grad for m in (model, loaded) for _, t in m.named_state())
 
 
 class TestCheckpoints:

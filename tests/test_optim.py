@@ -10,7 +10,7 @@ from taskdenoise.optim import adam_step, make_adam_state, xavier_uniform_init
 
 
 def _param(values):
-    return Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
+    return Tensor(np.asarray(values, dtype=np.float32))
 
 
 class TestAdam:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import fd_gradient, parameter_checksum, rel_err
 from taskdenoise import autodiff as ad
+from taskdenoise import schemes as schemes_mod
 from taskdenoise.autodiff import Tape
 from taskdenoise.data import DatasetSpec, generate_dataset
 from taskdenoise.errors import ConfigError, InvalidInputError, InvalidShapeError, TrainingDivergedError
@@ -13,7 +14,6 @@ from taskdenoise.networks import NetworkSpec, build_network, save_checkpoint
 from taskdenoise.noise import NoiseSpec
 from taskdenoise.schemes import (
     TrainSettings,
-    composed_task_loss,
     corrupt_samples,
     evaluate_scheme,
     predict,
@@ -177,15 +177,22 @@ class TestTrainDenoiserHv:
 
 
 class TestTrainDenoiserNnv:
-    def test_application_weights_frozen(self):
+    def test_application_weights_frozen(self, monkeypatch):
         train, _ = _seg_samples(count=3)
         app = build_network(_app_spec(seed=30))
         before = parameter_checksum(app)
         denoiser = build_network(_den_spec(seed=31))
         noise = NoiseSpec(kind="gaussian", sigma=70.0, seed=32)
+        results = []
+
+        def recording_backward(loss, tape):
+            results.append(ad.backward(loss, tape))
+            return results[-1]
+
+        monkeypatch.setattr(schemes_mod, "backward", recording_backward)
         train_denoiser_nnv(denoiser, app, train, _settings(2), noise, seed=33)
         assert parameter_checksum(app) == before
-        assert all(p.requires_grad for p in app.parameters())  # flags restored
+        assert results and not any(p in grads for grads in results for p in app.parameters())
 
     def test_denoiser_actually_changes(self):
         train, _ = _seg_samples(count=3)
@@ -201,16 +208,15 @@ class TestTrainDenoiserNnv:
         sample = train[0]
         app = build_network(_app_spec(seed=41))
         denoiser = build_network(_den_spec(seed=42))
-        app.set_trainable(False)
-        with Tape() as tape:
-            loss = composed_task_loss(denoiser, app, sample.image, sample.target, train_denoiser=True)
+        with Tape(denoiser.parameters()) as tape:
+            logits = app.forward(denoiser.forward(sample.image, train=True), train=False)
+            loss = ad.cross_entropy_loss(logits, sample.target)
             grads = ad.backward(loss, tape)
-        app.set_trainable(True)
         param = denoiser.conv1.params["weight"]
         analytic = grads[param].reshape(-1)
 
         def probe():
-            return composed_task_loss(denoiser, app, sample.image, sample.target).item()
+            return ad.cross_entropy_loss(app.forward(denoiser.forward(sample.image)), sample.target).item()
 
         indices = np.linspace(0, param.size - 1, 6, dtype=int).tolist()
         fd = fd_gradient(probe, param, indices=indices)
@@ -223,10 +229,36 @@ class TestTrainDenoiserNnv:
         denoiser = build_network(_den_spec(seed=44))
         before = parameter_checksum(app), parameter_checksum(denoiser)
         with pytest.raises(InvalidShapeError, match="ccnn was built for 32x32, got 64x64"):
-            composed_task_loss(denoiser, app, train[0].image, train[0].target)
+            ad.cross_entropy_loss(app.forward(denoiser.forward(train[0].image)), train[0].target)
         with pytest.raises(InvalidShapeError, match="ccnn was built for 32x32, got 64x64"):
             train_denoiser_nnv(denoiser, app, train, _settings(1), NoiseSpec(kind="gaussian", sigma=40.0, seed=45))
         assert (parameter_checksum(app), parameter_checksum(denoiser)) == before
+
+
+class TestTrainingLeavesNoGradient:
+    # each step's tape watches the trained parameters; none takes a
+    # gradient once training returns or fails
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("learning_rate", [1e-3, 1e14], ids=["returns", "diverges"])
+    @pytest.mark.parametrize("scheme", ["tc", "hv", "nnv"])
+    def test_no_parameter_takes_a_gradient(self, scheme, learning_rate):
+        train, _ = _seg_samples(count=2, seed=60)
+        app = build_network(_app_spec(seed=61))
+        denoiser = build_network(_den_spec(seed=62))
+        noise = NoiseSpec(kind="gaussian", sigma=50.0, seed=63)
+        settings = _settings(3, learning_rate)
+        try:
+            if scheme == "tc":
+                train_application(app, train, settings, seed=64)
+            elif scheme == "hv":
+                train_denoiser_hv(denoiser, train, settings, noise, seed=64)
+            else:
+                train_denoiser_nnv(denoiser, app, train, settings, noise, seed=64)
+        except TrainingDivergedError:
+            assert learning_rate > 1
+        else:
+            assert learning_rate < 1
+        assert not any(p.requires_grad for p in app.parameters() + denoiser.parameters())
 
 
 class TestComposedLossInvariant:
@@ -235,7 +267,9 @@ class TestComposedLossInvariant:
         app = build_network(_app_spec(seed=51))
         denoiser = build_network(_den_spec(seed=52))
         for sample in train:
-            composed = composed_task_loss(denoiser, app, sample.image, sample.target)
+            # recorded, as a training step records it, against the plain staged forward
+            with Tape(denoiser.parameters()):
+                composed = ad.cross_entropy_loss(app.forward(denoiser.forward(sample.image)), sample.target)
             denoised = denoiser.forward(sample.image)
             staged = ad.cross_entropy_loss(app.forward(denoised), sample.target)
             assert composed.data.tobytes() == staged.data.tobytes()
