@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over float32 numpy arrays.
 
 The engine is deliberately small: a :class:`Tensor` is a float32 array
-that ops never write into; a tensor takes a gradient only while a
-:class:`Tape` that watches it is active, which records every op that
-depends on a watched tensor; and :func:`backward` replays the records in
+that ops never write into; a leaf tensor (a parameter or an input) takes
+a gradient only while a :class:`Tape` that watches it is active, which
+records every op that depends on a watched tensor and flags the op's
+output, a flag the output keeps; and :func:`backward` replays the records in
 reverse to produce the watched tensors' exact gradients. The operation set
 is exactly what the four network recipes need, in the layouts they run: one
 convolution op, whose two directions are ``conv2d`` and
@@ -59,7 +60,8 @@ class Tensor:
     checkpoint loading, best-epoch restore and, for batchnorm's running
     statistics, each train-mode :func:`batchnorm2d` call."""
 
-    # requires_grad, the flag the ops read, is set by the Tape and by _record
+    # requires_grad, the flag the ops read: a Tape sets and clears it on the
+    # tensors it watches; _record sets it on op outputs, which keep it
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data):
@@ -108,6 +110,7 @@ class Tape:
 
     Each watched tensor takes a gradient from entering the tape until
     leaving it, also when the body raises; :func:`backward` runs inside.
+    The outputs of recorded ops keep the flag after the tape is left.
 
     Records are appended in execution order, so operands always precede the
     operations that consume them; one reverse sweep therefore visits every

@@ -451,12 +451,14 @@ class TestTapeAndBackward:
         assert grads[x].tolist() == [2.0]
 
     def test_no_recording_without_tape(self):
-        # a tensor a tape watched takes no gradient once the tape is left
+        # an op output keeps the flag its tape's record set; with no tape
+        # active, an op on it is still not recorded
         x = _rand((2, 2), 0)
         with Tape([x]):
-            pass
-        out = ad.relu(x)
-        assert out.requires_grad is False and x.requires_grad is False
+            y = ad.relu(x)
+        out = ad.relu(y)
+        assert y.requires_grad and out.requires_grad is False
+        assert x.requires_grad is False
 
     def test_no_recording_without_requires_grad(self):
         # an op none of whose inputs the active tape watches is not recorded
