@@ -1,17 +1,16 @@
 """Reverse-mode automatic differentiation over float32 numpy arrays.
 
 The engine is deliberately small: a :class:`Tensor` is a float32 array
-that ops never write into; a leaf tensor (a parameter or an input) takes
-a gradient only while a :class:`Tape` that watches it is active, which
-records every op that depends on a watched tensor and flags the op's
-output, a flag the output keeps; and :func:`backward` replays the records in
-reverse to produce the watched tensors' exact gradients. The operation set
-is exactly what the four network recipes need, in the layouts they run: one
-convolution op, whose two directions are ``conv2d`` and
-``transpose_conv2d``, at stride 1 with any padding, or at a stride equal to
-its square kernel with padding 0, whose windows tile the grid (conv2d's
-input extents must then be divisible by the stride); max pooling
-over non-overlapping windows, ``maxpool2d(x, window)``; batch norm, whose
+that ops never write into and that carries no gradient state; a
+:class:`Tape` holds that state: while it is the innermost active tape it
+records every op that depends on a tensor it watches; and :func:`backward`
+replays the records in reverse to produce the watched tensors' exact
+gradients. The operation set is exactly what the four network recipes need,
+in the layouts they run: one convolution op, whose two directions are
+``conv2d`` and ``transpose_conv2d``, at stride 1 with any padding, or at a
+stride equal to its square kernel with padding 0, whose windows tile the
+grid (conv2d's input extents must then be divisible by the stride); max
+pooling over non-overlapping windows, ``maxpool2d(x, window)``; batch norm, whose
 running statistics are tensors that take no gradient; ReLU, and the two
 losses. Any other layout is an :class:`InvalidShapeError`.
 
@@ -60,16 +59,13 @@ class Tensor:
     checkpoint loading, best-epoch restore and, for batchnorm's running
     statistics, each train-mode :func:`batchnorm2d` call."""
 
-    # requires_grad, the flag the ops read: a Tape sets and clears it on the
-    # tensors it watches; _record sets it on op outputs, which keep it
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=_F32, order="C")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("tensor holds non-finite values")
         self.data = arr
-        self.requires_grad = False
 
     @property
     def shape(self) -> tuple:
@@ -83,14 +79,13 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
     """Wrap an op result without re-validating (hot path)."""
     t = Tensor.__new__(Tensor)
     t.data = np.asarray(arr, dtype=_F32, order="C")
-    t.requires_grad = False
     return t
 
 
@@ -108,9 +103,11 @@ class _Record:
 class Tape:
     """Ordered record of the operations that depend on the ``watch`` tensors.
 
-    Each watched tensor takes a gradient from entering the tape until
-    leaving it, also when the body raises; :func:`backward` runs inside.
-    The outputs of recorded ops keep the flag after the tape is left.
+    While the tape is the innermost active one, an op is recorded if one of
+    its inputs is in the tape's id set: the watched tensors plus every output
+    it has recorded. Ids are safe keys because the tape holds each of those
+    tensors for its whole life. Entering or leaving the tape changes no
+    tensor; :func:`backward` runs inside it, as the innermost tape.
 
     Records are appended in execution order, so operands always precede the
     operations that consume them; one reverse sweep therefore visits every
@@ -120,51 +117,46 @@ class Tape:
     def __init__(self, watch=()):
         self._watched = tuple(watch)
         self.records: list[_Record] = []
-        self._output_ids: set[int] = set()
+        self._ids = {id(t) for t in self._watched}
 
     def __enter__(self) -> "Tape":
-        for t in self._watched:
-            t.requires_grad = True
         _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
         _TAPE_STACK.pop()
-        for t in self._watched:
-            t.requires_grad = False
 
 
 _TAPE_STACK: list[Tape] = []
 
 
 def _needs(t) -> bool:
-    return isinstance(t, Tensor) and t.requires_grad
+    return id(t) in _TAPE_STACK[-1]._ids
 
 
 def _record(out: Tensor, inputs: Sequence, backward_fn: Callable) -> None:
     # no record unless an input needs a gradient: a one-input op's backward_fn assumes it does
     if not _TAPE_STACK or not any(_needs(t) for t in inputs):
         return
-    out.requires_grad = True
     tape = _TAPE_STACK[-1]
     tape.records.append(_Record(out, tuple(inputs), backward_fn))
-    tape._output_ids.add(id(out))
+    tape._ids.add(id(out))
 
 
 def backward(loss: Tensor, tape: Tape) -> dict:
     """Reverse sweep: gradients of ``loss`` w.r.t. the tape's watched tensors.
 
     Returns a dict mapping each watched Tensor that ``loss`` reaches to its
-    float32 gradient array. Runs inside ``tape``: the ops' backward reads
-    which inputs take a gradient. Deterministic: identical tapes produce
-    bit-identical gradients.
+    float32 gradient array. Runs inside ``tape``, as the innermost active
+    tape: the ops' backward asks it which inputs take a gradient.
+    Deterministic: identical tapes produce bit-identical gradients.
     """
     if loss.shape != ():
         raise InvalidShapeError(f"loss must be a scalar, got shape {loss.shape}")
-    if id(loss) not in tape._output_ids:
+    if not any(rec.out is loss for rec in reversed(tape.records)):
         raise InvalidInputError("loss was not produced on this tape")
-    if tape not in _TAPE_STACK:
-        raise InvalidInputError("backward must run inside its tape")
+    if not _TAPE_STACK or _TAPE_STACK[-1] is not tape:
+        raise InvalidInputError("backward must run inside its tape, as the innermost active tape")
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=_F64)}
     for rec in reversed(tape.records):
         g = grads.pop(id(rec.out), None)

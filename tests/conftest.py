@@ -79,7 +79,8 @@ def check_op_gradients(op_forward, params, probe_seed: int = 0, tol: float = FD_
 
 def parameter_checksum(model) -> bytes:
     """Order-sensitive digest of every parameter's name and bytes, then of
-    the running statistics' bytes (freeze verification)."""
+    the running statistics' bytes, to compare two networks' state bit for
+    bit."""
     h = hashlib.sha256()
     params = model.named_parameters()
     for name, p in params:

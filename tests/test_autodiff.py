@@ -295,8 +295,9 @@ class TestBatchNorm:
         with Tape([x, gamma, beta]) as tape:
             loss = ad.tsum(ad.batchnorm2d(x, gamma, beta, mean, var, train=True))
             grads = ad.backward(loss, tape)
+            assert not ad._needs(mean)
         assert len(tape.records[0].inputs) == 3
-        assert mean not in grads and var not in grads and not mean.requires_grad
+        assert mean not in grads and var not in grads
 
     @pytest.mark.parametrize("train", [True, False])
     def test_gradients(self, train):
@@ -434,13 +435,43 @@ class TestTapeAndBackward:
                 ad.backward(loss, tape)
 
     def test_backward_outside_its_tape_raises(self):
-        # the ops' backward reads which inputs take a gradient, which the
-        # tape's exit has cleared
+        # the ops' backward asks the innermost active tape which inputs take
+        # a gradient
         x = _rand((2, 2), 0)
         with Tape([x]) as tape:
             loss = ad.tsum(x)
         with pytest.raises(InvalidInputError, match="inside its tape"):
             ad.backward(loss, tape)
+
+    def test_backward_under_an_inner_tape_raises(self):
+        x = _rand((2, 2), 0)
+        with Tape([x]) as outer:
+            loss = ad.tsum(x)
+            with Tape():
+                with pytest.raises(InvalidInputError, match="innermost active tape"):
+                    ad.backward(loss, outer)
+
+    def test_watched_scalar_leaf_is_not_a_loss(self):
+        x = _t(3.0)
+        with Tape([x]) as tape:
+            with pytest.raises(InvalidInputError, match="not produced on this tape"):
+                ad.backward(x, tape)
+
+    def test_outer_tape_records_after_an_inner_tape_watching_the_same_tensor(self):
+        x = _t([2.0])
+        with Tape([x]) as outer:
+            with Tape([x]):
+                pass
+            y = ad.tsum(ad.add(x, x))
+            grads = ad.backward(y, outer)
+        assert grads[x].tolist() == [2.0]
+
+    def test_inner_tape_does_not_see_the_outer_tapes_watched_tensors(self):
+        x = _rand((2, 2), 0)
+        with Tape([x]) as outer:
+            with Tape() as inner:
+                ad.relu(x)
+        assert inner.records == [] and outer.records == []
 
     def test_gradient_accumulates_over_multiple_uses(self):
         x = _t([2.0])
@@ -451,29 +482,46 @@ class TestTapeAndBackward:
         assert grads[x].tolist() == [2.0]
 
     def test_no_recording_without_tape(self):
-        # an op output keeps the flag its tape's record set; with no tape
-        # active, an op on it is still not recorded
+        # y stays in its tape's id set after the tape exits; with no tape
+        # active, an op on y or on the watched x is not recorded anywhere
         x = _rand((2, 2), 0)
-        with Tape([x]):
+        with Tape([x]) as tape:
             y = ad.relu(x)
         out = ad.relu(y)
-        assert y.requires_grad and out.requires_grad is False
-        assert x.requires_grad is False
+        ad.relu(x)
+        assert [rec.out for rec in tape.records] == [y]
+        with Tape() as later:
+            ad.relu(out)
+            ad.relu(x)
+        assert later.records == []
 
-    def test_no_recording_without_requires_grad(self):
+    def test_no_recording_of_unwatched_inputs(self):
         # an op none of whose inputs the active tape watches is not recorded
         x, w = _rand((2, 2), 0), _rand((2, 2), 1)
         with Tape([w]) as tape:
             out = ad.relu(x)
-        assert len(tape.records) == 0 and out.requires_grad is False
+            assert not ad._needs(out)
+        assert len(tape.records) == 0
 
-    def test_watched_tensors_are_cleared_when_the_body_raises(self):
+    def test_entering_or_leaving_a_tape_changes_no_tensor(self):
         x, w = _rand((2, 2), 0), _rand((2, 2), 1)
+        before = [(t, slot, getattr(t, slot), t.data.tobytes()) for t in (x, w) for slot in Tensor.__slots__]
+
+        def unchanged():
+            return all(getattr(t, slot) is v and t.data.tobytes() == b for t, slot, v, b in before)
+
+        with Tape([x, w]) as tape:
+            assert ad._needs(x) and ad._needs(w) and unchanged()
+            loss = ad.tsum(ad.add(x, w))
+        assert unchanged()
         with pytest.raises(RuntimeError):
             with Tape([x, w]):
-                assert x.requires_grad and w.requires_grad
                 raise RuntimeError("body failed")
-        assert not x.requires_grad and not w.requires_grad
+        assert unchanged()
+        with Tape() as later:
+            ad.add(x, w)
+            ad.tsum(loss)
+        assert len(tape.records) == 2 and later.records == []
 
     def test_deterministic_gradients(self):
         def run():

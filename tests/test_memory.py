@@ -73,7 +73,7 @@ def _kept_by_recorded_forward(case: str) -> int:
             kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(tape.records) and loss.requires_grad
+    assert len(tape.records) and tape.records[-1].out is loss
     return kept
 
 

@@ -278,7 +278,10 @@ def test_built_and_loaded_parameters_take_no_gradient(kind, tmp_path):
     model = build_network(spec)
     save_checkpoint(model, tmp_path / "ckpt")
     loaded, _ = load_checkpoint(tmp_path / "ckpt")
-    assert not any(t.requires_grad for m in (model, loaded) for _, t in m.named_state())
+    x = _image((1, 16, 16))
+    with Tape([x]) as tape:
+        for m in (model, loaded):
+            assert list(ad.backward(ad.tsum(m.forward(x, train=True)), tape)) == [x]
 
 
 class TestCheckpoints:

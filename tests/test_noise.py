@@ -74,7 +74,6 @@ class TestPoisson:
     def test_negative_pixels_rejected(self):
         img = Tensor.__new__(Tensor)
         img.data = np.full((1, 4, 4), -1.0, dtype=np.float32)
-        img.requires_grad = False
         with pytest.raises(InvalidInputError):
             apply_noise(img, NoiseSpec(kind="poisson", poisson_scale=0.1, seed=2))
 

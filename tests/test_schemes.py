@@ -258,7 +258,10 @@ class TestTrainingLeavesNoGradient:
             assert learning_rate > 1
         else:
             assert learning_rate < 1
-        assert not any(p.requires_grad for p in app.parameters() + denoiser.parameters())
+        assert not ad._TAPE_STACK
+        image = train[0].image
+        with Tape([image]) as tape:
+            assert list(ad.backward(ad.tsum(app.forward(denoiser.forward(image))), tape)) == [image]
 
 
 class TestComposedLossInvariant:
