@@ -6,13 +6,14 @@ that ops never write into and that carries no gradient state; a
 records every op that depends on a tensor it watches; and :func:`backward`
 replays the records in reverse to produce the watched tensors' exact
 gradients. The operation set is exactly what the four network recipes need,
-in the layouts they run: one convolution op, whose two directions are
-``conv2d`` and ``transpose_conv2d``, at stride 1 with any padding, or at a
-stride equal to its square kernel with padding 0, whose windows tile the
-grid (conv2d's input extents must then be divisible by the stride); max
-pooling over non-overlapping windows, ``maxpool2d(x, window)``; batch norm, whose
-running statistics are tensors that take no gradient; ReLU, and the two
-losses. Any other layout is an :class:`InvalidShapeError`.
+in the layouts they run, each fixed by its kernel: one convolution op,
+whose two directions are ``conv2d(x, kernels, bias)``, an odd square kernel
+at stride 1 with "same" padding (k-1)/2, and ``transpose_conv2d(x, kernels,
+bias, stride=1)``, the same at stride 1 or, at a stride equal to its square
+kernel, padding 0 with windows that tile the output; ``maxpool2d(x)`` over
+2x2 windows at stride 2; batch norm, whose running statistics are tensors
+that take no gradient; ReLU, and the two losses. Any other layout is an
+:class:`InvalidShapeError` that names the op and states its rule.
 
 Numeric policy: values are stored as float32; every reduction (convolution
 dot products, means, loss sums, normalization statistics) accumulates in
@@ -253,9 +254,7 @@ def _correlate_t(
     return full[:, padding : padding + h, padding : padding + w] if padding else full
 
 
-def _conv(
-    op: str, x: Tensor, kernels: Tensor, bias: Tensor, stride: int, padding: int, transposed: bool
-) -> Tensor:
+def _conv(op: str, x: Tensor, kernels: Tensor, bias: Tensor, stride: int, transposed: bool) -> Tensor:
     """conv2d (kernels [C_out, C_in, kh, kw]) or, if ``transposed``,
     transpose_conv2d (kernels [C_in, C_out, kh, kw]) of ``x`` [C_in, H, W]."""
     if x.data.ndim != 3 or kernels.data.ndim != 4:
@@ -267,21 +266,15 @@ def _conv(
         raise InvalidShapeError(f"kernel C_in {kcin} does not match input C_in {cin}")
     if bias.shape != (cout,):
         raise InvalidShapeError(f"bias shape {bias.shape} does not match C_out {cout}")
-    if padding < 0:
-        raise InvalidShapeError(f"padding must be >= 0, got {padding}")
-    if not (stride == 1 or (stride == kh == kw > 1 and padding == 0)):
+    if not (kh == kw and (stride == 1 and kh % 2 or transposed and stride == kh > 1)):
+        tiling = ", or a stride equal to its square kernel with padding 0" if transposed else ""
         raise InvalidShapeError(
-            f"{op} takes stride 1, or stride equal to a square kernel with padding 0; "
-            f"got stride {stride}, a {kh}x{kw} kernel and padding {padding}"
+            f"{op} takes an odd square kernel at stride 1 with padding (k-1)/2{tiling}; "
+            f"got a {kh}x{kw} kernel at stride {stride}"
         )
-    if stride > 1 and not transposed and (h % stride or w % stride):
-        raise InvalidShapeError(f"{op} at stride {stride} needs input extents divisible by it, got {h}x{w}")
-    if transposed:
-        oh, ow = (h - 1) * stride - 2 * padding + kh, (w - 1) * stride - 2 * padding + kw
-    else:
-        oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise InvalidShapeError(f"{op} of a {h}x{w} input by a {kh}x{kw} kernel has no output ({oh}x{ow})")
+    padding = (kh - 1) // 2 if stride == 1 else 0
+    # stride 1 keeps the extents; a transposed conv's tiling stride multiplies them
+    oh, ow = h * stride, w * stride
     small, large = ((h, w), (oh, ow)) if transposed else ((oh, ow), (h, w))
     kmat = kernels.data.reshape(len(kernels.data), -1).astype(_F64)  # [C_small, C_large*kh*kw]
     bias64 = bias.data.astype(_F64)
@@ -315,24 +308,25 @@ def _conv(
     return out
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [C_in,H,W] with kernels [C_out,C_in,kh,kw]."""
-    return _conv("conv2d", x, kernels, bias, stride, padding, transposed=False)
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+    """Cross-correlation of [C_in,H,W] with odd square kernels [C_out,C_in,k,k]
+    at stride 1, zero-padded by (k-1)/2: the output keeps H and W."""
+    return _conv("conv2d", x, kernels, bias, 1, transposed=False)
 
 
-def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Transposed convolution: the linear adjoint of conv2d with the same kernel.
+def transpose_conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """Transposed convolution: the linear adjoint of a convolution with the same kernel.
 
-    Input [C_in,H,W], kernels [C_in,C_out,kh,kw], output extent
-    (H-1)*stride - 2*padding + kh.
+    Input [C_in,H,W], kernels [C_in,C_out,k,k]. At stride 1 the kernel is
+    odd with padding (k-1)/2 and the output keeps H and W; at stride k the
+    padding is 0 and the output is [C_out, k*H, k*W].
     """
-    return _conv("transpose_conv2d", x, kernels, bias, stride, padding, transposed=True)
+    return _conv("transpose_conv2d", x, kernels, bias, stride, transposed=True)
 
 
-def maxpool2d(x: Tensor, window: int) -> Tensor:
-    """Max pooling over non-overlapping ``window`` x ``window`` windows at
-    stride ``window``; backward routes gradient to the lowest-linear-index
-    maximum.
+def maxpool2d(x: Tensor) -> Tensor:
+    """Max pooling over 2x2 windows at stride 2 (an odd last row or column
+    is dropped); backward routes gradient to the lowest-linear-index maximum.
 
     The window cells, strided views of the input, are folded in linear-index
     order by a strict ``>``, so a tie keeps the first cell: not
@@ -343,13 +337,10 @@ def maxpool2d(x: Tensor, window: int) -> Tensor:
     if x.data.ndim != 3:
         raise InvalidShapeError(f"maxpool2d expects 3-d input, got {x.shape}")
     c, h, w = x.shape
-    if window < 1:
-        raise InvalidShapeError(f"maxpool2d needs a window >= 1, got {window}")
-    if window > h or window > w:
-        raise InvalidShapeError(f"window {window} exceeds input extents {h}x{w}")
-    k = window
-    oh, ow = h // k, w // k
-    cells = [(slice(None), slice(a, a + k * oh, k), slice(b, b + k * ow, k)) for a in range(k) for b in range(k)]
+    if h < 2 or w < 2:
+        raise InvalidShapeError(f"maxpool2d pools 2x2 windows at stride 2; got a {h}x{w} input")
+    oh, ow = h // 2, w // 2
+    cells = [(slice(None), slice(a, a + 2 * oh, 2), slice(b, b + 2 * ow, 2)) for a in range(2) for b in range(2)]
     best = x.data[cells[0]]
     for cell in cells[1:]:
         v = x.data[cell]

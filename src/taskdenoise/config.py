@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .networks import CCNN, DENOISER_KINDS, NONEWNET2D, NetworkSpec
 from .noise import NoiseSpec, noise_tag
 from .rng import derive_seed
-from .schemes import HV, NNV, SCHEME_KINDS, TC, TD, TrainSettings
+from .schemes import DENOISED_SCHEMES, SCHEME_KINDS, TC, TD, TrainSettings
 
 
 def check_fit(spec: NetworkSpec, role: str, dataset: DatasetSpec, where: str) -> None:
@@ -55,7 +55,7 @@ class CheckpointOverride:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEME_KINDS:
             raise ConfigError(f"checkpoint override for unknown scheme {self.scheme!r}")
-        denoised = self.scheme in (HV, NNV)
+        denoised = self.scheme in DENOISED_SCHEMES
         if not isinstance(self.application, str) or not isinstance(self.denoiser, str if denoised else type(None)):
             need = "a 'denoiser' path" if denoised else "a null 'denoiser'"
             raise ConfigError(f"checkpoint_overrides.{self.scheme} needs an 'application' path and {need}")
@@ -88,7 +88,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown scheme {s!r}")
         if len(set(self.schemes)) != len(self.schemes):
             raise ConfigError("duplicate scheme in schemes list")
-        if any(s in (HV, NNV) for s in self.schemes) and self.denoiser is None:
+        if any(s in DENOISED_SCHEMES for s in self.schemes) and self.denoiser is None:
             raise ConfigError("schemes hv/nnv require a denoiser spec")
         if not self.test_noises:
             raise ConfigError("test_noises list is empty")
@@ -208,7 +208,7 @@ def parse_config(text: str, seed_override: int | None = None) -> ExperimentConfi
     application = network("application")
     denoiser = network("denoiser") if raw.get("denoiser") is not None else None
 
-    schemes = _optional(raw, "schemes", list, [TC, TD, HV, NNV] if denoiser is not None else [TC, TD])
+    schemes = _optional(raw, "schemes", list, list(SCHEME_KINDS) if denoiser is not None else [TC, TD])
 
     train_raw = raw.get("train_noise", {})
     train_noise = _section(NoiseSpec, train_raw, "train_noise", {"seed": derive_seed(seed, "noise/train")})

@@ -53,7 +53,7 @@ from .data import SEGMENTATION, SPLITS, Sample, generate_dataset, load_dataset, 
 from .errors import CheckpointError, ConfigError
 from .networks import Model, build_network, load_checkpoint, save_checkpoint
 from .noise import noise_tag
-from .schemes import HV, NNV, TC, TD, TrainResult
+from .schemes import DENOISED_SCHEMES, HV, NNV, TC, TD, TrainResult
 from .tensorio import read_tensor, write_csv
 
 
@@ -106,7 +106,7 @@ def _scheme_dirs(cfg: ExperimentConfig, scheme: str) -> tuple[Path, Path | None]
         if o.scheme == scheme:
             return Path(o.application), None if o.denoiser is None else Path(o.denoiser)
     app_dir = _checkpoint_dir(cfg, TD if scheme == TD else TC)
-    return app_dir, _checkpoint_dir(cfg, scheme) if scheme in (HV, NNV) else None
+    return app_dir, _checkpoint_dir(cfg, scheme) if scheme in DENOISED_SCHEMES else None
 
 
 def _complete(ckpt: Path) -> bool:

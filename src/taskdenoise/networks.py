@@ -2,8 +2,9 @@
 
 Two denoisers (residual encoder-decoder, residual conv stack with batch
 norm), a U-Net style segmentation network, and a small classification CNN,
-all expressed over the autodiff op set. Convolutions are 3x3 with padding 1
-unless a layer is a 1x1 projection; widths default to desk scale.
+all expressed over the autodiff op set. Convolutions are 3x3 unless a layer
+is a 1x1 projection or the U-Net's 2x2 stride-2 upsampling; each op's
+padding follows from its kernel. Widths default to desk scale.
 
 Every layer is one ``_Layer``: an autodiff op with its named tensors.
 Parameters are built taking no gradient. A checkpoint holds one TSR1 file
@@ -91,12 +92,12 @@ def _weighted(name: str, op: str, weight_shape: tuple, outputs: int, seed: int, 
     return _Layer(name, op, {"weight": weight, "bias": bias}, args=args)
 
 
-def _conv(name: str, cin: int, cout: int, seed: int, kernel: int = 3, padding: int = 1) -> _Layer:
-    return _weighted(name, "conv2d", (cout, cin, kernel, kernel), cout, seed, 1, padding)
+def _conv(name: str, cin: int, cout: int, seed: int, kernel: int = 3) -> _Layer:
+    return _weighted(name, "conv2d", (cout, cin, kernel, kernel), cout, seed)
 
 
-def _tconv(name: str, cin: int, cout: int, seed: int, kernel: int = 3, stride: int = 1, padding: int = 1) -> _Layer:
-    return _weighted(name, "transpose_conv2d", (cin, cout, kernel, kernel), cout, seed, stride, padding)
+def _tconv(name: str, cin: int, cout: int, seed: int, kernel: int = 3, stride: int = 1) -> _Layer:
+    return _weighted(name, "transpose_conv2d", (cin, cout, kernel, kernel), cout, seed, stride)
 
 
 def _batchnorm(name: str, channels: int) -> _Layer:
@@ -230,12 +231,12 @@ class NoNewNet2d(Model):
         prev = bott
         for i in reversed(range(d)):
             w = widths[i]
-            up = self._register(_tconv(f"up{i}", prev, w, s, kernel=2, stride=2, padding=0))
+            up = self._register(_tconv(f"up{i}", prev, w, s, kernel=2, stride=2))
             a = self._register(_conv(f"dec{i}a", 2 * w, w, s))
             b = self._register(_conv(f"dec{i}b", w, w, s))
             self.dec.append((i, up, a, b))
             prev = w
-        self.head = self._register(_conv("head", base, spec.num_classes, s, kernel=1, padding=0))
+        self.head = self._register(_conv("head", base, spec.num_classes, s, kernel=1))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -249,7 +250,7 @@ class NoNewNet2d(Model):
             h = ad.relu(a(h))
             h = ad.relu(b(h))
             skips.append(h)
-            h = ad.maxpool2d(h, 2)
+            h = ad.maxpool2d(h)
         h = ad.relu(self.bott_a(h))
         h = ad.relu(self.bott_b(h))
         for i, up, a, b in self.dec:
@@ -288,7 +289,7 @@ class Ccnn(Model):
             )
         h = x
         for conv in self.convs:
-            h = ad.maxpool2d(ad.relu(conv(h)), 2)
+            h = ad.maxpool2d(ad.relu(conv(h)))
         return self.fc(ad.flatten(h))
 
 

@@ -102,20 +102,16 @@ class Rng:
         return out.reshape(mean.shape)
 
     def _poisson_knuth(self, mean: np.ndarray) -> np.ndarray:
+        k = np.zeros(mean.size, dtype=np.int64)
         limit = np.exp(-mean)
-        n = mean.size
-        k = np.zeros(n, dtype=np.int64)
-        p = np.ones(n, dtype=np.float64)
-        active = np.ones(n, dtype=bool)
+        lanes = np.arange(mean.size)  # the lanes still multiplying, ascending
+        p = np.ones(mean.size)
         # p(0)=1 > e^-0 fails immediately for mean 0, giving Poisson(0)=0
-        while True:
-            idx = np.nonzero(active)[0]
-            if idx.size == 0:
-                break
-            p[idx] *= self.uniform(idx.size)
-            cont = p[idx] > limit[idx]
-            k[idx[cont]] += 1
-            active[idx[~cont]] = False
+        while lanes.size:
+            p = p * self.uniform(lanes.size)
+            cont = p > limit
+            lanes, p, limit = lanes[cont], p[cont], limit[cont]
+            k[lanes] += 1
         return k
 
     def _poisson_ptrs(self, mean: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .rng import Rng, derive_seed
 
 TC, TD, HV, NNV = "tc", "td", "hv", "nnv"
 SCHEME_KINDS = (TC, TD, HV, NNV)
+DENOISED_SCHEMES = (HV, NNV)  # the schemes that run a denoiser before the application network
 
 
 @dataclass(frozen=True)

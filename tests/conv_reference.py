@@ -9,7 +9,9 @@ terms in kernel-offset order starting from +0.0. ``batchnorm2d`` broadcasts
 its per-channel values over [C, H, W] and always keeps the normalized
 input for backward. The production ops in :mod:`taskdenoise.autodiff` move
 data differently but must produce the same bits; ``test_conv_exact.py``
-holds them to that.
+holds them to that. The production ops take their layout from the kernel;
+these keep a general stride, padding and pooling window, so a test states
+the layout it expects.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import conv_reference
 from conftest import check_op_gradients, fd_gradient, rel_err
 from taskdenoise import autodiff as ad
 from taskdenoise.autodiff import Tape, Tensor
@@ -32,6 +33,10 @@ class TestTensor:
 
 
 class TestConv2d:
+    # (stride, padding) of the layouts conv2d runs, each given by the odd
+    # kernel 2*padding + 1: the U-Net's 1x1 head and every 3x3 conv
+    LAYOUTS = [(1, 0), (1, 1)]
+
     def test_identity_kernel(self):
         x = _t(np.ones((1, 3, 3)))
         k = _t(np.ones((1, 1, 1, 1)))
@@ -41,48 +46,46 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data, np.ones((1, 3, 3), np.float32))
 
     def test_hand_summed_cross_correlation(self):
-        # sum of elementwise product: 1+2+3+4 = 10
-        x = _t([[[1.0, 2.0], [3.0, 4.0]]])
-        k = _t(np.ones((1, 1, 2, 2)))
+        # sums of the elementwise product with the zero-padded input: the
+        # centre sees 1+...+9 = 45, the corner 1+2+4+5 = 12
+        x = _t(np.arange(1.0, 10.0).reshape(1, 3, 3))
+        k = _t(np.ones((1, 1, 3, 3)))
         b = _t(np.zeros(1))
         out = ad.conv2d(x, k, b)
-        assert out.shape == (1, 1, 1)
-        assert out.data[0, 0, 0] == 10.0
+        assert out.shape == (1, 3, 3)
+        assert out.data[0, 1, 1] == 45.0 and out.data[0, 0, 0] == 12.0
 
     def test_output_extent_formula(self):
+        # "same" padding (k-1)/2 at stride 1 keeps the input extents
         x = _rand((3, 10, 8), 0)
-        k = _rand((4, 3, 2, 2), 1)
         b = _t(np.zeros(4))
-        out = ad.conv2d(x, k, b, stride=2, padding=0)
-        assert out.shape == (4, (10 - 2) // 2 + 1, (8 - 2) // 2 + 1)
+        for kk in (1, 3, 5):
+            assert ad.conv2d(x, _rand((4, 3, kk, kk), 1), b).shape == (4, 10, 8)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(InvalidShapeError):
             ad.conv2d(_rand((2, 4, 4), 0), _rand((3, 5, 3, 3), 1), _t(np.zeros(3)))
 
-    def test_kernel_larger_than_padded_input_raises(self):
-        with pytest.raises(InvalidShapeError):
-            ad.conv2d(_rand((1, 2, 2), 0), _rand((1, 1, 5, 5), 1), _t(np.zeros(1)))
-
-    # stride 2 runs the 2x2 kernel whose windows tile the (even) input
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
+    @pytest.mark.parametrize("stride,padding", LAYOUTS)
     def test_gradients(self, stride, padding):
-        kk, w = (3, 5) if stride == 1 else (2, 4)
-        x = _rand((2, 6, w), 10)
+        kk = 2 * padding + 1
+        x = _rand((2, 6, 5), 10)
         k = _rand((3, 2, kk, kk), 11)
         b = _rand((3,), 12)
-        check_op_gradients(lambda: ad.conv2d(x, k, b, stride, padding), [x, k, b])
+        extents = ((6 + 2 * padding - kk) // stride + 1, (5 + 2 * padding - kk) // stride + 1)
+        assert ad.conv2d(x, k, b).shape[1:] == extents
+        check_op_gradients(lambda: ad.conv2d(x, k, b), [x, k, b])
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
+    @pytest.mark.parametrize("stride,padding", LAYOUTS)
     def test_gradients_vs_brute_force(self, stride, padding):
         # independent float64 loop oracle for forward and kernel/input grads
         rng = np.random.default_rng(13)
-        cin, cout, h = 2, 3, 6
-        kk, w = (3, 5) if stride == 1 else (2, 4)
+        cin, cout, h, w = 2, 3, 6, 5
+        kk = 2 * padding + 1
         x = Tensor(rng.normal(size=(cin, h, w)).astype(np.float32))
         k = Tensor(rng.normal(size=(cout, cin, kk, kk)).astype(np.float32))
         b = Tensor(rng.normal(size=cout).astype(np.float32))
-        out = ad.conv2d(x, k, b, stride, padding)
+        out = ad.conv2d(x, k, b)
         g_out = rng.normal(size=out.shape).astype(np.float32).astype(np.float64)
 
         xp = np.pad(x.data.astype(np.float64), ((0, 0), (padding, padding), (padding, padding)))
@@ -97,7 +100,7 @@ class TestConv2d:
 
         with Tape([x, k, b]) as tape:
             head = Tensor(g_out.reshape(1, -1))
-            loss = ad.tsum(ad.linear(ad.flatten(ad.conv2d(x, k, b, stride, padding)), head, Tensor(np.zeros(1))))
+            loss = ad.tsum(ad.linear(ad.flatten(ad.conv2d(x, k, b)), head, Tensor(np.zeros(1))))
             grads = ad.backward(loss, tape)
         dk_ref = np.zeros(k.shape)
         dxp_ref = np.zeros(xp.shape)
@@ -109,7 +112,7 @@ class TestConv2d:
                     dxp_ref[:, i * stride : i * stride + kk, j * stride : j * stride + kk] += (
                         g_out[o, i, j] * k.data[o]
                     )
-        dx_ref = dxp_ref[:, padding : padding + h, padding : padding + w] if padding else dxp_ref
+        dx_ref = dxp_ref[:, padding : padding + h, padding : padding + w]
         np.testing.assert_allclose(grads[k], dk_ref, rtol=1e-4, atol=1e-5)
         np.testing.assert_allclose(grads[x], dx_ref, rtol=1e-4, atol=1e-5)
         np.testing.assert_allclose(grads[b], g_out.sum(axis=(1, 2)), rtol=1e-5)
@@ -120,18 +123,21 @@ class TestTransposeConv2d:
         x = _rand((1, 4, 4), 0)
         k = _t(np.ones((1, 1, 1, 1)))
         b = _t(np.zeros(1))
-        out = ad.transpose_conv2d(x, k, b, stride=1, padding=0)
+        out = ad.transpose_conv2d(x, k, b)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_output_extent_formula(self):
         x = _rand((2, 5, 4), 1)
-        k = _rand((2, 3, 2, 2), 2)
         b = _t(np.zeros(3))
-        out = ad.transpose_conv2d(x, k, b, stride=2, padding=0)
+        # a stride equal to the kernel tiles the output: (H-1)*stride + kernel
+        out = ad.transpose_conv2d(x, _rand((2, 3, 2, 2), 2), b, stride=2)
         assert out.shape == (3, (5 - 1) * 2 + 2, (4 - 1) * 2 + 2)
+        # stride 1 with "same" padding keeps the extents
+        assert ad.transpose_conv2d(x, _rand((2, 3, 3, 3), 2), b).shape == (3, 5, 4)
 
-    # (stride, padding, kernel): the stride-1 map and the tiling one
-    LAYOUTS = [(1, 0, 3), (1, 1, 3), (2, 0, 2)]
+    # (stride, padding, kernel) of transpose_conv2d's layouts: redcnn's 3x3
+    # deconvs, a 1x1 one and the U-Net's 2x2/2 upsampling
+    LAYOUTS = [(1, 1, 3), (1, 0, 1), (2, 0, 2)]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_adjoint_of_conv2d(self, seed):
@@ -144,114 +150,99 @@ class TestTransposeConv2d:
         w = (ow - 1) * stride + kk - 2 * padding
         x = _t(rng.normal(size=(cin, h, w)))
         k = _t(rng.normal(size=(cout, cin, kk, kk)))
-        conv_out = ad.conv2d(x, k, _t(np.zeros(cout)), stride, padding)
+        # conv2d runs only stride 1: the tiling conv comes from the reference
+        conv = ad.conv2d if stride == 1 else lambda *a: conv_reference.conv2d(*a, stride, padding)
+        conv_out = conv(x, k, _t(np.zeros(cout)))
         y = _t(rng.normal(size=conv_out.shape))
-        back = ad.transpose_conv2d(y, k, _t(np.zeros(cin)), stride, padding)
+        back = ad.transpose_conv2d(y, k, _t(np.zeros(cin)), stride)
         lhs = float((conv_out.data.astype(np.float64) * y.data).sum())
         rhs = float((x.data.astype(np.float64) * back.data).sum())
         assert abs(lhs - rhs) < 1e-4
 
-    # stride 2 runs the 2x2 kernel whose windows tile the output
+    # (stride, padding) of each layout, run by the kernel that gives it
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0)])
     def test_gradients(self, stride, padding):
-        kk = 3 if stride == 1 else 2
+        kk = 2 * padding + 1 if stride == 1 else stride
         x = _rand((2, 4, 4), 20)
         k = _rand((2, 3, kk, kk), 21)
         b = _rand((3,), 22)
-        check_op_gradients(lambda: ad.transpose_conv2d(x, k, b, stride, padding), [x, k, b])
+        check_op_gradients(lambda: ad.transpose_conv2d(x, k, b, stride), [x, k, b])
 
 
 class TestConvInvalidShapes:
     # x shape, kernel shape and bias length of a valid call (conv2d kernels are
-    # [C_out, C_in, kh, kw], transpose_conv2d kernels [C_in, C_out, kh, kw]),
-    # and the same plus stride and padding for a call with no output
+    # [C_out, C_in, kh, kw], transpose_conv2d kernels [C_in, C_out, kh, kw])
     VALID = {"conv2d": ((2, 6, 6), (3, 2, 3, 3), 3), "transpose_conv2d": ((2, 6, 6), (2, 3, 3, 3), 3)}
-    NO_OUTPUT = {"conv2d": ((2, 2, 2), (3, 2, 5, 5), 3, 1, 0), "transpose_conv2d": ((2, 1, 1), (2, 3, 1, 1), 3, 1, 1)}
 
-    @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
     @pytest.mark.parametrize(
-        "case",
+        "case,op",
         [
-            "kernel_2d", "cin_mismatch", "bias_length", "stride_0", "padding_neg", "no_output",
-            "stride_2_kernel_3", "stride_kernel_padding_1",
-        ],
+            (case, op)
+            for case in ("kernel_2d", "cin_mismatch", "bias_length", "even_kernel")
+            for op in ("conv2d", "transpose_conv2d")
+        ]
+        # a transposed conv's stride must be 1 or its kernel size
+        + [("stride_0", "transpose_conv2d"), ("stride_2_kernel_3", "transpose_conv2d")],
     )
     def test_raises(self, op, case):
         xs, ks, nb = self.VALID[op]
-        stride, padding = 1, 0
-        if case == "stride_2_kernel_3":
-            stride = 2
-        elif case == "stride_kernel_padding_1":
-            ks, stride, padding = ks[:2] + (2, 2), 2, 1
-        elif case == "kernel_2d":
+        stride = ()
+        if case == "kernel_2d":
             ks = ks[:2]
         elif case == "cin_mismatch":
             xs = (4,) + xs[1:]
         elif case == "bias_length":
             nb += 1
-        elif case == "stride_0":
-            stride = 0
-        elif case == "padding_neg":
-            padding = -1
+        elif case == "even_kernel":
+            ks = ks[:2] + (2, 2)
         else:
-            xs, ks, nb, stride, padding = self.NO_OUTPUT[op]
-        # a stride outside the accepted layouts names the layout rule
-        rule = "takes stride 1, or stride equal to a square kernel" if case.startswith("stride") else None
+            stride = (0,) if case == "stride_0" else (2,)
+        # a layout outside the op's rule names the op and states the rule
+        rule = f"{op} takes an odd square kernel at stride 1" if case.startswith(("even", "stride")) else None
         with pytest.raises(InvalidShapeError, match=rule):
-            getattr(ad, op)(_rand(xs, 0), _rand(ks, 1), _t(np.zeros(nb)), stride, padding)
-
-    def test_conv2d_stride_over_odd_extent_raises(self):
-        # conv2d's strided windows must tile its input; a transposed conv's
-        # tile its output at any input extent
-        with pytest.raises(InvalidShapeError, match="divisible"):
-            ad.conv2d(_rand((2, 6, 5), 0), _rand((3, 2, 2, 2), 1), _t(np.zeros(3)), 2, 0)
-        out = ad.transpose_conv2d(_rand((2, 6, 5), 0), _rand((2, 3, 2, 2), 1), _t(np.zeros(3)), 2, 0)
-        assert out.shape == (3, 12, 10)
+            getattr(ad, op)(_rand(xs, 0), _rand(ks, 1), _t(np.zeros(nb)), *stride)
 
     @pytest.mark.parametrize("op", ["conv2d", "transpose_conv2d"])
     def test_valid_call_is_accepted(self, op):
         xs, ks, nb = self.VALID[op]
         assert getattr(ad, op)(_rand(xs, 0), _rand(ks, 1), _t(np.zeros(nb))).shape[0] == nb
 
-
 class TestMaxPool:
     def test_constant_input(self):
         x = _t(np.full((2, 4, 4), 7.0))
-        out = ad.maxpool2d(x, 2)
+        out = ad.maxpool2d(x)
         np.testing.assert_array_equal(out.data, np.full((2, 2, 2), 7.0, np.float32))
 
     def test_exhaustive_max(self):
         x = _t([[[1.0, 2.0], [3.0, 4.0]]])
-        out = ad.maxpool2d(x, 2)
+        out = ad.maxpool2d(x)
         assert out.data.ravel().tolist() == [4.0]
 
     def test_gradient_routes_to_argmax(self):
         x = _t([[[1.0, 2.0], [3.0, 4.0]]])
         with Tape([x]) as tape:
-            loss = ad.tsum(ad.maxpool2d(x, 2))
+            loss = ad.tsum(ad.maxpool2d(x))
             grads = ad.backward(loss, tape)
         np.testing.assert_array_equal(grads[x][0], [[0.0, 0.0], [0.0, 1.0]])
 
     def test_tie_breaks_to_lowest_linear_index(self):
         x = _t(np.full((1, 2, 2), 5.0))
         with Tape([x]) as tape:
-            loss = ad.tsum(ad.maxpool2d(x, 2))
+            loss = ad.tsum(ad.maxpool2d(x))
             grads = ad.backward(loss, tape)
         np.testing.assert_array_equal(grads[x][0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_window_too_large_raises(self):
-        with pytest.raises(InvalidShapeError):
-            ad.maxpool2d(_rand((1, 2, 2), 0), 3)
+        # the 2x2 window does not fit an input under 2x2
+        for extents in [(1, 2), (2, 1), (1, 1)]:
+            with pytest.raises(InvalidShapeError, match="maxpool2d pools 2x2 windows at stride 2"):
+                ad.maxpool2d(_rand((1, *extents), 0))
 
     def test_gradient_vs_fd(self):
         # values spread out so no window has near-ties within the fd step
         vals = 0.25 * np.arange(32, dtype=np.float32).reshape(2, 4, 4)
         x = Tensor(vals + 0.01 * np.random.default_rng(3).normal(size=vals.shape).astype(np.float32))
-        check_op_gradients(lambda: ad.maxpool2d(x, 2), [x])
-
-    def test_window_below_one_raises(self):
-        with pytest.raises(InvalidShapeError, match="maxpool2d needs a window >= 1"):
-            ad.maxpool2d(_rand((1, 6, 6), 0), 0)
+        check_op_gradients(lambda: ad.maxpool2d(x), [x])
 
 
 class TestBatchNorm:
@@ -529,7 +520,7 @@ class TestTapeAndBackward:
             k = _rand((3, 2, 3, 3), 81)
             b = _rand((3,), 82)
             with Tape([x, k, b]) as tape:
-                h = ad.relu(ad.conv2d(x, k, b, 1, 1))
+                h = ad.relu(ad.conv2d(x, k, b))
                 loss = ad.mse_loss(h, _rand(h.shape, 83))
                 grads = ad.backward(loss, tape)
             return grads[k].tobytes(), grads[x].tobytes(), loss.data.tobytes()
@@ -542,7 +533,7 @@ class TestTapeAndBackward:
         k = _rand((2, 1, 3, 3), 91)
         b = _rand((2,), 92)
         with Tape([x]) as tape:
-            loss = ad.tsum(ad.conv2d(x, k, b, 1, 1))
+            loss = ad.tsum(ad.conv2d(x, k, b))
             grads = ad.backward(loss, tape)
         assert k not in grads and b not in grads and x in grads
 
@@ -553,6 +544,6 @@ class TestFiniteOutputs:
         rng = np.random.default_rng(seed)
         x = Tensor((100 * rng.normal(size=(2, 8, 8))).astype(np.float32))
         k = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(np.float32))
-        out = ad.conv2d(x, k, Tensor(np.zeros(3, np.float32)), 1, 1)
+        out = ad.conv2d(x, k, Tensor(np.zeros(3, np.float32)))
         out = ad.relu(out)
         assert np.all(np.isfinite(out.data))

@@ -4,7 +4,8 @@ The brute-force oracles in ``test_autodiff.py`` compare with tolerances,
 so they cannot see a float64 sum that adds its terms in another order.
 These tests compare bytes: forward outputs, and every float64 gradient the
 op's backward returns, at each layer shape the four networks run (64x64,
-width 8) and at other extents and strides of the layouts the ops accept. The output
+width 8) and at odd extents of every layout the ops run. The reference
+ops take any layout; each test states its layout to them. The output
 gradient fed to backward holds +0.0 and -0.0 entries, as relu's backward
 produces, so that a changed sign of zero shows too. An op must give the
 same output bytes whether or not it is recorded. One training step of each network must give the same
@@ -52,9 +53,27 @@ def _run(op, arrays, args, seed: int, needs=None):
     return out, grads
 
 
-def assert_exact(name: str, arrays, args, seed: int = 0, needs=None) -> None:
+def _padding(kernels: Tensor, stride: int = 1) -> int:
+    """The padding a convolution takes from its kernel: (k-1)/2 at stride 1, else 0."""
+    return (kernels.shape[2] - 1) // 2 if stride == 1 else 0
+
+
+# the reference ops called as the networks call the ops, at the layout each op takes from its kernel
+AS_CALLED = {
+    "conv2d": lambda x, k, b: ref.conv2d(x, k, b, 1, _padding(k)),
+    "transpose_conv2d": lambda x, k, b, stride=1: ref.transpose_conv2d(x, k, b, stride, _padding(k, stride)),
+    "maxpool2d": lambda x: ref.maxpool2d(x, 2),
+}
+
+
+def assert_exact(name: str, arrays, args, seed: int = 0, needs=None, ref_args=None) -> None:
+    """The op called with ``args`` against the reference called with
+    ``ref_args``, the layout a test states, or else as the networks call it."""
     out, grads = _run(getattr(ad, name), arrays, args, seed, needs)
-    out_ref, grads_ref = _run(getattr(ref, name), arrays, args, seed, needs)
+    if ref_args is None:
+        out_ref, grads_ref = _run(AS_CALLED[name], arrays, args, seed, needs)
+    else:
+        out_ref, grads_ref = _run(getattr(ref, name), arrays, ref_args, seed, needs)
     _same_bits(out.data, out_ref.data, f"{name}{args} forward")
     assert len(grads) == len(grads_ref) == len(arrays)
     for i, (d, d_ref) in enumerate(zip(grads, grads_ref)):
@@ -139,7 +158,7 @@ def test_whole_network_step(kind):
     # every op's results must stay intact through later ops and backward
     # calls, which the reference ops, one plain array per value, show
     step = _training_step(kind)
-    with _ops_replaced({name: getattr(ref, name) for name in (*OPS, "batchnorm2d")}):
+    with _ops_replaced({**AS_CALLED, "batchnorm2d": ref.batchnorm2d}):
         step_ref = _training_step(kind)
     assert len(step) == len(step_ref)
     for i, (a, a_ref) in enumerate(zip(step, step_ref)):
@@ -156,32 +175,32 @@ def _rand(shape, seed):
 NEEDS = [(True, True, True), (False, True, True), (False, True, False), (True, False, False), (False, False, True)]
 
 
-@pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (3, 0, 3), (2, 0, 2)])
+# (stride, padding, kernel) of conv2d's layouts: the U-Net's 1x1 head and every 3x3 conv
+@pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 1), (1, 1, 3)])
 def test_conv2d_strides(stride, padding, kernel):
-    # a strided conv's windows tile its input, so its extents are multiples of the stride
-    h = 7 if stride == 1 else 4 * stride
-    arrays = [_rand((2, h, 6), 1), _rand((3, 2, kernel, kernel), 2), _rand((3,), 3)]
+    arrays = [_rand((2, 7, 6), 1), _rand((3, 2, kernel, kernel), 2), _rand((3,), 3)]
     for needs in NEEDS:
-        assert_exact("conv2d", arrays, (stride, padding), needs=needs)
+        assert_exact("conv2d", arrays, (), needs=needs, ref_args=(stride, padding))
 
 
-@pytest.mark.parametrize("stride,padding,kernel", [(1, 0, 3), (1, 1, 3), (3, 0, 3), (2, 0, 2), (1, 0, 1)])
+# the stride-1 layouts, and strides equal to the kernel, whose windows tile the output
+@pytest.mark.parametrize("stride,padding,kernel", [(1, 1, 3), (2, 0, 2), (3, 0, 3), (1, 0, 1)])
 def test_transpose_conv2d_strides(stride, padding, kernel):
     arrays = [_rand((2, 5, 4), 4), _rand((2, 3, kernel, kernel), 5), _rand((3,), 6)]
     for needs in NEEDS:
-        assert_exact("transpose_conv2d", arrays, (stride, padding), needs=needs)
+        assert_exact("transpose_conv2d", arrays, (stride,), needs=needs, ref_args=(stride, padding))
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 4), (2, 5, 5), (3, 7, 6), (1, 6, 7)])
-@pytest.mark.parametrize("window", [2, 3], ids=["2-2", "3-3"])  # window-stride
+@pytest.mark.parametrize("window", [2], ids=["2-2"])  # window-stride, stated to the reference
 def test_maxpool2d_extents(shape, window):
-    assert_exact("maxpool2d", [_rand(shape, 7)], (window,))
+    assert_exact("maxpool2d", [_rand(shape, 7)], (), ref_args=(window,))
 
 
 def test_maxpool2d_ties():
     # ties route the gradient to the first maximum on both paths
     x = np.round(_rand((2, 7, 6), 8)).astype(np.float32)
-    assert_exact("maxpool2d", [x], (2,))
+    assert_exact("maxpool2d", [x], (), ref_args=(2,))
 
 
 def _stats(c: int, seed: int) -> tuple[Tensor, Tensor]:
@@ -216,9 +235,9 @@ def _forward_calls():
     return [
         (ad.relu, [_rand((c, 9, 7), 14)], ()),
         (ad.batchnorm2d, [_rand((c, 9, 7), 15), 1 + _rand((c,), 16), _rand((c,), 17)], (*_stats(c, 18), False)),
-        (ad.maxpool2d, [np.round(_rand((c, 9, 7), 19))], (2,)),
-        (ad.transpose_conv2d, [_rand((3, 5, 4), 20), _rand((3, c, 3, 3), 21), _rand((c,), 22)], (1, 1)),
-        (ad.transpose_conv2d, [_rand((3, 5, 4), 23), _rand((3, c, 2, 2), 24), _rand((c,), 25)], (2, 0)),
+        (ad.maxpool2d, [np.round(_rand((c, 9, 7), 19))], ()),
+        (ad.transpose_conv2d, [_rand((3, 5, 4), 20), _rand((3, c, 3, 3), 21), _rand((c,), 22)], (1,)),
+        (ad.transpose_conv2d, [_rand((3, 5, 4), 23), _rand((3, c, 2, 2), 24), _rand((c,), 25)], (2,)),
     ]
 
 
@@ -230,4 +249,4 @@ def test_forward_is_the_same_with_and_without_a_tape(call):
     with Tape(inputs) as tape:
         recorded = op(*inputs, *args)
     assert [rec.out for rec in tape.records] == [recorded]
-    _same_bits(plain.data, recorded.data, f"{op.__name__}{args[-2:]} forward")
+    _same_bits(plain.data, recorded.data, f"{op.__name__}{args[-1:]} forward")

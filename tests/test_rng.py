@@ -1,5 +1,7 @@
 """Determinism and distribution checks for the repo RNG."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,23 @@ class TestPoisson:
         a = Rng(11).poisson(means)
         b = Rng(11).poisson(means)
         np.testing.assert_array_equal(a, b)
+
+    # the sha256 of the int64 draws, then the stream position after them
+    PINNED = "b6d970849f55a590ce97bcb635016add21121c3804344cd74e1157f494a77c29"
+
+    def test_draws_and_stream_position_are_pinned(self):
+        # zeros, fractional means below 30 (Knuth) and means of 30 or more
+        # (PTRS), interleaved so that neither branch's lanes are contiguous:
+        # the hash changes if a lane gets another uniform or the stream
+        # position moves
+        means = np.concatenate([np.zeros(8), np.linspace(0.05, 29.95, 40), np.linspace(30.0, 1000.5, 24)])
+        means = means[(np.arange(72) * 29) % 72].reshape(8, 9)
+        rng = Rng(2024)
+        draws = rng.poisson(means)
+        assert draws.dtype == np.int64 and draws.shape == (8, 9)
+        digest = hashlib.sha256(draws.astype("<i8").tobytes())
+        digest.update(np.int64(rng._count).astype("<i8").tobytes())
+        assert digest.hexdigest() == self.PINNED
 
 
 class TestHelpers:
