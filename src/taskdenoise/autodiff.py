@@ -56,9 +56,10 @@ _F64 = np.float64
 
 class Tensor:
     """Float32 n-d array value. Ops never write into ``.data``; code that
-    changes a tensor gives it a new array. Four places do: the Adam step,
-    checkpoint loading, best-epoch restore and, for batchnorm's running
-    statistics, each train-mode :func:`batchnorm2d` call."""
+    changes a tensor gives it a new array. Five places do: a fresh
+    network's init, the Adam step, checkpoint loading, best-epoch restore
+    and, for batchnorm's running statistics, each train-mode
+    :func:`batchnorm2d` call."""
 
     __slots__ = ("data",)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,9 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if type(getattr(self, f.name)).__name__ != f.type:
+                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         if self.task not in (SEGMENTATION, CLASSIFICATION):
             raise ConfigError(f"unknown task {self.task!r}")
         if self.num_classes < 2:

@@ -6,16 +6,17 @@ all expressed over the autodiff op set. Convolutions are 3x3 unless a layer
 is a 1x1 projection or the U-Net's 2x2 stride-2 upsampling; each op's
 padding follows from its kernel. Widths default to desk scale.
 
-Every layer is one ``_Layer``: an autodiff op with its named tensors.
-Parameters are built taking no gradient. A checkpoint holds one TSR1 file
-per tensor of ``Model.named_state()``: the parameters, then the batchnorm
-running statistics.
+Every layer is one ``_Layer``: an autodiff op with its tensors, declared by
+shape. ``build_network`` draws a fresh network's values from the spec seed
+and each tensor's checkpoint name; ``load_checkpoint`` reads a saved one's
+from its files. A checkpoint holds one TSR1 file per ``Model.named_state()``
+tensor: the parameters, then the batchnorm running statistics.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,9 @@ class NetworkSpec:
     input_residual: bool = False  # redcnn variant: add the input to the output
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if type(getattr(self, f.name)).__name__ != f.type:
+                raise ConfigError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
         if self.kind not in ALL_KINDS:
             raise ConfigError(f"unknown network kind {self.kind!r}; expected one of {ALL_KINDS}")
         if self.base_channels < 1:
@@ -72,40 +76,31 @@ class NetworkSpec:
 
 class _Layer:
     """The autodiff op named ``op`` with its tensors: trainable ``params``
-    and, for batchnorm, ``state`` (the running statistics). A call runs
+    and, for batchnorm, ``state`` (the running statistics), each declared
+    as ``{name: shape}`` and allocated as float32 zeros. A call runs
     ``op(x, *params, *state, *args, *call_args)``, looking the op up in
     :mod:`autodiff` at call time."""
 
     def __init__(self, name: str, op: str, params: dict, state: dict | None = None, args: tuple = ()):
         self.name, self.op = name, op
-        self.params, self.state = params, state or {}
-        self._operands = (*params.values(), *self.state.values(), *args)
+        self.params = {key: Tensor(np.zeros(shape, dtype=np.float32)) for key, shape in params.items()}
+        self.state = {key: Tensor(np.zeros(shape, dtype=np.float32)) for key, shape in (state or {}).items()}
+        self._operands = (*self.params.values(), *self.state.values(), *args)
 
     def __call__(self, x: Tensor, *call_args) -> Tensor:
         return getattr(ad, self.op)(x, *self._operands, *call_args)
 
 
-def _weighted(name: str, op: str, weight_shape: tuple, outputs: int, seed: int, *args) -> _Layer:
-    """A layer with a seeded Xavier weight and a zero bias."""
-    weight = xavier_uniform_init(weight_shape, derive_seed(seed, f"{name}.weight"))
-    bias = Tensor(np.zeros(outputs, dtype=np.float32))
-    return _Layer(name, op, {"weight": weight, "bias": bias}, args=args)
+def _conv(name: str, cin: int, cout: int, kernel: int = 3) -> _Layer:
+    return _Layer(name, "conv2d", {"weight": (cout, cin, kernel, kernel), "bias": (cout,)})
 
 
-def _conv(name: str, cin: int, cout: int, seed: int, kernel: int = 3) -> _Layer:
-    return _weighted(name, "conv2d", (cout, cin, kernel, kernel), cout, seed)
+def _tconv(name: str, cin: int, cout: int, kernel: int = 3, stride: int = 1) -> _Layer:
+    return _Layer(name, "transpose_conv2d", {"weight": (cin, cout, kernel, kernel), "bias": (cout,)}, args=(stride,))
 
 
-def _tconv(name: str, cin: int, cout: int, seed: int, kernel: int = 3, stride: int = 1) -> _Layer:
-    return _weighted(name, "transpose_conv2d", (cin, cout, kernel, kernel), cout, seed, stride)
-
-
-def _batchnorm(name: str, channels: int) -> _Layer:
-    gamma = Tensor(np.ones(channels, dtype=np.float32))
-    beta = Tensor(np.zeros(channels, dtype=np.float32))
-    mean = Tensor(np.zeros(channels, dtype=np.float32))
-    var = Tensor(np.ones(channels, dtype=np.float32))
-    return _Layer(name, "batchnorm2d", {"gamma": gamma, "beta": beta}, {"running_mean": mean, "running_var": var})
+def _batchnorm(name: str, c: int) -> _Layer:
+    return _Layer(name, "batchnorm2d", {"gamma": (c,), "beta": (c,)}, {"running_mean": (c,), "running_var": (c,)})
 
 
 class Model:
@@ -150,17 +145,16 @@ class RedCnn(Model):
     def __init__(self, spec: NetworkSpec):
         super().__init__(spec)
         c = spec.base_channels
-        s = spec.seed
-        self.conv1 = self._register(_conv("conv1", 1, c, s))
-        self.conv2 = self._register(_conv("conv2", c, c, s))
-        self.conv3 = self._register(_conv("conv3", c, c, s))
-        self.conv4 = self._register(_conv("conv4", c, c, s))
-        self.conv5 = self._register(_conv("conv5", c, c, s))
-        self.deconv1 = self._register(_tconv("deconv1", c, c, s))
-        self.deconv2 = self._register(_tconv("deconv2", c, c, s))
-        self.deconv3 = self._register(_tconv("deconv3", c, c, s))
-        self.deconv4 = self._register(_tconv("deconv4", c, c, s))
-        self.deconv5 = self._register(_tconv("deconv5", c, 1, s))
+        self.conv1 = self._register(_conv("conv1", 1, c))
+        self.conv2 = self._register(_conv("conv2", c, c))
+        self.conv3 = self._register(_conv("conv3", c, c))
+        self.conv4 = self._register(_conv("conv4", c, c))
+        self.conv5 = self._register(_conv("conv5", c, c))
+        self.deconv1 = self._register(_tconv("deconv1", c, c))
+        self.deconv2 = self._register(_tconv("deconv2", c, c))
+        self.deconv3 = self._register(_tconv("deconv3", c, c))
+        self.deconv4 = self._register(_tconv("deconv4", c, c))
+        self.deconv5 = self._register(_tconv("deconv5", c, 1))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -188,14 +182,13 @@ class McDnCnn(Model):
     def __init__(self, spec: NetworkSpec):
         super().__init__(spec)
         c = spec.base_channels
-        s = spec.seed
-        self.conv_in = self._register(_conv("conv1", 1, c, s))
+        self.conv_in = self._register(_conv("conv1", 1, c))
         self.blocks = []
         for i in range(7):
-            conv = self._register(_conv(f"conv{i + 2}", c, c, s))
+            conv = self._register(_conv(f"conv{i + 2}", c, c))
             bn = self._register(_batchnorm(f"bn{i + 2}", c))
             self.blocks.append((conv, bn))
-        self.conv_out = self._register(_conv("conv9", c, 1, s))
+        self.conv_out = self._register(_conv("conv9", c, 1))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -215,28 +208,28 @@ class NoNewNet2d(Model):
 
     def __init__(self, spec: NetworkSpec):
         super().__init__(spec)
-        base, d, s = spec.base_channels, spec.depth, spec.seed
+        base, d = spec.base_channels, spec.depth
         widths = [base * (2**i) for i in range(d)]
         self.enc = []
         cin = 1
         for i, w in enumerate(widths):
-            a = self._register(_conv(f"enc{i}a", cin, w, s))
-            b = self._register(_conv(f"enc{i}b", w, w, s))
+            a = self._register(_conv(f"enc{i}a", cin, w))
+            b = self._register(_conv(f"enc{i}b", w, w))
             self.enc.append((a, b))
             cin = w
         bott = base * (2**d)
-        self.bott_a = self._register(_conv("bottlenecka", cin, bott, s))
-        self.bott_b = self._register(_conv("bottleneckb", bott, bott, s))
+        self.bott_a = self._register(_conv("bottlenecka", cin, bott))
+        self.bott_b = self._register(_conv("bottleneckb", bott, bott))
         self.dec = []
         prev = bott
         for i in reversed(range(d)):
             w = widths[i]
-            up = self._register(_tconv(f"up{i}", prev, w, s, kernel=2, stride=2))
-            a = self._register(_conv(f"dec{i}a", 2 * w, w, s))
-            b = self._register(_conv(f"dec{i}b", w, w, s))
+            up = self._register(_tconv(f"up{i}", prev, w, kernel=2, stride=2))
+            a = self._register(_conv(f"dec{i}a", 2 * w, w))
+            b = self._register(_conv(f"dec{i}b", w, w))
             self.dec.append((i, up, a, b))
             prev = w
-        self.head = self._register(_conv("head", base, spec.num_classes, s, kernel=1))
+        self.head = self._register(_conv("head", base, spec.num_classes, kernel=1))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -271,15 +264,16 @@ class Ccnn(Model):
 
     def __init__(self, spec: NetworkSpec):
         super().__init__(spec)
-        base, s = spec.base_channels, spec.seed
+        base = spec.base_channels
         self.convs = []
         cin = 1
         for i in range(self.BLOCKS):
             w = base * (2**i)
-            self.convs.append(self._register(_conv(f"conv{i + 1}", cin, w, s)))
+            self.convs.append(self._register(_conv(f"conv{i + 1}", cin, w)))
             cin = w
         feat = cin * (spec.height // 16) * (spec.width // 16)
-        self.fc = self._register(_weighted("fc", "linear", (spec.num_classes, feat), spec.num_classes, s))
+        k = spec.num_classes
+        self.fc = self._register(_Layer("fc", "linear", {"weight": (k, feat), "bias": (k,)}))
 
     def forward(self, x: Tensor, train: bool = False) -> Tensor:
         self._check_input(x)
@@ -297,7 +291,15 @@ _BUILDERS = {REDCNN: RedCnn, MCDNCNN: McDnCnn, NONEWNET2D: NoNewNet2d, CCNN: Ccn
 
 
 def build_network(spec: NetworkSpec) -> Model:
-    return _BUILDERS[spec.kind](spec)
+    """A fresh network: each weight Xavier-uniform from the spec seed and its
+    checkpoint name, each batchnorm scale and running variance ones, the rest zero."""
+    model = _BUILDERS[spec.kind](spec)
+    for name, t in model.named_state():
+        if name.endswith(".weight"):
+            t.data = xavier_uniform_init(t.shape, derive_seed(spec.seed, name)).data
+        elif name.endswith((".gamma", ".running_var")):
+            t.data = np.ones(t.shape, dtype=np.float32)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +330,7 @@ def load_checkpoint(directory) -> tuple[Model, int]:
         manifest = json.loads(manifest_path.read_text())
         spec = NetworkSpec(**manifest["spec"])
         epoch = int(manifest["epoch"])
-        model = build_network(spec)
+        model = _BUILDERS[spec.kind](spec)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"malformed checkpoint manifest at {manifest_path}: {exc}") from exc
     for name, t in model.named_state():

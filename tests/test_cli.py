@@ -271,6 +271,23 @@ class TestExitCodes:
         assert str(manifest) in err and "base_channels must be >= 1" in err
         assert err.count("\n") == 1
 
+    def test_hand_edited_denoiser_manifest_writes_no_metrics(self, tmp_path, capsys):
+        # "false" is truthy: read back, hv's redcnn would add its input
+        cfg = _write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--scheme", "hv"]) == 0
+        manifest = tmp_path / "run" / "checkpoints" / "hv" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["spec"]["input_residual"] = "false"
+        manifest.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--scheme", "hv"]) == 5
+        err = capsys.readouterr().err
+        assert err == (
+            f"missing-checkpoint: malformed checkpoint manifest at {manifest}: "
+            "input_residual must be bool, got 'false'\n"
+        )
+        assert not (tmp_path / "run" / "metrics").exists()
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_scheme_outside_the_config_is_config_error(self, tmp_path, capsys, command):
         cfg = _write_config(tmp_path)

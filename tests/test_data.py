@@ -1,5 +1,7 @@
 """Phantom generator invariants and sample/dataset round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from taskdenoise.data import (
     DatasetSpec,
     generate_dataset,
     load_dataset,
+    load_dataset_spec,
     save_dataset,
 )
 from taskdenoise.errors import ConfigError, FormatError
@@ -194,6 +197,17 @@ class TestSampleIO:
         (tmp_path / "ds" / "train" / "0001.img.tsr1").unlink()
         with pytest.raises(FormatError, match="0001.img.tsr1"):
             load_dataset(tmp_path / "ds")
+
+    def test_manifest_count_of_the_wrong_type_raises(self, tmp_path):
+        # a float count used to reach range() and fail there with a TypeError
+        spec = _seg_spec(height=16, width=16, train_count=3, test_count=1)
+        save_dataset(spec, *generate_dataset(spec), tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["train_count"] = 3.0
+        manifest.write_text(json.dumps(raw))
+        with pytest.raises(FormatError, match="malformed manifest: train_count must be int, got 3.0$"):
+            load_dataset_spec(tmp_path / "ds")
 
     def test_dataset_without_label_tensors_names_the_missing_file(self, tmp_path):
         # a classification dataset kept its class indices in text files before

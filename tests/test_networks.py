@@ -1,10 +1,14 @@
 """Shape contracts, parameter-count oracles, and gradient reachability."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from conftest import parameter_checksum
 from taskdenoise import autodiff as ad
+from taskdenoise import networks
 from taskdenoise.autodiff import Tape, Tensor
 from taskdenoise.errors import CheckpointError, ConfigError, InvalidShapeError
 from taskdenoise.networks import (
@@ -284,6 +288,21 @@ def test_built_and_loaded_parameters_take_no_gradient(kind, tmp_path):
             assert list(ad.backward(ad.tsum(m.forward(x, train=True)), tape)) == [x]
 
 
+@pytest.mark.parametrize("kind", sorted(_PINNED_INIT))
+def test_loading_draws_nothing(kind, tmp_path, monkeypatch):
+    spec = NetworkSpec(kind=kind, base_channels=2, num_classes=3, height=16, width=16, seed=5, depth=2)
+    model = build_network(spec)
+    save_checkpoint(model, tmp_path / "ckpt")
+
+    def draw(*args):
+        raise AssertionError("load_checkpoint drew an init value")
+
+    monkeypatch.setattr(networks, "xavier_uniform_init", draw)
+    monkeypatch.setattr(networks, "derive_seed", draw)
+    loaded, _ = load_checkpoint(tmp_path / "ckpt")
+    assert parameter_checksum(loaded) == parameter_checksum(model)
+
+
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
         spec = NetworkSpec(kind="mcdncnn", base_channels=4, seed=7)
@@ -333,6 +352,19 @@ class TestCheckpoints:
         save_checkpoint(model, tmp_path / "ckpt")
         (tmp_path / "ckpt" / "bn8.running_var.tsr1").unlink()
         with pytest.raises(CheckpointError, match="bn8.running_var.tsr1"):
+            load_checkpoint(tmp_path / "ckpt")
+
+    @pytest.mark.parametrize(
+        "key,value", [("input_residual", "false"), ("depth", 3.5), ("seed", "x"), ("seed", 1.5)]
+    )
+    def test_manifest_field_of_the_wrong_type_raises(self, tmp_path, key, value):
+        # a string "false" is truthy: read back, the redcnn would add its input
+        save_checkpoint(build_network(NetworkSpec(kind="redcnn", base_channels=2, seed=1)), tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["spec"][key] = value
+        manifest.write_text(json.dumps(raw))
+        with pytest.raises(CheckpointError, match=re.escape(f"{manifest}: {key} must be")):
             load_checkpoint(tmp_path / "ckpt")
 
     def test_named_state_is_parameters_then_running_stats(self):
